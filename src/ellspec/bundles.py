@@ -185,7 +185,9 @@ def chern_of_extension(
     return cd
 
 
-@lru_cache(maxsize=None)
+# Reuse is within one request (verdict, replay, transcript), so a small
+# bound keeps a long --batch from growing without limit.
+@lru_cache(maxsize=1024)
 def _chern_cached(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -> ChernData:
     if isinstance(bundle, ExtensionBundle):
         return chern_of_extension(

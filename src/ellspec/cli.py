@@ -94,18 +94,41 @@ def _merge_options(args: argparse.Namespace, doc: Any) -> Options:
             return embedded[key]
         return fallback
 
-    opts = Options(
-        tol=float(pick(args.tol, "tol", 1e-9)),
-        seed=int(pick(args.seed, "seed", 0)),
-        verify=int(pick(args.verify, "verify", 50)),
-        d=pick(args.d, "d", None),
-        enum_radius=pick(args.enum_radius, "enum_radius", None),
+    def integer(key, value, least=None):
+        if value is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"options.{key}: expected an integer")
+        if least is not None and value < least:
+            raise SchemaError(f"options.{key}: expected an integer >= {least}")
+        return value
+
+    tol = pick(args.tol, "tol", 1e-9)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise SchemaError("options.tol: expected a finite positive number")
+    return Options(
+        tol=float(tol),
+        seed=integer("seed", pick(args.seed, "seed", 0)),
+        verify=integer("verify", pick(args.verify, "verify", 50), least=1),
+        d=integer("d", pick(args.d, "d", None)),
+        enum_radius=integer("enum_radius", pick(args.enum_radius, "enum_radius", None), least=0),
     )
-    if opts.d is not None and not isinstance(opts.d, int):
-        raise SchemaError("options.d: expected an integer")
-    if opts.enum_radius is not None and not isinstance(opts.enum_radius, int):
-        raise SchemaError("options.enum_radius: expected an integer")
-    return opts
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _parse_json(raw: str, what: str) -> Any:
+    """json.loads that rejects NaN, Infinity, numbers that overflow a float
+    and integers too long to convert."""
+    try:
+        return json.loads(raw, parse_constant=_finite_float, parse_float=_finite_float)
+    except ValueError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _read_input(path: str) -> Any:
@@ -113,10 +136,7 @@ def _read_input(path: str) -> Any:
         raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"input is not valid JSON: {exc}") from exc
+    return _parse_json(raw, "input")
 
 
 def _request_chern(doc: dict, surface: SurfaceData, args: argparse.Namespace) -> ChernData:
@@ -126,10 +146,7 @@ def _request_chern(doc: dict, surface: SurfaceData, args: argparse.Namespace) ->
             chern_doc = {}
         chern_doc = dict(chern_doc)
         if args.c1 is not None:
-            try:
-                chern_doc["c1"] = json.loads(args.c1)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"--c1 is not valid JSON: {exc}") from exc
+            chern_doc["c1"] = _parse_json(args.c1, "--c1")
         if args.c2 is not None:
             chern_doc["c2"] = args.c2
     return decode_chern(chern_doc, surface)

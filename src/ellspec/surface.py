@@ -8,7 +8,11 @@ semidefinite degree form; curve classes pair through
 
 where B is the polarisation of deg.  Torsion is spanned by the fibre
 class and one class per multiple fibre, and pairs to zero against
-everything.  All bookkeeping is exact: integers and fractions only.
+everything.  All bookkeeping is exact.  The Gram matrix of B has integer
+diagonal and half-integer off-diagonal entries, so each lattice also
+carries the integer binary form (A, B, C) = (g00, 2 g01, g11), with
+deg(x, y) = A x^2 + B x y + C y^2; degrees, pairings and the lattice
+minimum are computed from it in integers only.
 """
 
 from __future__ import annotations
@@ -41,11 +45,14 @@ class HomLattice:
 
     gram is the symmetric matrix of the polarisation B, so
     deg(v) = v . gram . v; diagonal entries are integers (degrees of the
-    generators) and off-diagonal entries are half-integers.
+    generators) and off-diagonal entries are half-integers.  form holds
+    the same data as integers: (A, B, C) = (g00, 2 g01, g11) in rank 2,
+    (g00,) in rank 1 and () in rank 0.
     """
 
     rank: int
     gram: tuple[tuple[Fraction, ...], ...]
+    form: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank not in (0, 1, 2):
@@ -62,37 +69,38 @@ class HomLattice:
                     raise ValueError("gram matrix must be symmetric")
                 if (2 * g[i][j]).denominator != 1:
                     raise ValueError("gram entries must be half-integers")
-        # positive semidefinite, exactly
-        if self.rank >= 1 and g[0][0] < 0:
-            raise ValueError("degree form is indefinite")
         if self.rank == 2:
-            if g[1][1] < 0 or g[0][0] * g[1][1] - g[0][1] ** 2 < 0:
-                raise ValueError("degree form is indefinite")
+            form = (int(g[0][0]), int(2 * g[0][1]), int(g[1][1]))
+        else:
+            form = tuple(int(g[i][i]) for i in range(self.rank))
+        object.__setattr__(self, "form", form)
+        # positive semidefinite, exactly
+        if any(x < 0 for x in form[::2]) or self.determinant() < 0:
+            raise ValueError("degree form is indefinite")
 
     def _check_vec(self, v: tuple[int, ...]) -> None:
         if len(v) != self.rank:
             raise ValueError(f"vector length {len(v)} does not match lattice rank {self.rank}")
 
-    def bilinear(self, v: tuple[int, ...], w: tuple[int, ...]) -> Fraction:
+    def bilinear(self, v: tuple[int, ...], w: tuple[int, ...]) -> int:
+        """deg(v + w) - deg(v) - deg(w), that is 2 B(v, w): always an integer."""
         self._check_vec(v)
         self._check_vec(w)
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                total += self.gram[i][j] * v[i] * w[j]
-        return total
+        if self.rank == 2:
+            a, b, c = self.form
+            return 2 * a * v[0] * w[0] + b * (v[0] * w[1] + v[1] * w[0]) + 2 * c * v[1] * w[1]
+        if self.rank == 1:
+            return 2 * self.form[0] * v[0] * w[0]
+        return 0
 
     def degree(self, v: tuple[int, ...]) -> int:
-        d = self.bilinear(v, v)
-        assert d.denominator == 1
-        return int(d)
+        return self.bilinear(v, v) // 2
 
     def determinant(self) -> Fraction:
-        if self.rank == 0:
-            return Fraction(1)
-        if self.rank == 1:
-            return self.gram[0][0]
-        return self.gram[0][0] * self.gram[1][1] - self.gram[0][1] ** 2
+        if self.rank == 2:
+            a, b, c = self.form
+            return Fraction(4 * a * c - b * b, 4)
+        return Fraction(self.form[0]) if self.rank == 1 else Fraction(1)
 
 
 UNIT_LATTICE = HomLattice(1, ((Fraction(1),),))
@@ -221,9 +229,7 @@ def self_intersection(c: NSClass, lattice: HomLattice) -> int:
 
 def pairing(a: NSClass, b: NSClass, lattice: HomLattice) -> int:
     """Intersection number via the polarisation of the degree form."""
-    val = -2 * lattice.bilinear(a.hom, b.hom)
-    assert val.denominator == 1
-    return int(val)
+    return -lattice.bilinear(a.hom, b.hom)
 
 
 def discriminant(cd: ChernData, lattice: HomLattice) -> Fraction:
@@ -244,98 +250,85 @@ def canonical_class(surface: SurfaceData) -> NSClass:
     return NSClass(torsion, (0,) * surface.lattice.rank)
 
 
-def _lex_best(current: tuple[int, ...] | None, candidate: tuple[int, ...]) -> bool:
-    return current is None or candidate < current
-
-
 def filtrable_bound(c1: NSClass, lattice: HomLattice) -> tuple[Fraction, NSClass]:
     """Minimum of deg(c1 - 2 mu)/4 over lattice vectors mu, with a witness.
 
     Returns (m, w) where w = c1 - 2 mu* attains the minimum; its
-    self-intersection is -8m.  The minimiser is found by exact closest
-    vector enumeration: for definite forms inside a provably sufficient
-    box around c1/2, for degenerate forms along a complement of the
-    kernel (the value is constant along kernel directions, and the
-    witness fixes the kernel coordinate to zero).  Ties go to the
-    lexicographically smallest witness coordinates.
+    self-intersection is -8m.  Ties go to the lexicographically smallest
+    witness coordinates.  The minimiser is found exactly, in integers.  A
+    definite rank-2 form is Lagrange-Gauss reduced; in the reduced basis
+    the Babai nearest-plane point bounds the minimum, and completing the
+    square, first in y and then in x, lists every lattice point within
+    that bound: at most four, whatever the form.  All minimisers are
+    mapped back and compared.  A degenerate form is constant along its
+    kernel, so the search runs along a unimodular complement of the
+    kernel and the witness has kernel coordinate zero.
     """
-    rank = lattice.rank
     w = c1.hom
     lattice._check_vec(w)
-    if rank == 0:
-        return Fraction(0), NSClass(c1.torsion, ())
-
-    def value(mu: tuple[int, ...]) -> int:
-        return lattice.degree(tuple(a - 2 * b for a, b in zip(w, mu)))
-
-    def witness_of(mu: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(a - 2 * b for a, b in zip(w, mu))
-
-    candidates: list[tuple[int, ...]]
-    if all(x == 0 for row in lattice.gram for x in row):
-        candidates = [(0,) * rank]
-    elif rank == 1:
-        lo = w[0] // 2
-        candidates = [(lo,), (lo + 1,)]
+    if not any(lattice.form):
+        witnesses = [w]  # rank 0 or the zero form: every mu is a minimiser
+    elif lattice.rank == 1:
+        r = w[0] % 2
+        witnesses = [(r,), (r - 2,)]
+    elif 4 * lattice.form[0] * lattice.form[2] == lattice.form[1] ** 2:
+        a, b, _ = lattice.form
+        g = math.gcd(b, 2 * a)
+        kernel = (1, 0) if a == 0 else (-b // g, 2 * a // g)
+        _, x, y = _xgcd(*kernel)
+        comp = (-y, x)  # det(kernel, comp) = 1: a unimodular complement
+        # deg(w - 2k comp) is least at k = bilinear(w, comp) / (4 deg(comp))
+        lo = lattice.bilinear(w, comp) // (4 * lattice.degree(comp))
+        witnesses = [(w[0] - 2 * k * comp[0], w[1] - 2 * k * comp[1]) for k in (lo, lo + 1)]
     else:
-        det = lattice.determinant()
-        if det == 0:
-            kernel = _kernel_primitive(lattice)
-            comp = _unimodular_complement(kernel)
-            ds = lattice.degree(comp)
-            assert ds > 0
-            bw = lattice.bilinear(w, comp)
-            b0 = bw / (2 * ds)
-            lo = math.floor(b0)
-            candidates = [
-                tuple(k * comp[i] for i in range(2)) for k in (lo, lo + 1)
-            ]
-        else:
-            # positive definite: lambda_min >= det/trace bounds the search box
-            tr = lattice.gram[0][0] + lattice.gram[1][1]
-            centre = [Fraction(x, 2) for x in w]
-            rounded = tuple(int(round(x)) for x in centre)
-            best0 = Fraction(value(rounded))
-            r2 = best0 * tr / det  # |w - 2 mu|^2 bound
-            half = math.isqrt(math.ceil(r2 / 4)) + 1  # |mu_i - w_i/2| bound
-            candidates = [
-                (rounded[0] + i, rounded[1] + j)
-                for i in range(-half, half + 1)
-                for j in range(-half, half + 1)
-            ]
-
-    best_val: int | None = None
-    best_wit: tuple[int, ...] | None = None
-    for mu in candidates:
-        v = value(mu)
-        wit = witness_of(mu)
-        if best_val is None or v < best_val or (v == best_val and _lex_best(best_wit, wit)):
-            best_val, best_wit = v, wit
-    assert best_val is not None and best_wit is not None
-    return Fraction(best_val, 4), NSClass(c1.torsion, best_wit)
+        witnesses = _closest_witnesses(w, lattice.form)
+    best = min(witnesses, key=lambda z: (lattice.degree(z), z))
+    return Fraction(lattice.degree(best), 4), NSClass(c1.torsion, best)
 
 
-def _kernel_primitive(lattice: HomLattice) -> tuple[int, int]:
-    """Primitive integer kernel vector of a degenerate rank-2 form."""
-    a, b = lattice.gram[0][0], lattice.gram[0][1]
-    if a == 0:
-        # psd with zero diagonal entry forces the off-diagonal to vanish
-        return (1, 0)
-    # a x + b y = 0 along (-b, a); clear denominators and divide by gcd
-    num_b, den_b = b.numerator, b.denominator
-    num_a, den_a = a.numerator, a.denominator
-    x = -num_b * den_a
-    y = num_a * den_b
-    g = math.gcd(abs(x), abs(y))
-    return (x // g, y // g)
+def _closest_witnesses(w: tuple[int, ...], form: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every w - 2 mu of least degree under a positive definite binary form."""
+    a, b, c, u = _gauss_reduce(*form)
+    (p, q), (r, s) = u
+    e = p * s - q * r  # +-1, so u^-1 = e [[s, -q], [-r, p]]
+    t0, t1 = e * (s * w[0] - q * w[1]), e * (p * w[1] - r * w[0])
+    # 4a deg(x, y) = (2a x + b y)^2 + disc y^2, with x = t0, y = t1 (mod 2)
+    disc = 4 * a * c - b * b
+    # Babai nearest plane: the least |y| of the right parity, then the x
+    # of the right parity nearest -b y / 2a; 4a times its degree bounds
+    # every (2a x + b y)^2 + disc y^2 to be listed
+    y0 = t1 % 2
+    x0 = t0 - 2 * ((2 * a * t0 + b * y0 + 2 * a) // (4 * a))
+    bound = 4 * a * (a * x0 * x0 + b * x0 * y0 + c * y0 * y0)
+    ymax = math.isqrt(bound // disc)
+    best, found = None, []
+    for y in range(-ymax + (ymax + t1) % 2, ymax + 1, 2):
+        room = math.isqrt(bound - disc * y * y)
+        lo = -((room + b * y) // (2 * a))
+        for x in range(lo + (lo - t0) % 2, (room - b * y) // (2 * a) + 1, 2):
+            val = a * x * x + b * x * y + c * y * y
+            if best is None or val < best:
+                best, found = val, []
+            if val == best:
+                found.append((p * x + q * y, r * x + s * y))
+    return found
 
 
-def _unimodular_complement(kernel: tuple[int, int]) -> tuple[int, int]:
-    """Vector s with det(kernel, s) = 1, from Bezout coefficients."""
-    k1, k2 = kernel
-    g, a, b = _xgcd(k1, k2)
-    assert g == 1, "kernel vector must be primitive"
-    return (-b, a)
+def _gauss_reduce(a: int, b: int, c: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """Lagrange-Gauss reduction of the definite form a x^2 + b x y + c y^2.
+
+    Returns (a', b', c', u) with |b'| <= a' <= c' and u unimodular, such
+    that the form at u z is a' z0^2 + b' z0 z1 + c' z1^2.
+    """
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        k = (b + a) // (2 * a)  # nearest integer to b / 2a
+        b, c = b - 2 * a * k, c - k * (b - a * k)
+        q, s = q - k * p, s - k * r
+        if a <= c:
+            return a, b, c, ((p, q), (r, s))
+        a, b, c = c, -b, a
+        p, q, r, s = q, -p, s, -r
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

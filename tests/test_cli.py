@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -272,6 +273,77 @@ def test_validation_error_exit(tmp_path, capsys):
     assert code == EX_FAILURE
     assert body["exit_code"] == EX_FAILURE
     assert "admissible window" in body["error"]
+
+
+def test_non_finite_json_rejected(tmp_path, capsys):
+    for tau in ("Infinity", "-Infinity", "NaN", "1e999"):
+        req = tmp_path / "request.json"
+        req.write_text(
+            json.dumps(g0_request(0)).replace("[4.0, 0.0]", f"[{tau}, 0]"), encoding="utf-8"
+        )
+        assert main(["exists", str(req)]) == EX_SCHEMA, tau
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not valid JSON" in captured.err
+    req.write_text(
+        json.dumps(g0_request(0)).replace('"c2": 0', '"c2": ' + "9" * 5000), encoding="utf-8"
+    )
+    assert main(["exists", str(req)]) == EX_SCHEMA  # longer than int() converts
+    capsys.readouterr()
+    code, body = run_cli(
+        tmp_path, capsys, "exists", g2_request(0), "--c1", '{"torsion":[0],"hom":[NaN]}'
+    )
+    assert code == EX_SCHEMA and "--c1 is not valid JSON" in body["error"]
+
+
+@pytest.mark.parametrize(
+    "options, flags",
+    [
+        ({"seed": "abc"}, ()),
+        ({"seed": True}, ()),
+        ({"seed": 1.5}, ()),
+        ({"tol": -1}, ()),
+        ({"tol": 0}, ()),
+        ({"tol": "1e-9"}, ()),
+        ({"tol": False}, ()),
+        ({}, ("--tol", "nan")),
+        ({}, ("--tol", "inf")),
+        ({"verify": 0}, ()),
+        ({}, ("--verify", "-3")),
+        ({"enum_radius": -1}, ()),
+        ({"d": True}, ()),
+    ],
+)
+def test_bad_options_are_schema_errors(tmp_path, capsys, options, flags):
+    doc = g2_request(0)
+    doc["options"] = options
+    code, body = run_cli(tmp_path, capsys, "exists", doc, *flags)
+    assert code == EX_SCHEMA
+    assert body["exit_code"] == EX_SCHEMA and body["error"].startswith("options.")
+
+
+def test_valid_options_still_accepted(tmp_path, capsys):
+    plain = run_cli(tmp_path, capsys, "exists", g2_request(0))
+    doc = g2_request(0)
+    doc["options"] = {"seed": 0, "tol": 1e-9, "verify": 50, "enum_radius": 0}
+    assert run_cli(tmp_path, capsys, "exists", doc) == plain
+
+
+def test_exists_on_ill_conditioned_lattice(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "surface": {
+            "genus": 2,
+            "tau": [3.0, 0.0],
+            "lattice": {"rank": 2, "gram": [[100000000, 0], [0, 1]]},
+        },
+        "chern": {"c1": {"torsion": [0], "hom": [1, 1]}, "c2": 0},
+    }
+    start = time.perf_counter()
+    code, body = run_cli(tmp_path, capsys, "exists", doc)
+    assert time.perf_counter() - start < 1.0
+    assert code == EX_OK
+    assert body["lattice_minimum"] == "100000001/4"
+    assert body["delta"] == "100000001/4"
 
 
 def test_batch(tmp_path, capsys):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellspec.bundles import LineBundleOnX, SpectralPushBundle, chern_data
+from ellspec.bundles import LineBundleOnX, SpectralPushBundle, _chern_cached, chern_data
 from ellspec.existence import (
     Existence,
     GapKind,
@@ -239,3 +239,12 @@ def test_gap_kinds():
         filtrable_gap(ChernData(C1_HOM, -1), G2_FOUR)
     with pytest.raises(ValueError, match="admissible window"):
         filtrable_gap(ChernData(C1_HOM, -1), G2_FOUR, d=5)
+
+
+def test_chern_cache_is_bounded():
+    _chern_cached.cache_clear()
+    for c2 in range(3000):
+        assert existence_verdict(ChernData(C1_HOM, c2), G2_FOUR).status is Existence.EXISTS
+    info = _chern_cached.cache_info()
+    assert info.maxsize is not None and info.misses > info.maxsize
+    assert info.currsize <= info.maxsize

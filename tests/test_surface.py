@@ -2,13 +2,17 @@
 
 Oracle written before the assertions: brute_bound enumerates lattice
 vectors in a cube of radius 25 and minimises deg(c1 - 2 mu) exactly,
-with the same lexicographic tie-break on the witness.
+with the same lexicographic tie-break on the witness.  box_bound is the
+earlier box search of filtrable_bound, kept as the oracle for the
+reduced closest-vector search that replaced it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -54,6 +58,71 @@ def brute_bound(c1: NSClass, lattice: HomLattice, radius: int = 25):
         if best_val is None or v < best_val or (v == best_val and wit < best_wit):
             best_val, best_wit = v, wit
     return Fraction(best_val, 4), NSClass(c1.torsion, best_wit)
+
+
+def box_bound(c1: NSClass, lattice: HomLattice):
+    """The box search that filtrable_bound used before Gauss reduction.
+
+    Definite forms: every mu in a box around c1/2 whose half-side comes
+    from lambda_min >= det/trace.  Degenerate forms: the two nearest
+    multiples of a Bezout complement of the primitive kernel vector.
+    Ties go to the lexicographically smallest witness.
+    """
+    w, g, rank = c1.hom, lattice.gram, lattice.rank
+    if rank == 0:
+        return Fraction(0), NSClass(c1.torsion, ())
+    a2 = [[int(2 * x) for x in row] for row in g]  # twice the gram: integers
+
+    def degree(v):
+        return sum(a2[i][j] * v[i] * v[j] for i in range(rank) for j in range(rank)) // 2
+
+    if all(x == 0 for row in g for x in row):
+        candidates = [(0,) * rank]
+    elif rank == 1:
+        candidates = [(w[0] // 2,), (w[0] // 2 + 1,)]
+    elif g[0][0] * g[1][1] == g[0][1] ** 2:
+        a, b = g[0][0], g[0][1]
+        kx, ky = (1, 0) if a == 0 else (-b.numerator * a.denominator, a.numerator * b.denominator)
+        k = math.gcd(kx, ky)
+        kx, ky = kx // k, ky // k
+        # Bezout: s kx + t ky = 1, complement (-t, s)
+        old_r, r, old_s, s_, old_t, t = kx, ky, 1, 0, 0, 1
+        while r:
+            qu = old_r // r
+            old_r, r = r, old_r - qu * r
+            old_s, s_ = s_, old_s - qu * s_
+            old_t, t = t, old_t - qu * t
+        if old_r < 0:
+            old_s, old_t = -old_s, -old_t
+        comp = (-old_t, old_s)
+        bw = sum(g[i][j] * w[i] * comp[j] for i in range(2) for j in range(2))
+        lo = math.floor(bw / (2 * degree(comp)))
+        candidates = [(k * comp[0], k * comp[1]) for k in (lo, lo + 1)]
+    else:
+        det = g[0][0] * g[1][1] - g[0][1] ** 2
+        tr = g[0][0] + g[1][1]
+        rounded = tuple(int(round(Fraction(x, 2))) for x in w)
+        best0 = Fraction(degree(tuple(a - 2 * b for a, b in zip(w, rounded))))
+        half = math.isqrt(math.ceil(best0 * tr / det / 4)) + 1
+        candidates = [
+            (rounded[0] + i, rounded[1] + j)
+            for i in range(-half, half + 1)
+            for j in range(-half, half + 1)
+        ]
+    witnesses = [tuple(a - 2 * b for a, b in zip(w, mu)) for mu in candidates]
+    best = min(witnesses, key=lambda z: (degree(z), z))
+    return Fraction(degree(best), 4), NSClass(c1.torsion, best)
+
+
+def form_lattice(a: int, b: int, c: int) -> HomLattice:
+    """The rank-2 lattice of a x^2 + b x y + c y^2."""
+    return HomLattice(2, ((a, Fraction(b, 2)), (Fraction(b, 2), c)))
+
+
+def transformed(n: int, k: int, u) -> tuple[int, int, int]:
+    """(A, B, C) of u^T diag(n, k) u."""
+    (p, q), (r, s) = u
+    return (n * p * p + k * r * r, 2 * (n * p * q + k * r * s), n * q * q + k * s * s)
 
 
 # ------------------------------------------------------------- validation
@@ -311,3 +380,81 @@ def test_filtrable_bound_random_definite_lattices():
             assert self_intersection(got_wit, lattice) == -8 * got_m
             assert all((a - b) % 2 == 0 for a, b in zip(c1.hom, got_wit.hom))
         count += 1
+
+
+@st.composite
+def unimodular(draw, steps: int = 3):
+    """A product of shears and swaps with entries in [-3, 3]."""
+    p, q, r, s = 1, 0, 0, 1
+    for k in draw(st.lists(st.integers(-2, 2), max_size=steps)):
+        p, q, r, s = q, -p + k * q, s, -r + k * s
+    return ((p, q), (r, s))
+
+
+@st.composite
+def definite_forms(draw):
+    a = draw(st.integers(1, 30))
+    c = draw(st.integers(1, 30))
+    room = math.isqrt(4 * a * c - 1)
+    return (a, draw(st.integers(-room, room)), c)
+
+
+skewed_forms = st.builds(
+    transformed, st.integers(1, 30), st.just(1), unimodular().filter(
+        lambda u: max(abs(x) for row in u for x in row) <= 3
+    )
+)
+# forms with symmetries, where several vectors share the least degree
+tie_forms = st.builds(
+    lambda k, base, u: transformed(1, 1, u) if base is None else tuple(k * x for x in base),
+    st.integers(1, 5),
+    st.sampled_from([(1, 0, 1), (1, 1, 1), (1, -1, 1), (2, 2, 2), (2, 0, 1), None]),
+    unimodular(2),
+)
+degenerate_forms = st.one_of(
+    st.just((0, 0, 0)),
+    st.builds(transformed, st.integers(1, 12), st.just(0), unimodular(2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    form=st.one_of(definite_forms(), skewed_forms, tie_forms, degenerate_forms),
+    hom=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    torsion=st.integers(-3, 3),
+)
+def test_filtrable_bound_matches_box_search(form, hom, torsion):
+    lattice = form_lattice(*form)
+    c1 = NSClass((torsion,), hom)
+    assert filtrable_bound(c1, lattice) == box_bound(c1, lattice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(0, 12), w=st.integers(-40, 40))
+def test_filtrable_bound_rank_one_matches_box_search(a, w):
+    lattice = HomLattice(1, ((a,),))
+    c1 = NSClass((0,), (w,))
+    assert filtrable_bound(c1, lattice) == box_bound(c1, lattice)
+
+
+def test_filtrable_bound_ladder_is_fast():
+    """diag(N, 1) and two skewed images up to N = 10^12, against the closed
+    form m = (N (c1_0 mod 2) + (c1_1 mod 2)) / 4 in diagonal coordinates."""
+    shears = (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1)))
+    for e in range(1, 13):
+        n = 10**e
+        for u in shears:
+            lattice = form_lattice(*transformed(n, 1, u))
+            for hom in ((1, 1), (2, 1), (1, 2), (0, 0), (3, -5), (-7, 4)):
+                c1 = NSClass((0,), hom)
+                elapsed = []
+                for _ in range(3):
+                    start = time.perf_counter()
+                    m, wit = filtrable_bound(c1, lattice)
+                    elapsed.append(time.perf_counter() - start)
+                assert min(elapsed) < 0.01, (n, u, hom, elapsed)
+                (p, q), (r, s) = u
+                x, y = p * hom[0] + q * hom[1], r * hom[0] + s * hom[1]
+                assert m == Fraction(n * (x % 2) + y % 2, 4)
+                assert self_intersection(wit, lattice) == -8 * m
+                assert all((a - b) % 2 == 0 for a, b in zip(hom, wit.hom))
