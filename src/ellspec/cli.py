@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import itertools
 import json
 import math
+import os
 import random
+import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,7 +136,13 @@ def _parse_json(raw: str, what: str) -> Any:
 
 def _read_input(path: str) -> Any:
     try:
-        raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, "rb", buffering=0) as fh:
+                raw = fh.read().decode("utf-8")
+            # the newline translation that text mode would have applied
+            raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
     return _parse_json(raw, "input")
@@ -476,8 +485,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process: parse_args keeps no
+    state between calls, and building costs far more than parsing."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
         doc = _read_input(args.input)
@@ -504,11 +520,23 @@ def main(argv: list[str] | None = None) -> int:
 
 def _emit(body: Any, path: str | None) -> None:
     text = json.dumps(body, indent=2, allow_nan=False)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not path:
         print(text)
+        return
+    data = (text + "\n").encode("utf-8")
+    # Write over the old bytes and cut off what is left of them, rather than
+    # truncate on open: ext4 starts writing a file emptied by truncation back
+    # to disk when it is closed, and that cost more than the request did.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 if __name__ == "__main__":

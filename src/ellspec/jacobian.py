@@ -15,10 +15,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import zip_longest
 
 from .tate import (
     DEFAULT_TOL,
@@ -368,11 +368,65 @@ def graph_self_intersection(
     return Fraction(cover.declared_self_intersection)
 
 
+_ABERTH_STEPS = 100
+
+
+def _poly_roots(coeffs: list[complex]) -> list[complex]:
+    """All roots of sum coeffs[k] z^k (coeffs[-1] != 0), with multiplicity.
+
+    Aberth-Ehrlich simultaneous iteration (Aberth, Math. Comp. 27, 1973;
+    Bini, Numer. Algorithms 13, 1996).  Exact zero roots are split off
+    first; the rest start on a circle of radius max_k (n|a_k/a_n|)^(1/(n-k)),
+    a Cauchy bound on the root moduli.  Each approximation stops once
+    |p(z)| is within the rounding error of Horner's rule,
+    eps * sum |a_k||z|^k, or once its correction falls below eps*|z|; at
+    most _ABERTH_STEPS sweeps run.
+    """
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    a = coeffs[zeros:]
+    moduli = [abs(c) for c in a]
+    n = len(a) - 1
+    if n == 0:
+        return [0j] * zeros
+    eps = sys.float_info.epsilon
+    radius = max((n * m / moduli[-1]) ** (1.0 / (n - k)) for k, m in enumerate(moduli[:-1]))
+    roots = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
+    done = [False] * n
+    for _ in range(_ABERTH_STEPS):
+        if all(done):
+            break
+        for k, zk in enumerate(roots):
+            if done[k]:
+                continue
+            p = dp = 0j
+            bound = 0.0
+            for c, m in zip(reversed(a), reversed(moduli)):
+                dp = dp * zk + p
+                p = p * zk + c
+                bound = bound * abs(zk) + m
+            if abs(p) <= eps * bound:
+                done[k] = True
+                continue
+            repel = sum(1.0 / (zk - zj) for j, zj in enumerate(roots) if j != k)
+            step = 1.0 / (dp / p - repel)
+            roots[k] = zk - step
+            done[k] = abs(step) <= eps * abs(roots[k])
+    if not all(map(cmath.isfinite, roots)):
+        raise ValueError("polynomial roots out of floating-point range")
+    return roots + [0j] * zeros
+
+
 def branch_points_numeric(cover: DoubleCoverData, delta: SectionOfJ, surface: SurfaceData) -> list[complex]:
     """Finite branch points of a concrete cover: roots of trace^2 - 4 delta.
 
-    Only for a rational base with constant delta; root multiplicities are
-    preserved in the returned list.
+    Only for a rational base with constant delta.  The numerator of the
+    discriminant, num^2 - 4 delta den^2, loses leading coefficients below
+    1e-10 of its largest one.  Its roots come from Aberth-Ehrlich
+    iteration (_poly_roots), which stops each root once |p(z)| is within
+    Horner's rounding bound or its correction is below eps*|z|.  They are
+    in no particular order, with multiplicity.
     """
     if cover.trace is None or surface.base.genus != 0:
         raise ValueError("branch points are computed only for concrete rational-base covers")
@@ -384,20 +438,25 @@ def branch_points_numeric(cover: DoubleCoverData, delta: SectionOfJ, surface: Su
         d0 = cover.norm(0.0 + 0.0j)
     else:
         d0 = delta.constant.rep
-    p = np.array(cover.trace.num, dtype=complex)
-    q = np.array(cover.trace.den, dtype=complex)
-    disc = np.polysub(
-        np.polymul(p[::-1], p[::-1]), 4.0 * d0 * np.polymul(q[::-1], q[::-1])
-    )
-    disc = np.trim_zeros(disc, "f")
-    scale = np.max(np.abs(disc)) if disc.size else 0.0
+    disc = [
+        x - 4.0 * d0 * y
+        for x, y in zip_longest(_poly_square(cover.trace.num), _poly_square(cover.trace.den), fillvalue=0j)
+    ]
+    scale = max((abs(c) for c in disc), default=0.0)
     if scale == 0.0:
         raise ValueError("degenerate cover: the quadratic relation has square discriminant")
-    lead = 0
-    while lead < disc.size and abs(disc[lead]) <= 1e-10 * scale:
-        lead += 1
-    roots = np.roots(disc[lead:]) if disc.size - lead > 1 else np.array([])
-    return [complex(r) for r in roots]
+    while abs(disc[-1]) <= 1e-10 * scale:
+        disc.pop()
+    return _poly_roots(disc)
+
+
+def _poly_square(a: tuple[complex, ...]) -> list[complex]:
+    """Coefficients of the square of sum a[k] z^k."""
+    out = [0j] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(a):
+            out[i + j] += x * y
+    return out
 
 
 def branch_point_count(cover: DoubleCoverData, delta: SectionOfJ, surface: SurfaceData) -> int:

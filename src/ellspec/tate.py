@@ -154,7 +154,7 @@ def two_torsion(curve: CurveParam) -> list[TatePoint]:
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _inversion_constant(tau: complex, eps: float, cap: int) -> complex:
     """The u-independent part 2 sum_{n>=1} q^n/(1-q^n)^2, to absolute error eps."""
     q = 1.0 / tau

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -369,3 +373,66 @@ def test_stdin_and_output_file(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == ""
     body = json.loads(out_path.read_text(encoding="utf-8"))
     assert body["verdict"] == "exists"
+
+
+def test_input_line_endings_do_not_matter(tmp_path, capsys):
+    good = json.dumps(g0_request(0), indent=1)
+    bad = good.replace('"genus"', '"genus" 1', 1)
+    seen = []
+    for text in (good, bad):
+        for newline in ("\n", "\r\n", "\r"):
+            req = tmp_path / "request.json"
+            req.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            code = main(["exists", str(req)])
+            seen.append((text, code, capsys.readouterr()))
+    assert [code for _, code, _ in seen] == [EX_OK] * 3 + [EX_SCHEMA] * 3
+    for text in (good, bad):
+        outputs = {(out.out, out.err) for t, _, out in seen if t == text}
+        assert len(outputs) == 1
+
+
+def test_output_file_is_replaced_whole(tmp_path, capsys):
+    req = tmp_path / "request.json"
+    req.write_text(json.dumps(g0_request(0)), encoding="utf-8")
+    assert main(["exists", str(req)]) == EX_OK
+    expected = capsys.readouterr().out
+    out_path = tmp_path / "response.json"
+    for old in ("x" * (4 * len(expected)), "", "y"):
+        out_path.write_text(old, encoding="utf-8")
+        assert main(["exists", str(req), "--output", str(out_path)]) == EX_OK
+        assert out_path.read_text(encoding="utf-8") == expected
+    # a character device cannot be truncated, and is written all the same
+    assert main(["exists", str(req), "--output", os.devnull]) == EX_OK
+    assert capsys.readouterr().out == ""
+
+
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_package_imports_without_numpy():
+    proc = _fresh_python(
+        "-c", 'import ellspec, ellspec.cli, sys; assert "numpy" not in sys.modules'
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_reuses_parser_without_leaking_arguments(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "surface": {"genus": 3, "tau": [1.5, 1.5], "lattice": {"rank": 1, "gram": [[2]]}},
+        "chern": {"c1": {"torsion": [0], "hom": [1]}, "c2": 0},
+    }
+    req = tmp_path / "request.json"
+    req.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["exists", str(req), "--c2", "-1", "--d", "1"]) == EX_OK
+    flagged = capsys.readouterr().out
+    code = main(["exists", str(req)])
+    plain = capsys.readouterr().out
+    assert plain != flagged
+    fresh = _fresh_python("-m", "ellspec", "exists", str(req))
+    assert (plain, code) == (fresh.stdout, fresh.returncode)

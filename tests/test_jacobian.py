@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import zip_longest
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellspec.jacobian import (
+    _poly_roots,
     Bisection,
     DoubleCoverData,
     RationalMap,
@@ -373,6 +376,143 @@ def test_branch_points_need_constant_determinant():
     cover = DoubleCoverData(trace=RationalMap((0.0, 1.0)))
     with pytest.raises(ValueError):
         branch_points_numeric(cover, SectionOfJ(identity(TAU4), (1,)), S0U)
+
+
+# ----------------------------------------------------------- root finder
+#
+# Oracles: mpmath.polyroots at 20 digits where the roots are unknown, the
+# constructed roots themselves where they are known exactly.  A simple
+# root is only as accurate as its condition allows, so roots of random
+# polynomials are compared where sum |a_k||r|^k / (|p'(r)| (1 + |r|)) is at
+# most 1e4: rounding then moves them by about 1e4 * eps = 2e-12, well
+# inside the 1e-9 asserted.  A
+# double root r moves by sqrt(eps * sum |a_k||r|^k / |p''(r)/2|) under
+# rounding, so exact double roots sit on the Gaussian integers of the
+# unit square, where that is below 3e-7.  (Four double roots packed into
+# one corner of the half-integer grid give 2.5e-6 here and 2.0e-6 from
+# numpy.roots.)
+
+
+def _from_roots(roots, lead=1.0):
+    """Ascending coefficients of lead * prod (z - r)."""
+    coeffs = [complex(lead)]
+    for r in roots:
+        coeffs = [s - r * c for s, c in zip([0j] + coeffs, coeffs + [0j])]
+    return coeffs
+
+
+def _mp_roots(coeffs):
+    """Exact zero roots, then mpmath.polyroots on the rest (it needs a nonzero constant)."""
+    zeros = next(k for k, c in enumerate(coeffs) if c != 0)
+    if zeros == len(coeffs) - 1:
+        return [0j] * zeros
+    with mpmath.workdps(20):
+        roots = mpmath.polyroots(
+            [mpmath.mpc(c) for c in reversed(coeffs[zeros:])], maxsteps=400, extraprec=40
+        )
+    return [0j] * zeros + [complex(r) for r in roots]
+
+
+def _well_conditioned(coeffs, r):
+    size = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
+    slope = abs(sum(k * c * r ** (k - 1) for k, c in enumerate(coeffs) if k))
+    return size <= 1e4 * slope * (1 + abs(r))
+
+
+def _distance(found, r, rank=0):
+    return sorted(abs(z - r) for z in found)[rank]
+
+
+_real = st.floats(-4, 4).map(lambda x: round(x, 6))
+_coefficient = st.builds(complex, _real, _real)
+_tiny = st.floats(-1e-3, 1e-3, allow_subnormal=False)
+_unit_grid = st.builds(complex, st.integers(-1, 1), st.integers(-1, 1))
+_lead = st.sampled_from([1.0, -2.0, 0.5j, 3.0 + 1.0j])
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=st.lists(_coefficient, min_size=2, max_size=9))
+def test_roots_of_random_coefficients_match_mpmath(coeffs):
+    assume(abs(coeffs[-1]) > 1e-3)
+    found = _poly_roots(coeffs)
+    assert len(found) == len(coeffs) - 1
+    for r in _mp_roots(coeffs):
+        if _well_conditioned(coeffs, r):
+            assert _distance(found, r) <= 1e-9 * (1 + abs(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    centre=_unit_grid,
+    offsets=st.lists(st.builds(complex, _tiny, _tiny), min_size=2, max_size=4),
+    others=st.lists(_unit_grid, max_size=4, unique=True),
+    lead=_lead,
+)
+def test_roots_of_clustered_polynomials(centre, offsets, others, lead):
+    others = [r for r in others if r != centre]
+    found = _poly_roots(_from_roots([centre + d for d in offsets] + others, lead))
+    assert len(found) == len(offsets) + len(others)
+    assert sum(abs(z - centre) < 0.25 for z in found) == len(offsets)
+    for r in others:
+        assert _distance(found, r) <= 1e-9 * (1 + abs(r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    doubles=st.lists(_unit_grid, min_size=1, max_size=4, unique=True),
+    simples=st.lists(_unit_grid, max_size=6, unique=True),
+    lead=_lead,
+)
+def test_roots_of_exact_double_roots(doubles, simples, lead):
+    simples = [r for r in simples if r not in doubles][: 8 - 2 * len(doubles)]
+    found = _poly_roots(_from_roots(doubles + doubles + simples, lead))
+    assert len(found) == 2 * len(doubles) + len(simples)
+    for r in simples:
+        assert _distance(found, r) <= 1e-9 * (1 + abs(r))
+    for r in doubles:
+        assert _distance(found, r, rank=1) <= 1e-6
+
+
+def test_roots_out_of_float_range_raise():
+    # the roots 0 and 2.2e-311j: the second is subnormal
+    with pytest.raises(ValueError, match="floating-point range"):
+        _poly_roots([0j, -2.225073858507e-311j, 1.0])
+
+
+def _square(a):
+    return [
+        sum(a[i] * a[k - i] for i in range(len(a)) if 0 <= k - i < len(a))
+        for k in range(2 * len(a) - 1)
+    ]
+
+
+_small = st.sampled_from([0.0, 0.5, -1.0, 1.0, 2.0, -3.0, 1.5j, 1.0 - 1.0j])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num=st.lists(_small, min_size=1, max_size=5),
+    den=st.lists(_small, min_size=1, max_size=5).filter(any),
+    d0=st.sampled_from([1.0, 0.25, 4.0, -1.0, 1.0j, 2.25]),
+)
+def test_branch_point_count_is_trimmed_degree(num, den, d0):
+    """The count is the degree of num^2 - 4 d0 den^2 once leading terms below
+    1e-10 of the largest are dropped; small dyadic data make exact
+    cancellation in those terms common."""
+    cover = DoubleCoverData(trace=RationalMap(tuple(num), tuple(den)), norm=RationalMap((d0,)))
+    with mpmath.workdps(60):  # exact for these inputs
+        top = _square([mpmath.mpc(c) for c in num])
+        bottom = _square([mpmath.mpc(c) for c in den])
+        disc = [x - 4 * mpmath.mpc(d0) * y for x, y in zip_longest(top, bottom, fillvalue=0)]
+        scale = max(abs(c) for c in disc)
+        assume(scale > 0)
+        kept = [k for k, c in enumerate(disc) if abs(c) > 1e-10 * scale]
+        disc = [complex(c) for c in disc[: kept[-1] + 1]]
+    found = branch_points_numeric(cover, constant_section(S0, 1.0), S0)
+    assert len(found) == len(disc) - 1
+    for z in found:  # each is a root of a polynomial within 1e-12 of disc
+        residual = abs(sum(c * z**k for k, c in enumerate(disc)))
+        assert residual <= 1e-12 * sum(abs(c) * abs(z) ** k for k, c in enumerate(disc))
 
 
 # --------------------------------------------------------- ruled bounds

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellspec.tate import (
+    _inversion_constant,
     DEFAULT_TOL,
     INF,
     CurveParam,
@@ -278,3 +279,13 @@ def test_x_preimages_infinite_value():
     found = x_preimages(INF, TAU4)
     assert len(found) == 1
     assert distance_to_identity(found[0]) == 0.0
+
+
+def test_inversion_constant_cache_is_bounded():
+    _inversion_constant.cache_clear()
+    for k in range(3000):
+        curve = CurveParam(complex(3.0 + 1e-3 * k, 0.5))
+        assert math.isfinite(abs(quotient_x_at(1.5 + 0.5j, curve, DEFAULT_TOL)))
+    info = _inversion_constant.cache_info()
+    assert info.maxsize is not None and info.misses >= 3000 > info.maxsize
+    assert info.currsize <= info.maxsize
