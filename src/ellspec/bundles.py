@@ -26,12 +26,14 @@ from .jacobian import (
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
+    base_point,
     branch_points_numeric,
     cover_fibre_values,
     graph_self_intersection,
     involution_on_section,
     irreducible_bisection,
     reducible_bisection,
+    same_base_point,
     sample_base_points,
     section_pairing,
     section_value,
@@ -51,7 +53,6 @@ from .tate import (
     DEFAULT_TOL,
     TatePoint,
     Tolerance,
-    canonicalize,
     class_distance,
     distance_to_identity,
     group_mul,
@@ -195,9 +196,7 @@ def _chern_cached(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -
         )
     if isinstance(bundle, SpectralPushBundle):
         c1 = bundle.determinant.chern_class(surface.torsion_rank)
-        a2 = graph_self_intersection(
-            bundle.cover, bundle.determinant.section, surface.lattice, surface, tol
-        )
+        a2 = graph_self_intersection(bundle.cover, bundle.determinant.section, surface, tol)
         delta = a2 / 4  # an eighth of the bisection self-intersection upstairs
         c1sq = self_intersection(c1, surface.lattice)
         c2 = 2 * delta + Fraction(c1sq, 4)
@@ -229,29 +228,13 @@ def apply_modification_ledger(cd: ChernData, steps: int, lattice: HomLattice) ->
     return out
 
 
-def _base_rep(b) -> complex:
-    return complex(b.rep) if isinstance(b, TatePoint) else complex(b)
-
-
-def _base_matches(b, fibre, surface: SurfaceData, tol: Tolerance) -> bool:
-    if surface.base.genus == 1 and surface.base.tate is not None:
-        curve = surface.base.tate
-        return (
-            class_distance(
-                canonicalize(_base_rep(b), curve), canonicalize(_base_rep(fibre), curve)
-            )
-            <= tol.eps
-        )
-    return abs(_base_rep(b) - _base_rep(fibre)) <= tol.eps
-
-
 def _multiple_fibre_at(surface: SurfaceData, b, tol: Tolerance) -> bool:
-    return any(_base_matches(b, p, surface, tol) for p, _ in surface.multiple_fibres)
+    return any(same_base_point(surface, b, p, tol) for p, _ in surface.multiple_fibres)
 
 
 def _cycle_length_at(bundle: ExtensionBundle, b, surface: SurfaceData, tol: Tolerance) -> int:
     for p, length in bundle.zero_cycle:
-        if _base_matches(b, p, surface, tol):
+        if same_base_point(surface, b, p, tol):
             return length
     return 0
 
@@ -259,7 +242,7 @@ def _cycle_length_at(bundle: ExtensionBundle, b, surface: SurfaceData, tol: Tole
 def _marked_nonsplit(bundle: ExtensionBundle, b, surface: SurfaceData, tol: Tolerance) -> bool:
     if bundle.nonsplit_everywhere:
         return True
-    return any(_base_matches(b, p, surface, tol) for p in bundle.nonsplit_at)
+    return any(same_base_point(surface, b, p, tol) for p in bundle.nonsplit_at)
 
 
 def restrict_to_fibre(
@@ -289,7 +272,7 @@ def restrict_to_fibre(
         if near:
             return NonSplitRestriction(v1)
         return SplitRestriction(v1, v2)
-    if _base_matches(b, bundle.fibre, surface, tol):
+    if same_base_point(surface, b, bundle.fibre, tol):
         return UnstableRestriction(1)
     return restrict_to_fibre(bundle.parent, b, surface, tol)
 
@@ -459,7 +442,7 @@ def elementary_modification(
         return bundle
     if steps < 0:
         raise ValueError("modification step count must be positive")
-    bc = _base_rep(b)
+    bc = base_point(surface, b)
     if _multiple_fibre_at(surface, bc, tol):
         raise ValueError("cannot modify along a multiple fibre")
     root = bundle
@@ -471,7 +454,7 @@ def elementary_modification(
             for p in branch_points_numeric(cover, root.determinant.section, surface):
                 if abs(bc - p) <= max(tol.eps, 1e-6):
                     raise ValueError("cannot modify along a branch fibre of the cover")
-    if isinstance(bundle, ElemModBundle) and _base_matches(bc, bundle.fibre, surface, tol):
+    if isinstance(bundle, ElemModBundle) and same_base_point(surface, bc, bundle.fibre, tol):
         return ElemModBundle(bundle.parent, bundle.fibre, bundle.steps + steps)
     return ElemModBundle(bundle, bc, steps)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .bundles import apply_modification_ledger, spectral_cover
+from .bundles import apply_modification_ledger, chern_data, spectral_cover
 from .existence import Existence, existence_verdict
 from .jacobian import SectionOfJ, genus_and_branching, involution_on_section
 from .schemas import (
@@ -107,7 +107,8 @@ def _merge_options(args: argparse.Namespace, doc: Any) -> Options:
         return value
 
     tol = pick(args.tol, "tol", 1e-9)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+    # an integer beyond the float range fails the upper bound, not float()
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= sys.float_info.max:
         raise SchemaError("options.tol: expected a finite positive number")
     return Options(
         tol=float(tol),
@@ -187,7 +188,11 @@ def _cross_check_minimum(c1: NSClass, surface: SurfaceData, radius: int | None) 
         )
 
 
-def _cmd_exists(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
+def _verdict_request(
+    doc: Any, args: argparse.Namespace
+) -> tuple[Options, SurfaceData, ChernData, int | None]:
+    """Options, surface, Chern data and bisection degree of an exists or
+    recipe request."""
     check_version(doc)
     opts = _merge_options(args, doc)
     surface = decode_surface(doc.get("surface"))
@@ -195,19 +200,18 @@ def _cmd_exists(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
     d = opts.d if opts.d is not None else doc.get("d")
     if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
         raise SchemaError("d: expected an integer")
+    return opts, surface, cd, d
+
+
+def _cmd_exists(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
+    opts, surface, cd, d = _verdict_request(doc, args)
     _cross_check_minimum(cd.c1, surface, opts.enum_radius)
     verdict = existence_verdict(cd, surface, d=d, tol=opts.tolerance, seed=opts.seed)
     return encode_verdict(verdict), _STATUS_CODES[verdict.status]
 
 
 def _cmd_recipe(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
-    check_version(doc)
-    opts = _merge_options(args, doc)
-    surface = decode_surface(doc.get("surface"))
-    cd = _request_chern(doc, surface, args)
-    d = opts.d if opts.d is not None else doc.get("d")
-    if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
-        raise SchemaError("d: expected an integer")
+    opts, surface, cd, d = _verdict_request(doc, args)
     verdict = existence_verdict(cd, surface, d=d, tol=opts.tolerance, seed=opts.seed)
     code = _STATUS_CODES[verdict.status]
     body = encode_verdict(verdict)
@@ -226,8 +230,6 @@ def _cmd_recipe(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
         "recipe": body["recipe"],
     }
     if verdict.recipe is not None:
-        from .bundles import chern_data
-
         snapshot = chern_data(verdict.recipe.base, surface, opts.tolerance)
         transcript = [encode_chern(snapshot)]
         for _ in range(verdict.recipe.modification_steps):

@@ -29,6 +29,8 @@ from .bundles import (
 from .jacobian import (
     Bisection,
     RuledBounds,
+    base_point,
+    branch_points_numeric,
     graph_self_intersection,
     ruled_invariant_bounds,
     sample_base_points,
@@ -76,12 +78,6 @@ class Verdict:
     d_interval: tuple[int, int] | None = None
     recipe: Recipe | None = None
     note: str = ""
-
-
-class GapKind(enum.Enum):
-    FILTRABLE_RANGE = "filtrable-range"
-    NON_FILTRABLE_ONLY = "non-filtrable-only"
-    BELOW_ALL = "below-all"
 
 
 def _validated_d(d: int, bounds: RuledBounds) -> int:
@@ -179,7 +175,7 @@ def _verdict_with_bisection(
 ) -> Verdict:
     if determinant is None:
         raise ValueError("a supplied bisection needs its determinant line bundle")
-    a2 = graph_self_intersection(bisection, determinant.section, surface.lattice, surface, tol)
+    a2 = graph_self_intersection(bisection, determinant.section, surface, tol)
     # The quotient ruled surface has invariant e = -a2 = 2d - 4m for a
     # minimal bisection, so the usable degree is d = 2m - a2/2 and the
     # existence threshold m - d/2 equals a2/4 — the bisection's own
@@ -228,13 +224,10 @@ def _generic_fibre(
         return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
     avoid: tuple[complex, ...] = ()
     if bisection is not None and not bisection.is_reducible and surface.base.genus == 0:
-        from .jacobian import branch_points_numeric
-
         cover = bisection.cover
         if cover.trace is not None and determinant is not None:
             avoid = tuple(branch_points_numeric(cover, determinant.section, surface))
-    point = sample_base_points(surface, 1, seed=seed, avoid=avoid)[0]
-    return complex(point) if not hasattr(point, "rep") else point.rep
+    return base_point(surface, sample_base_points(surface, 1, seed=seed, avoid=avoid)[0])
 
 
 def _reducible_recipe(
@@ -285,28 +278,3 @@ def replay_recipe(
 ) -> ChernData:
     """Chern data of the realized recipe (what a verifier would recompute)."""
     return chern_data(recipe.realize(), surface, tol)
-
-
-def filtrable_gap(
-    cd: ChernData,
-    surface: SurfaceData,
-    *,
-    d: int | None = None,
-) -> GapKind:
-    """Locate Delta relative to the filtrable threshold m and the absolute
-    threshold m - d/2 (these coincide for genus <= 1, where d plays no
-    role and the gap is empty)."""
-    g = surface.base.genus
-    delta = discriminant(cd, surface.lattice)
-    m, _ = filtrable_bound(cd.c1, surface.lattice)
-    if delta >= m:
-        return GapKind.FILTRABLE_RANGE
-    if g <= 1:
-        return GapKind.BELOW_ALL if delta < 0 else GapKind.NON_FILTRABLE_ONLY
-    bounds = ruled_invariant_bounds(g, m)
-    if d is None:
-        raise ValueError("classifying the gap below m needs the bisection degree d")
-    threshold = m - Fraction(_validated_d(d, bounds), 2)
-    if delta >= threshold:
-        return GapKind.NON_FILTRABLE_ONLY
-    return GapKind.BELOW_ALL

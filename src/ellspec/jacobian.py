@@ -23,16 +23,14 @@ from itertools import zip_longest
 from .tate import (
     DEFAULT_TOL,
     INF,
-    CurveParam,
     TatePoint,
     Tolerance,
     class_distance,
-    group_pow,
     identity,
     is_infinite,
     points_equal,
 )
-from .surface import ChernData, HomLattice, NSClass, SurfaceData, discriminant, filtrable_bound, self_intersection
+from .surface import ChernData, HomLattice, NSClass, SurfaceData, discriminant, self_intersection
 
 
 @dataclass(frozen=True)
@@ -66,18 +64,32 @@ def _power_exponent(surface: SurfaceData, hom: tuple[int, ...]) -> int:
     return sum(v * n for v, n in zip(hom, surface.hom_exponents))
 
 
-def base_point(surface: SurfaceData, b) -> complex | TatePoint:
-    """Normalise a base point: extended complex for g=0, annulus class for g=1."""
-    g = surface.base.genus
-    if g == 0:
-        return complex(b) if not isinstance(b, TatePoint) else b.rep
-    if g == 1:
-        if isinstance(b, TatePoint):
-            if b.curve != surface.base.tate:
-                raise ValueError("base point lies on the wrong curve")
-            return b
-        return TatePoint(complex(b), surface.base.tate)
-    raise ValueError("abstract bases (g >= 2) have no point arithmetic")
+def base_point(surface: SurfaceData, b) -> complex:
+    """The complex number that stands for a base point.
+
+    On a genus-1 base this is the annulus representative of the point's
+    class on the Tate base curve, and a TatePoint must lie on that curve;
+    on any other base it is the point itself.
+    """
+    if isinstance(b, TatePoint):
+        if surface.base.genus == 1 and b.curve != surface.base.tate:
+            raise ValueError("base point lies on the wrong curve")
+        return b.rep
+    if surface.base.genus == 1:
+        return TatePoint(complex(b), surface.base.tate).rep
+    return complex(b)
+
+
+def same_base_point(surface: SurfaceData, a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether two base points agree within tol.eps: as classes on a genus-1
+    base, as complex numbers on any other."""
+    a, b = base_point(surface, a), base_point(surface, b)
+    if surface.base.genus == 1:
+        # class_distance of the two annulus representatives, without
+        # building a TatePoint for each comparison on the sampling path
+        tau = surface.base.tate.tau
+        return min(abs(a - b), abs(a * tau - b), abs(a - b * tau)) <= tol.eps
+    return abs(a - b) <= tol.eps
 
 
 def section_value(section: SectionOfJ, b, surface: SurfaceData) -> TatePoint:
@@ -88,9 +100,9 @@ def section_value(section: SectionOfJ, b, surface: SurfaceData) -> TatePoint:
             raise ValueError("over a rational base every section is constant")
         return section.constant
     if g == 1:
-        pt = base_point(surface, b)
+        rep = base_point(surface, b)
         exp = _power_exponent(surface, section.hom)
-        value = section.constant.rep * (pt.rep**exp if exp else 1.0)
+        value = section.constant.rep * (rep**exp if exp else 1.0)
         return TatePoint(value, surface.fibre)
     raise ValueError("abstract bases (g >= 2) have no point arithmetic")
 
@@ -259,14 +271,16 @@ def cover_fibre_values(
     return TatePoint(r1, surface.fibre), TatePoint(r2, surface.fibre)
 
 
+_CLEARANCE = 1e-3
+
+
 def sample_base_points(
     surface: SurfaceData,
     count: int,
     seed: int = 0,
     avoid: tuple[complex, ...] = (),
-    margin: float = 1e-3,
 ) -> list[complex | TatePoint]:
-    """Seeded generic base points, keeping clear of marked points."""
+    """Seeded generic base points, at least _CLEARANCE from marked points."""
     rng = random.Random(seed)
     g = surface.base.genus
     forbidden = [complex(p) for p in avoid] + [complex(p) for p, _ in surface.multiple_fibres]
@@ -278,7 +292,7 @@ def sample_base_points(
             raise RuntimeError("could not sample enough generic base points")
         if g == 0:
             b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            if any(abs(b - f) < margin for f in forbidden):
+            if any(abs(b - f) < _CLEARANCE for f in forbidden):
                 continue
             out.append(b)
         elif g == 1:
@@ -286,7 +300,7 @@ def sample_base_points(
             r = at ** rng.uniform(0.0, 1.0)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             pt = TatePoint(r * cmath.exp(1j * theta), surface.base.tate)
-            if any(class_distance(pt, TatePoint(f, surface.base.tate)) < margin for f in forbidden if f != 0):
+            if any(class_distance(pt, TatePoint(f, surface.base.tate)) < _CLEARANCE for f in forbidden if f != 0):
                 continue
             out.append(pt)
         else:
@@ -294,20 +308,20 @@ def sample_base_points(
     return out
 
 
+_INVARIANCE_SAMPLES = 50
+
+
 def is_invariant_bisection(
     bis: Bisection,
     delta: SectionOfJ,
     surface: SurfaceData,
     tol: Tolerance = DEFAULT_TOL,
-    *,
-    samples: int = 50,
-    seed: int = 0,
 ) -> bool:
     """Whether the bisection is carried to itself by the involution of delta.
 
     Reducible: the involution swaps the two sections or fixes each.
     Irreducible with a concrete trace: checked by value-set comparison at
-    sampled fibres.  Declared covers (abstract base) are trusted, since
+    _INVARIANCE_SAMPLES fibres sampled with seed 0.  Declared covers (abstract base) are trusted, since
     their fibrewise relation has delta as its norm by construction.
     """
     if bis.is_reducible:
@@ -319,7 +333,7 @@ def is_invariant_bisection(
         return sections_equal(i1, s1, tol) and sections_equal(i2, s2, tol)
     if bis.cover.trace is None or surface.base.genus != 0:
         return True
-    for b in sample_base_points(surface, samples, seed=seed):
+    for b in sample_base_points(surface, _INVARIANCE_SAMPLES):
         try:
             v1, v2 = cover_fibre_values(bis, b, delta, surface, tol)
         except ValueError:
@@ -342,11 +356,8 @@ def _same_value_set(
 def graph_self_intersection(
     bis: Bisection,
     delta: SectionOfJ,
-    lattice: HomLattice,
     surface: SurfaceData,
     tol: Tolerance = DEFAULT_TOL,
-    *,
-    seed: int = 0,
 ) -> Fraction:
     """Self-intersection of the folded image of an invariant bisection.
 
@@ -355,11 +366,11 @@ def graph_self_intersection(
     (half the branch count), and for a declared cover the declared value.
     Always nonnegative.
     """
-    if not is_invariant_bisection(bis, delta, surface, tol, seed=seed):
+    if not is_invariant_bisection(bis, delta, surface, tol):
         raise ValueError("bisection is not invariant under the involution")
     if bis.is_reducible:
         s1, s2 = bis.components
-        return Fraction(section_pairing(s1, s2, lattice))
+        return Fraction(section_pairing(s1, s2, surface.lattice))
     cover = bis.cover
     if cover.trace is not None and surface.base.genus == 0:
         return Fraction(cover.trace.degree)
@@ -499,32 +510,6 @@ def ruled_invariant_bounds(genus: int, m: Fraction | int) -> RuledBounds:
     d_max = math.floor(2 * m)
     four_m = int(4 * m)
     return RuledBounds(d_min, d_max, 2 * d_min - four_m, 2 * d_max - four_m)
-
-
-@dataclass(frozen=True)
-class RuledSurfaceData:
-    """Fold of the Jacobian along the involution of a minimising determinant
-    class: the class, a section realising it, and the numeric invariants."""
-
-    delta_class: NSClass
-    delta_section: SectionOfJ
-    m: Fraction
-    bounds: RuledBounds
-    twist_bundle_degree: int  # degree of the rank-2 descent bundle, always 4m
-
-    def __post_init__(self) -> None:
-        assert self.twist_bundle_degree == int(4 * self.m)
-
-
-def ruled_surface_data(surface: SurfaceData, c1: NSClass) -> RuledSurfaceData:
-    m, witness = filtrable_bound(c1, surface.lattice)
-    return RuledSurfaceData(
-        delta_class=witness,
-        delta_section=section_for_class(surface, witness),
-        m=m,
-        bounds=ruled_invariant_bounds(surface.base.genus, m),
-        twist_bundle_degree=int(4 * m),
-    )
 
 
 def genus_and_branching(cd: ChernData, genus: int, lattice: HomLattice) -> tuple[int, int]:

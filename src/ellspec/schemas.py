@@ -84,7 +84,10 @@ def decode_complex(doc: Any, where: str = "complex") -> complex:
         and len(doc) == 2
         and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in doc)
     ):
-        return complex(doc[0], doc[1])
+        try:
+            return complex(doc[0], doc[1])
+        except OverflowError as exc:  # an integer beyond the float range
+            raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}: expected [re, im] or 'inf'")
 
 
@@ -115,30 +118,6 @@ def check_version(doc: Any) -> None:
 # ---------------------------------------------------------------------------
 # surface: {genus, tau: [re,im], sigma?: [re,im], multiple_fibres: [[b, m]...],
 #           theta_degree?, lattice: {rank, gram}, hom_exponents?}
-
-
-def encode_surface(surface: SurfaceData) -> dict:
-    doc: dict[str, Any] = {
-        "genus": surface.base.genus,
-        "tau": encode_complex(surface.fibre.tau),
-        "lattice": {
-            "rank": surface.lattice.rank,
-            "gram": [
-                [encode_fraction(entry) for entry in row] for row in surface.lattice.gram
-            ],
-        },
-    }
-    if surface.base.tate is not None:
-        doc["sigma"] = encode_complex(surface.base.tate.tau)
-    if surface.multiple_fibres:
-        doc["multiple_fibres"] = [
-            [encode_complex(p), m] for p, m in surface.multiple_fibres
-        ]
-    if surface.theta_degree is not None:
-        doc["theta_degree"] = surface.theta_degree
-    if surface.hom_exponents is not None:
-        doc["hom_exponents"] = list(surface.hom_exponents)
-    return doc
 
 
 def decode_surface(doc: Any) -> SurfaceData:
@@ -415,6 +394,9 @@ def decode_bundle(doc: Any, surface: SurfaceData, where: str = "bundle") -> Rank
                     inner.get("nonsplit_at", []), f"{where}.extension.nonsplit_at"
                 )
             )
+            everywhere = inner.get("nonsplit_everywhere", False)
+            if not isinstance(everywhere, bool):
+                raise SchemaError(f"{where}.extension.nonsplit_everywhere: expected a boolean")
             return ExtensionBundle(
                 sub=decode_line_bundle(inner.get("D"), surface, f"{where}.extension.D"),
                 determinant=decode_line_bundle(
@@ -422,7 +404,7 @@ def decode_bundle(doc: Any, surface: SurfaceData, where: str = "bundle") -> Rank
                 ),
                 zero_cycle=tuple(cycle),
                 nonsplit_at=nonsplit,
-                nonsplit_everywhere=bool(inner.get("nonsplit_everywhere", False)),
+                nonsplit_everywhere=everywhere,
             )
         if "spectral_push" in body:
             inner = _expect_map(body["spectral_push"], f"{where}.spectral_push")
@@ -467,29 +449,6 @@ def encode_cover(cover: SpectralCover) -> dict:
             "max_residual": cover.max_residual,
         }
     return doc
-
-
-def decode_cover(doc: Any, surface: SurfaceData) -> SpectralCover:
-    body = _expect_map(doc, "cover")
-    check_version(body)
-    jumps = []
-    for item in _expect_list(body.get("jump_fibres", []), "cover.jump_fibres"):
-        pair = _expect_list(item, "cover.jump_fibres entry")
-        if len(pair) != 2:
-            raise SchemaError("cover.jump_fibres entry: expected [point, multiplicity]")
-        jumps.append(
-            (decode_complex(pair[0], "jump point"), _expect_int(pair[1], "jump multiplicity"))
-        )
-    verification = body.get("verification") or {}
-    return SpectralCover(
-        bisection=decode_bisection(body.get("bisection"), surface, "cover.bisection"),
-        jump_fibres=tuple(jumps),
-        dual_determinant=decode_section(
-            body.get("dual_determinant"), surface, "cover.dual_determinant"
-        ),
-        verification_samples=_expect_int(verification.get("samples", 0), "verification.samples"),
-        max_residual=float(verification.get("max_residual", 0.0)),
-    )
 
 
 def encode_recipe(recipe: Recipe | None) -> dict | None:

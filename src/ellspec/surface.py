@@ -123,14 +123,6 @@ class BaseCurve:
         if self.genus != 1 and self.tate is not None:
             raise ValueError("only a genus-1 base carries a Tate model")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.genus == 0
-
-    @property
-    def is_abstract(self) -> bool:
-        return self.genus >= 2
-
 
 @dataclass(frozen=True)
 class SurfaceData:

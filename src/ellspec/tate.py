@@ -66,9 +66,8 @@ DEFAULT_TOL = Tolerance()
 class TatePoint:
     """A point of C*/<tau>, stored by its canonical annulus representative.
 
-    Construction normalises any nonzero complex number into the
-    fundamental annulus, so TatePoint(z, curve) and canonicalize(z, curve)
-    agree.
+    Construction normalises any nonzero finite complex number into the
+    fundamental annulus.
     """
 
     rep: complex
@@ -93,11 +92,6 @@ def _canonical_rep(z: complex, curve: CurveParam) -> complex:
     while abs(z) >= at:
         z /= tau
     return z
-
-
-def canonicalize(z: complex, curve: CurveParam) -> TatePoint:
-    """Canonical annulus representative of z; rejects z = 0."""
-    return TatePoint(z, curve)
 
 
 def identity(curve: CurveParam) -> TatePoint:
@@ -232,15 +226,12 @@ def h1_indicator(alpha: TatePoint, tol: Tolerance = DEFAULT_TOL) -> int:
     return 1 if distance_to_identity(alpha) <= tol.eps else 0
 
 
-def x_preimages(
-    value: complex,
-    curve: CurveParam,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    grid: int = 44,
-    starts: int = 12,
-    iters: int = 90,
-) -> list[TatePoint]:
+_SEED_GRID = 44  # seeds per side of the polar grid over the annulus
+_NEWTON_STARTS = 12
+_NEWTON_STEPS = 90
+
+
+def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL) -> list[TatePoint]:
     """Numerically find all annulus classes with x = value.
 
     The quotient by inversion is 2:1, so the preimage set of a finite
@@ -269,10 +260,10 @@ def x_preimages(
         return matched
 
     seeds: list[tuple[float, complex]] = []
-    for i in range(grid):
-        radius = at ** ((i + 0.5) / grid)
-        for j in range(grid):
-            theta = 2.0 * math.pi * (j + 0.5) / grid
+    for i in range(_SEED_GRID):
+        radius = at ** ((i + 0.5) / _SEED_GRID)
+        for j in range(_SEED_GRID):
+            theta = 2.0 * math.pi * (j + 0.5) / _SEED_GRID
             u = radius * cmath.exp(1j * theta)
             try:
                 m = abs(_x_series(u, curve, tol) - value)
@@ -287,13 +278,13 @@ def x_preimages(
     for _, u in seeds:
         if all(abs(u - v) > 0.25 for v in chosen):
             chosen.append(u)
-        if len(chosen) >= starts:
+        if len(chosen) >= _NEWTON_STARTS:
             break
 
     conv = max(tol.eps * 1e-3, 1e-13)
     for u in chosen:
         ok = False
-        for _ in range(iters):
+        for _ in range(_NEWTON_STEPS):
             if abs(u) < 0.5 or abs(u) > 2.0 * at:
                 u = _canonical_rep(u, curve)
             try:

@@ -19,7 +19,15 @@ import pytest
 
 from ellspec.bundles import chern_data
 from ellspec.cli import EX_FAILURE, EX_NEGATIVE, EX_OK, EX_SCHEMA, EX_UNDECIDED, main
-from ellspec.schemas import decode_cover, decode_recipe, decode_verdict, encode_cover, encode_verdict
+from ellspec.schemas import (
+    decode_bisection,
+    decode_recipe,
+    decode_section,
+    decode_verdict,
+    encode_bisection,
+    encode_section,
+    encode_verdict,
+)
 from ellspec.surface import BaseCurve, ChernData, NSClass, SurfaceData, UNIT_LATTICE, HomLattice
 from ellspec.tate import CurveParam, TatePoint, points_equal
 from fractions import Fraction
@@ -42,6 +50,20 @@ def g0_request(c2: int) -> dict:
         "schema": 1,
         "surface": dict(G0_SURFACE),
         "chern": {"c1": {"torsion": [0], "hom": []}, "c2": c2},
+    }
+
+
+def extension_request(**extension) -> dict:
+    return {
+        "schema": 1,
+        "surface": dict(G0_SURFACE),
+        "bundle": {
+            "extension": {
+                "D": {"section": {"constant": [2.5, 0.0], "hom": []}},
+                "delta": {"section": {"constant": [1.0, 0.0], "hom": []}},
+                **extension,
+            }
+        },
     }
 
 
@@ -178,11 +200,11 @@ def test_spectral_cover_reducible(tmp_path, capsys):
     assert body["jump_fibres"] == [[[0.5, 0.0], 1]]
     assert body["verification"]["samples"] == 50
     assert body["verification"]["max_residual"] < 1e-8
-    cover = decode_cover(body, S0)
-    constants = sorted(s.constant.rep.real for s in cover.bisection.components)
+    bisection = decode_bisection(body["bisection"], S0)
+    constants = sorted(s.constant.rep.real for s in bisection.components)
     # 1/2.5 re-enters the annulus as 1.6
     assert constants == pytest.approx([1.6, 2.5])
-    assert encode_cover(cover) == body
+    assert encode_bisection(bisection) == body["bisection"]
 
 
 def test_spectral_cover_irreducible_roundtrip(tmp_path, capsys):
@@ -206,9 +228,10 @@ def test_spectral_cover_irreducible_roundtrip(tmp_path, capsys):
     assert inner["trace"]["num"] == [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
     assert inner["norm"]["num"] == [[0.5, 0.0]]
     assert body["verification"]["max_residual"] < 1e-8
-    cover = decode_cover(body, S0)
-    assert points_equal(cover.dual_determinant.constant, TatePoint(0.5, CurveParam(4.0)))
-    assert encode_cover(cover) == body
+    dual = decode_section(body["dual_determinant"], S0)
+    assert points_equal(dual.constant, TatePoint(0.5, CurveParam(4.0)))
+    assert encode_section(dual) == body["dual_determinant"]
+    assert encode_bisection(decode_bisection(body["bisection"], S0)) == body["bisection"]
 
 
 # ----------------------------------------------------- small calculators
@@ -297,6 +320,43 @@ def test_non_finite_json_rejected(tmp_path, capsys):
         tmp_path, capsys, "exists", g2_request(0), "--c1", '{"torsion":[0],"hom":[NaN]}'
     )
     assert code == EX_SCHEMA and "--c1 is not valid JSON" in body["error"]
+    # an integer JSON reads exactly but no float holds: a schema error naming its field
+    huge = [10**400, 0]
+    section = {"section": {"constant": huge, "hom": []}}
+    push = {"bisection": {"irreducible": {"trace": {"num": [huge]}}}, "delta": section}
+    for command, doc, field in (
+        ("exists", dict(g0_request(0), surface=dict(G0_SURFACE, tau=huge)), "surface.tau"),
+        ("exists", dict(g2_request(0), surface=dict(G1_SURFACE, sigma=huge)), "surface.sigma"),
+        (
+            "exists",
+            dict(g0_request(0), surface=dict(G0_SURFACE, multiple_fibres=[[huge, 2]])),
+            "multiple fibre point",
+        ),
+        ("spectral-cover", extension_request(D=section), "extension.D.section.constant"),
+        ("spectral-cover", extension_request(Z=[[huge, 1]]), "cycle point"),
+        (
+            "spectral-cover",
+            dict(extension_request(), bundle={"spectral_push": push}),
+            "trace.num entry",
+        ),
+    ):
+        code, body = run_cli(tmp_path, capsys, command, doc)
+        assert code == EX_SCHEMA and field in body["error"], (field, body)
+        assert "too large" in body["error"]
+
+
+def test_nonsplit_everywhere_must_be_boolean(tmp_path, capsys):
+    for flag in (True, False):
+        code, body = run_cli(
+            tmp_path, capsys, "spectral-cover", extension_request(nonsplit_everywhere=flag)
+        )
+        assert code == EX_OK
+    for flag in ("no", "false", 1, [0], None):
+        code, body = run_cli(
+            tmp_path, capsys, "spectral-cover", extension_request(nonsplit_everywhere=flag)
+        )
+        assert code == EX_SCHEMA, flag
+        assert "nonsplit_everywhere: expected a boolean" in body["error"]
 
 
 @pytest.mark.parametrize(
@@ -315,6 +375,7 @@ def test_non_finite_json_rejected(tmp_path, capsys):
         ({}, ("--verify", "-3")),
         ({"enum_radius": -1}, ()),
         ({"d": True}, ()),
+        ({"tol": 10**400}, ()),
     ],
 )
 def test_bad_options_are_schema_errors(tmp_path, capsys, options, flags):

@@ -15,9 +15,7 @@ import pytest
 from ellspec.bundles import LineBundleOnX, SpectralPushBundle, _chern_cached, chern_data
 from ellspec.existence import (
     Existence,
-    GapKind,
     existence_verdict,
-    filtrable_gap,
     replay_recipe,
 )
 from ellspec.jacobian import (
@@ -222,23 +220,6 @@ def test_supplied_bisection_errors():
             base_bisection=declared_cover(2),
             base_determinant=LineBundleOnX(SectionOfJ(TatePoint(1.0, TAU), (0,))),
         )
-
-
-# ------------------------------------------------------------ gap kinds
-
-
-def test_gap_kinds():
-    assert filtrable_gap(ChernData(NSClass((0,), ()), 1), G0) is GapKind.FILTRABLE_RANGE
-    assert filtrable_gap(ChernData(C1_HOM, -1), G1_EVEN) is GapKind.NON_FILTRABLE_ONLY
-    assert filtrable_gap(ChernData(NSClass((0,), ()), -2), G0) is GapKind.BELOW_ALL
-    assert filtrable_gap(ChernData(C1_HOM, 0), G2_FOUR) is GapKind.FILTRABLE_RANGE
-    assert filtrable_gap(ChernData(C1_HOM, -1), G2_FOUR, d=1) is GapKind.NON_FILTRABLE_ONLY
-    assert filtrable_gap(ChernData(C1_HOM, -2), G2_FOUR, d=1) is GapKind.BELOW_ALL
-    assert filtrable_gap(ChernData(C1_HOM, -2), G2_FOUR, d=2) is GapKind.NON_FILTRABLE_ONLY
-    with pytest.raises(ValueError, match="needs the bisection degree"):
-        filtrable_gap(ChernData(C1_HOM, -1), G2_FOUR)
-    with pytest.raises(ValueError, match="admissible window"):
-        filtrable_gap(ChernData(C1_HOM, -1), G2_FOUR, d=5)
 
 
 def test_chern_cache_is_bounded():

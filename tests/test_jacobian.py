@@ -35,7 +35,6 @@ from ellspec.jacobian import (
     is_invariant_bisection,
     reducible_bisection,
     ruled_invariant_bounds,
-    ruled_surface_data,
     sample_base_points,
     section_for_class,
     section_pairing,
@@ -51,6 +50,7 @@ from ellspec.surface import (
     HomLattice,
     NSClass,
     SurfaceData,
+    filtrable_bound,
 )
 from ellspec.tate import (
     INF,
@@ -236,7 +236,7 @@ def test_concrete_cover_invariant_by_construction():
     cover = DoubleCoverData(trace=RationalMap((0.0, 1.0)))
     bis = irreducible_bisection(cover)
     delta = constant_section(S0, 1.0)
-    assert is_invariant_bisection(bis, delta, S0, samples=50)
+    assert is_invariant_bisection(bis, delta, S0)
 
 
 def test_declared_cover_trusted():
@@ -251,23 +251,19 @@ def test_declared_cover_trusted():
 def test_graph_self_intersection_values():
     delta = zero_section(S0U)
     doubled = reducible_bisection(zero_section(S0U), zero_section(S0U))
-    assert graph_self_intersection(doubled, delta, UNIT_LATTICE, S0U) == 0
+    assert graph_self_intersection(doubled, delta, S0U) == 0
 
     d1 = SectionOfJ(identity(TAU3), (1,))
     bis = reducible_bisection(zero_section(S1U), d1)
-    assert graph_self_intersection(bis, d1, UNIT_LATTICE, S1U) == 1
+    assert graph_self_intersection(bis, d1, S1U) == 1
 
     cover = DoubleCoverData(trace=RationalMap((0.0, 1.0)))
-    got = graph_self_intersection(
-        irreducible_bisection(cover), constant_section(S0, 1.0), ZERO_LATTICE, S0
-    )
+    got = graph_self_intersection(irreducible_bisection(cover), constant_section(S0, 1.0), S0)
     assert got == 1
 
     declared = DoubleCoverData(declared_self_intersection=Fraction(3))
     s_abs = SurfaceData(BaseCurve(3), TAU4, lattice=UNIT_LATTICE)
-    got = graph_self_intersection(
-        irreducible_bisection(declared), zero_section(s_abs), s_abs.lattice, s_abs
-    )
+    got = graph_self_intersection(irreducible_bisection(declared), zero_section(s_abs), s_abs)
     assert got == 3
 
 
@@ -275,16 +271,14 @@ def test_graph_self_intersection_rejects_non_invariant():
     delta = zero_section(S0)
     skew = reducible_bisection(zero_section(S0), constant_section(S0, 1.5 + 0.7j))
     with pytest.raises(ValueError):
-        graph_self_intersection(skew, delta, ZERO_LATTICE, S0)
+        graph_self_intersection(skew, delta, S0)
 
 
 def test_declared_cover_without_data_errors():
     cover = DoubleCoverData()
     s_abs = SurfaceData(BaseCurve(2), TAU4)
     with pytest.raises(ValueError):
-        graph_self_intersection(
-            irreducible_bisection(cover), zero_section(s_abs), ZERO_LATTICE, s_abs
-        )
+        graph_self_intersection(irreducible_bisection(cover), zero_section(s_abs), s_abs)
 
 
 # -------------------------------------------------------- rational maps
@@ -549,13 +543,14 @@ def test_ruled_bounds_windows(genus, four_m):
 
 
 def test_ruled_surface_data():
+    # the fold along a minimising determinant class: the class, a section
+    # realising it, and the window of the folded ruled surface
     c1 = NSClass((0,), (1,))
-    data = ruled_surface_data(S0U, c1)
-    assert data.m == Fraction(1, 4)
-    assert data.delta_class == NSClass((0,), (-1,))
-    assert data.twist_bundle_degree == 1
-    assert data.bounds.empty  # g=0 with quarter-integral m has no window
-    assert data.delta_section.hom == (-1,)
+    m, delta_class = filtrable_bound(c1, S0U.lattice)
+    assert m == Fraction(1, 4)
+    assert delta_class == NSClass((0,), (-1,))
+    assert section_for_class(S0U, delta_class).hom == (-1,)
+    assert ruled_invariant_bounds(S0U.base.genus, m).empty  # g=0 with quarter-integral m has no window
 
 
 # -------------------------------------------------- genus and branching

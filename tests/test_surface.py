@@ -165,8 +165,6 @@ def test_base_curve_validation():
         BaseCurve(genus=1)  # needs a concrete model
     with pytest.raises(ValueError):
         BaseCurve(genus=0, tate=CurveParam(2.0))
-    assert BaseCurve(genus=0).is_rational
-    assert BaseCurve(genus=3).is_abstract
 
 
 def test_surface_validation():

@@ -24,7 +24,6 @@ from ellspec.tate import (
     SeriesCapError,
     TatePoint,
     Tolerance,
-    canonicalize,
     class_distance,
     distance_to_identity,
     group_inv,
@@ -78,11 +77,11 @@ TAU2I = CurveParam(2j)
 
 
 def test_canonical_rep_frozen_values():
-    assert canonicalize(8.0 + 0j, TAU4).rep == pytest.approx(2.0 + 0j)
-    assert canonicalize(0.1 + 0j, TAU2).rep == pytest.approx(1.6 + 0j)
-    assert canonicalize(1.0 + 0j, TAU4).rep == 1.0 + 0j
+    assert TatePoint(8.0 + 0j, TAU4).rep == pytest.approx(2.0 + 0j)
+    assert TatePoint(0.1 + 0j, TAU2).rep == pytest.approx(1.6 + 0j)
+    assert TatePoint(1.0 + 0j, TAU4).rep == 1.0 + 0j
     # |tau| itself wraps back to 1
-    assert canonicalize(4.0 + 0j, TAU4).rep == pytest.approx(1.0 + 0j)
+    assert TatePoint(4.0 + 0j, TAU4).rep == pytest.approx(1.0 + 0j)
 
 
 def test_canonical_rep_matches_brute_force():
@@ -92,7 +91,7 @@ def test_canonical_rep_matches_brute_force():
             z = complex(rng.uniform(-40, 40), rng.uniform(-40, 40))
             if abs(z) < 1e-3:
                 continue
-            got = canonicalize(z, curve).rep
+            got = TatePoint(z, curve).rep
             want = brute_canonical(z, curve.tau)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -129,7 +128,7 @@ def test_canonical_rep_lies_in_annulus(re, im, tau):
     if abs(z) < 1e-6:
         return
     curve = CurveParam(tau)
-    rep = canonicalize(z, curve).rep
+    rep = TatePoint(z, curve).rep
     assert 1.0 <= abs(rep) < abs(tau)
 
 
