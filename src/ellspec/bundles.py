@@ -19,21 +19,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .jacobian import (
     Bisection,
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
-    base_point,
     branch_points_numeric,
     cover_fibre_values,
     graph_self_intersection,
     involution_on_section,
     irreducible_bisection,
     reducible_bisection,
-    same_base_point,
     sample_base_points,
     section_pairing,
     section_value,
@@ -44,8 +41,11 @@ from .surface import (
     HomLattice,
     NSClass,
     SurfaceData,
+    base_point,
     discriminant,
+    distinct_base_points,
     pairing,
+    same_base_point,
     self_intersection,
     spectral_support_count,
 )
@@ -111,7 +111,8 @@ class ExtensionBundle:
     """Extension of delta (x) sub^-1 (x) I_Z by sub.
 
     zero_cycle lists (point, length) with positive lengths over distinct
-    points; nonsplit_at marks fibres where the extension class does not
+    points, told apart here as numbers and by class where the surface is
+    known; nonsplit_at marks fibres where the extension class does not
     restrict to zero, so coincident values glue to the non-split type.
     """
 
@@ -122,8 +123,7 @@ class ExtensionBundle:
     nonsplit_everywhere: bool = False
 
     def __post_init__(self) -> None:
-        pts = [complex(p) for p, _ in self.zero_cycle]
-        if len(set(pts)) != len(pts):
+        if not distinct_base_points(None, (p for p, _ in self.zero_cycle)):
             raise ValueError("zero-cycle points must be distinct")
         if any(length <= 0 for _, length in self.zero_cycle):
             raise ValueError("zero-cycle lengths are positive")
@@ -186,15 +186,13 @@ def chern_of_extension(
     return cd
 
 
-# Reuse is within one request (verdict, replay, transcript), so a small
-# bound keeps a long --batch from growing without limit.
-@lru_cache(maxsize=1024)
-def _chern_cached(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -> ChernData:
+def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> ChernData:
+    """Chern data of a presentation."""
     if isinstance(bundle, ExtensionBundle):
-        return chern_of_extension(
+        cd = chern_of_extension(
             bundle.sub, bundle.determinant, bundle.zero_cycle, surface.lattice, surface.torsion_rank
         )
-    if isinstance(bundle, SpectralPushBundle):
+    elif isinstance(bundle, SpectralPushBundle):
         c1 = bundle.determinant.chern_class(surface.torsion_rank)
         a2 = graph_self_intersection(bundle.cover, bundle.determinant.section, surface, tol)
         delta = a2 / 4  # an eighth of the bisection self-intersection upstairs
@@ -202,14 +200,10 @@ def _chern_cached(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -
         c2 = 2 * delta + Fraction(c1sq, 4)
         if c2.denominator != 1:
             raise ValueError("cover data is incompatible with integral second Chern class")
-        return ChernData(c1, int(c2))
-    cd = chern_data(bundle.parent, surface, tol)
-    return apply_modification_ledger(cd, bundle.steps, surface.lattice)
-
-
-def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> ChernData:
-    """Chern data of a presentation (cached; all presentations are hashable)."""
-    cd = _chern_cached(bundle, surface, tol)
+        cd = ChernData(c1, int(c2))
+    else:
+        parent = chern_data(bundle.parent, surface, tol)
+        cd = apply_modification_ledger(parent, bundle.steps, surface.lattice)
     if discriminant(cd, surface.lattice) < 0:
         raise ValueError("presentation has negative discriminant")
     return cd
@@ -232,13 +226,6 @@ def _multiple_fibre_at(surface: SurfaceData, b, tol: Tolerance) -> bool:
     return any(same_base_point(surface, b, p, tol) for p, _ in surface.multiple_fibres)
 
 
-def _cycle_length_at(bundle: ExtensionBundle, b, surface: SurfaceData, tol: Tolerance) -> int:
-    for p, length in bundle.zero_cycle:
-        if same_base_point(surface, b, p, tol):
-            return length
-    return 0
-
-
 def _marked_nonsplit(bundle: ExtensionBundle, b, surface: SurfaceData, tol: Tolerance) -> bool:
     if bundle.nonsplit_everywhere:
         return True
@@ -257,7 +244,7 @@ def restrict_to_fibre(
     if _multiple_fibre_at(surface, b, tol):
         raise ValueError("restriction to a multiple fibre is unsupported")
     if isinstance(bundle, ExtensionBundle):
-        k = _cycle_length_at(bundle, b, surface, tol)
+        k = sum(length for p, length in bundle.zero_cycle if same_base_point(surface, b, p, tol))
         if k >= 1:
             return UnstableRestriction(k)
         v1 = section_value(bundle.sub.section, b, surface)
@@ -302,16 +289,19 @@ def _dual_section(s: SectionOfJ) -> SectionOfJ:
     return SectionOfJ(group_inv(s.constant), tuple(-h for h in s.hom))
 
 
-def _merge_jumps(*groups: tuple[tuple[complex, int], ...]) -> tuple[tuple[complex, int], ...]:
+def _merge_jumps(
+    surface: SurfaceData, tol: Tolerance, *groups: tuple[tuple[complex, int], ...]
+) -> tuple[tuple[complex, int], ...]:
+    """The (point, multiplicity) pairs of all groups, one per base point."""
     out: list[tuple[complex, int]] = []
     for group in groups:
         for p, m in group:
             for i, (q, n) in enumerate(out):
-                if complex(q) == complex(p):
+                if same_base_point(surface, q, p, tol):
                     out[i] = (q, n + m)
                     break
             else:
-                out.append((complex(p), m))
+                out.append((base_point(surface, p), m))
     return tuple(out)
 
 
@@ -321,7 +311,7 @@ def _cover_parts(
     if isinstance(bundle, ExtensionBundle):
         quot = involution_on_section(bundle.sub.section, bundle.determinant.section)
         bis = reducible_bisection(_dual_section(bundle.sub.section), _dual_section(quot))
-        jumps = tuple((complex(p), length) for p, length in bundle.zero_cycle)
+        jumps = _merge_jumps(surface, tol, bundle.zero_cycle)
         return bis, jumps, _dual_section(bundle.determinant.section)
     if isinstance(bundle, SpectralPushBundle):
         cover = bundle.cover.cover
@@ -347,7 +337,7 @@ def _cover_parts(
             _dual_section(bundle.determinant.section),
         )
     bis, jumps, dual = _cover_parts(bundle.parent, surface, tol)
-    return bis, _merge_jumps(jumps, ((complex(bundle.fibre), bundle.steps),)), dual
+    return bis, _merge_jumps(surface, tol, jumps, ((bundle.fibre, bundle.steps),)), dual
 
 
 def spectral_cover(
@@ -386,7 +376,7 @@ def _verify_cover(
     seed: int,
 ) -> float:
     avoid = tuple(p for p, _ in cover.jump_fibres)
-    jump_tol = Tolerance(10.0 * tol.eps, tol.series_terms)
+    jump_tol = Tolerance(10.0 * tol.eps)
     worst = 0.0
     for b in sample_base_points(surface, samples, seed=seed, avoid=avoid):
         restriction = restrict_to_fibre(bundle, b, surface, tol)

@@ -4,9 +4,11 @@ Subcommands read a JSON request (file path or '-' for stdin) and write a
 JSON response.  A request carries the surface description plus the
 command-specific payload ("chern", "bundle", "classes", "d") and may
 embed an "options" object ({"tol", "seed", "verify", "d",
-"enum_radius"}); command-line flags override embedded options.  Exit
-codes: 0 affirmative / success, 1 negative, 2 undecided, 64 schema
-violation, 70 computational or validation error.  With --batch the
+"enum_radius"}); command-line flags override embedded options.  Every
+command checks the version, the options and the surface first, in that
+order.  Exit codes: 0 affirmative / success, 1 negative, 2 undecided,
+64 schema violation (a bad command line included), 70 computational or
+validation error.  With --batch the
 input is an array of requests for the same subcommand; the output is
 the array of responses in order and the exit code is the maximum over
 the items.
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .bundles import apply_modification_ledger, chern_data, spectral_cover
-from .existence import Existence, existence_verdict
+from .existence import Existence, Verdict, existence_verdict
 from .jacobian import SectionOfJ, genus_and_branching, involution_on_section
 from .schemas import (
     SCHEMA_VERSION,
@@ -52,6 +54,7 @@ from .surface import (
     self_intersection,
 )
 from .tate import (
+    DEFAULT_TOL,
     TatePoint,
     Tolerance,
     distance_to_identity,
@@ -74,19 +77,15 @@ _STATUS_CODES = {
 
 @dataclass(frozen=True)
 class Options:
-    tol: float = 1e-9
+    tol: Tolerance = DEFAULT_TOL
     seed: int = 0
     verify: int = 50
     d: int | None = None
     enum_radius: int | None = None
 
-    @property
-    def tolerance(self) -> Tolerance:
-        return Tolerance(self.tol)
 
-
-def _merge_options(args: argparse.Namespace, doc: Any) -> Options:
-    embedded = doc.get("options", {}) if isinstance(doc, dict) else {}
+def _merge_options(args: argparse.Namespace, doc: dict) -> Options:
+    embedded = doc.get("options", {})
     if not isinstance(embedded, dict):
         raise SchemaError("options: expected an object")
 
@@ -111,7 +110,7 @@ def _merge_options(args: argparse.Namespace, doc: Any) -> Options:
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= sys.float_info.max:
         raise SchemaError("options.tol: expected a finite positive number")
     return Options(
-        tol=float(tol),
+        tol=Tolerance(float(tol)),
         seed=integer("seed", pick(args.seed, "seed", 0)),
         verify=integer("verify", pick(args.verify, "verify", 50), least=1),
         d=integer("d", pick(args.d, "d", None)),
@@ -127,11 +126,11 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_json(raw: str, what: str) -> Any:
-    """json.loads that rejects NaN, Infinity, numbers that overflow a float
-    and integers too long to convert."""
+    """json.loads that rejects NaN, Infinity, numbers that overflow a float,
+    integers too long to convert and nesting too deep to decode."""
     try:
         return json.loads(raw, parse_constant=_finite_float, parse_float=_finite_float)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -152,9 +151,7 @@ def _read_input(path: str) -> Any:
 def _request_chern(doc: dict, surface: SurfaceData, args: argparse.Namespace) -> ChernData:
     chern_doc = doc.get("chern")
     if args.c1 is not None or args.c2 is not None:
-        if not isinstance(chern_doc, dict):
-            chern_doc = {}
-        chern_doc = dict(chern_doc)
+        chern_doc = dict(chern_doc) if isinstance(chern_doc, dict) else {}
         if args.c1 is not None:
             chern_doc["c1"] = _parse_json(args.c1, "--c1")
         if args.c2 is not None:
@@ -164,16 +161,9 @@ def _request_chern(doc: dict, surface: SurfaceData, args: argparse.Namespace) ->
 
 def _enum_minimum(c1: NSClass, surface: SurfaceData, radius: int) -> Fraction:
     """Brute-force the lattice minimum over the cube [-radius, radius]^rank."""
-    lattice = surface.lattice
-    if lattice.rank == 0:
-        return Fraction(0)
-    best = None
-    for mu in itertools.product(range(-radius, radius + 1), repeat=lattice.rank):
-        shifted = tuple(a - 2 * b for a, b in zip(c1.hom, mu))
-        val = lattice.degree(shifted)
-        if best is None or val < best:
-            best = val
-    return Fraction(best, 4)
+    cube = itertools.product(range(-radius, radius + 1), repeat=surface.lattice.rank)
+    shifts = (tuple(a - 2 * b for a, b in zip(c1.hom, mu)) for mu in cube)
+    return Fraction(min(surface.lattice.degree(w) for w in shifts), 4)
 
 
 def _cross_check_minimum(c1: NSClass, surface: SurfaceData, radius: int | None) -> None:
@@ -188,31 +178,26 @@ def _cross_check_minimum(c1: NSClass, surface: SurfaceData, radius: int | None) 
         )
 
 
-def _verdict_request(
-    doc: Any, args: argparse.Namespace
-) -> tuple[Options, SurfaceData, ChernData, int | None]:
-    """Options, surface, Chern data and bisection degree of an exists or
-    recipe request."""
-    check_version(doc)
-    opts = _merge_options(args, doc)
-    surface = decode_surface(doc.get("surface"))
+def _request_verdict(
+    doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData, radius: int | None
+) -> Verdict:
+    """The verdict of an exists or recipe request, after the lattice-minimum
+    cross-check over the given cube radius, if any."""
     cd = _request_chern(doc, surface, args)
     d = opts.d if opts.d is not None else doc.get("d")
     if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
         raise SchemaError("d: expected an integer")
-    return opts, surface, cd, d
+    _cross_check_minimum(cd.c1, surface, radius)
+    return existence_verdict(cd, surface, d=d, tol=opts.tol, seed=opts.seed)
 
 
-def _cmd_exists(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
-    opts, surface, cd, d = _verdict_request(doc, args)
-    _cross_check_minimum(cd.c1, surface, opts.enum_radius)
-    verdict = existence_verdict(cd, surface, d=d, tol=opts.tolerance, seed=opts.seed)
+def _cmd_exists(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+    verdict = _request_verdict(doc, args, opts, surface, opts.enum_radius)
     return encode_verdict(verdict), _STATUS_CODES[verdict.status]
 
 
-def _cmd_recipe(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
-    opts, surface, cd, d = _verdict_request(doc, args)
-    verdict = existence_verdict(cd, surface, d=d, tol=opts.tolerance, seed=opts.seed)
+def _cmd_recipe(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+    verdict = _request_verdict(doc, args, opts, surface, None)
     code = _STATUS_CODES[verdict.status]
     body = encode_verdict(verdict)
     if verdict.status is not Existence.EXISTS:
@@ -230,7 +215,7 @@ def _cmd_recipe(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
         "recipe": body["recipe"],
     }
     if verdict.recipe is not None:
-        snapshot = chern_data(verdict.recipe.base, surface, opts.tolerance)
+        snapshot = chern_data(verdict.recipe.base, surface, opts.tol)
         transcript = [encode_chern(snapshot)]
         for _ in range(verdict.recipe.modification_steps):
             snapshot = apply_modification_ledger(snapshot, 1, surface.lattice)
@@ -241,24 +226,23 @@ def _cmd_recipe(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
     return out, code
 
 
-def _cmd_spectral_cover(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
-    check_version(doc)
-    opts = _merge_options(args, doc)
-    surface = decode_surface(doc.get("surface"))
+def _cmd_spectral_cover(
+    doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData
+) -> tuple[dict, int]:
     bundle = decode_bundle(doc.get("bundle"), surface)
     cover = spectral_cover(
         bundle,
         surface,
-        opts.tolerance,
+        opts.tol,
         verify_samples=opts.verify,
         seed=opts.seed,
     )
     return encode_cover(cover), EX_OK
 
 
-def _cmd_intersect(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
-    check_version(doc)
-    surface = decode_surface(doc.get("surface"))
+def _cmd_intersect(
+    doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData
+) -> tuple[dict, int]:
     classes = doc.get("classes")
     if not isinstance(classes, list) or len(classes) != 2:
         raise SchemaError("classes: expected an array of two classes")
@@ -277,9 +261,7 @@ def _cmd_intersect(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
     )
 
 
-def _cmd_genus(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
-    check_version(doc)
-    surface = decode_surface(doc.get("surface"))
+def _cmd_genus(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
     cd = _request_chern(doc, surface, args)
     genus, branch = genus_and_branching(cd, surface.base.genus, surface.lattice)
     return (
@@ -384,16 +366,12 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
 )
 
 
-def _cmd_check(doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
-    check_version(doc)
-    opts = _merge_options(args, doc)
-    surface = decode_surface(doc.get("surface"))
-    tol = opts.tolerance
+def _cmd_check(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
     rng = random.Random(opts.seed)
     results = []
     all_passed = True
     for name, fn in _CHECKS:
-        passed, detail = fn(surface, tol, rng)
+        passed, detail = fn(surface, opts.tol, rng)
         all_passed = all_passed and passed
         results.append({"name": name, "passed": passed, "detail": detail})
     if opts.enum_radius is not None:
@@ -429,8 +407,13 @@ _COMMANDS = {
 
 
 def _run_one(handler, doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
+    """One request through the preamble every command shares (version,
+    options, surface) and then its handler, failures mapped to exit codes."""
     try:
-        return handler(doc, args)
+        check_version(doc)
+        opts = _merge_options(args, doc)
+        surface = decode_surface(doc.get("surface"))
+        return handler(doc, args, opts, surface)
     except SchemaError as exc:
         return (
             {"schema": SCHEMA_VERSION, "error": str(exc), "exit_code": EX_SCHEMA},
@@ -443,8 +426,17 @@ def _run_one(handler, doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as a malformed
+    request (exit 64) rather than with argparse's exit 2, which here means
+    undecided."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellspec",
         description="Rank-2 bundles on non-Kähler elliptic surfaces: existence "
         "verdicts, spectral covers, and intersection arithmetic.",
@@ -495,13 +487,13 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
     try:
+        args = _shared_parser().parse_args(argv)
         doc = _read_input(args.input)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_SCHEMA
+    handler = _COMMANDS[args.command]
     if args.batch:
         if not isinstance(doc, list):
             print("error: --batch input must be a JSON array", file=sys.stderr)

@@ -29,7 +29,6 @@ from .bundles import (
 from .jacobian import (
     Bisection,
     RuledBounds,
-    base_point,
     branch_points_numeric,
     graph_self_intersection,
     ruled_invariant_bounds,
@@ -40,6 +39,7 @@ from .surface import (
     ChernData,
     NSClass,
     SurfaceData,
+    base_point,
     discriminant,
     filtrable_bound,
 )

@@ -30,7 +30,7 @@ from .tate import (
     is_infinite,
     points_equal,
 )
-from .surface import ChernData, HomLattice, NSClass, SurfaceData, discriminant, self_intersection
+from .surface import ChernData, HomLattice, NSClass, SurfaceData, base_point, discriminant, self_intersection
 
 
 @dataclass(frozen=True)
@@ -62,34 +62,6 @@ def _power_exponent(surface: SurfaceData, hom: tuple[int, ...]) -> int:
             raise ValueError("surface carries no concrete generators for hom sections")
         return 0
     return sum(v * n for v, n in zip(hom, surface.hom_exponents))
-
-
-def base_point(surface: SurfaceData, b) -> complex:
-    """The complex number that stands for a base point.
-
-    On a genus-1 base this is the annulus representative of the point's
-    class on the Tate base curve, and a TatePoint must lie on that curve;
-    on any other base it is the point itself.
-    """
-    if isinstance(b, TatePoint):
-        if surface.base.genus == 1 and b.curve != surface.base.tate:
-            raise ValueError("base point lies on the wrong curve")
-        return b.rep
-    if surface.base.genus == 1:
-        return TatePoint(complex(b), surface.base.tate).rep
-    return complex(b)
-
-
-def same_base_point(surface: SurfaceData, a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether two base points agree within tol.eps: as classes on a genus-1
-    base, as complex numbers on any other."""
-    a, b = base_point(surface, a), base_point(surface, b)
-    if surface.base.genus == 1:
-        # class_distance of the two annulus representatives, without
-        # building a TatePoint for each comparison on the sampling path
-        tau = surface.base.tate.tau
-        return min(abs(a - b), abs(a * tau - b), abs(a - b * tau)) <= tol.eps
-    return abs(a - b) <= tol.eps
 
 
 def section_value(section: SectionOfJ, b, surface: SurfaceData) -> TatePoint:
@@ -300,7 +272,7 @@ def sample_base_points(
             r = at ** rng.uniform(0.0, 1.0)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             pt = TatePoint(r * cmath.exp(1j * theta), surface.base.tate)
-            if any(class_distance(pt, TatePoint(f, surface.base.tate)) < _CLEARANCE for f in forbidden if f != 0):
+            if any(class_distance(pt, TatePoint(f, surface.base.tate)) < _CLEARANCE for f in forbidden):
                 continue
             out.append(pt)
         else:

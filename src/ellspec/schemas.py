@@ -38,6 +38,8 @@ from .surface import (
     HomLattice,
     NSClass,
     SurfaceData,
+    base_point,
+    distinct_base_points,
 )
 from .tate import CurveParam, TatePoint, is_infinite
 
@@ -109,6 +111,29 @@ def _expect_int(doc: Any, where: str) -> int:
     return doc
 
 
+def _vector(doc: Any, where: str, read, entry: str | None = None) -> tuple:
+    """An array read item by item, each item named entry (default "where entry")."""
+    entry = entry or f"{where} entry"
+    return tuple(read(item, entry) for item in _expect_list(doc, where))
+
+
+def _pair(doc: Any, where: str, reads, names=None, shape: str = "two endpoints") -> tuple:
+    """A two-item array read item by item, items named where[0] and where[1]."""
+    pair = _expect_list(doc, where)
+    if len(pair) != 2:
+        raise SchemaError(f"{where}: expected {shape}")
+    names = names or (f"{where}[0]", f"{where}[1]")
+    return tuple(read(item, name) for read, item, name in zip(reads, pair, names))
+
+
+def _domain(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a SchemaError at where."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def check_version(doc: Any) -> None:
     body = _expect_map(doc, "document")
     if body.get("schema") != SCHEMA_VERSION:
@@ -125,60 +150,36 @@ def decode_surface(doc: Any) -> SurfaceData:
     genus = _expect_int(body.get("genus"), "surface.genus")
     tate = None
     if body.get("sigma") is not None:
-        try:
-            tate = CurveParam(decode_complex(body["sigma"], "surface.sigma"))
-        except ValueError as exc:
-            raise SchemaError(f"surface.sigma: {exc}") from exc
-    try:
-        fibre = CurveParam(decode_complex(body.get("tau"), "surface.tau"))
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(f"surface.tau: {exc}") from exc
+        tate = _domain("surface.sigma", CurveParam, decode_complex(body["sigma"], "surface.sigma"))
+    fibre = _domain("surface.tau", CurveParam, decode_complex(body.get("tau"), "surface.tau"))
     lat_doc = _expect_map(body.get("lattice"), "surface.lattice")
     rank = _expect_int(lat_doc.get("rank"), "surface.lattice.rank")
-    gram_doc = _expect_list(lat_doc.get("gram"), "surface.lattice.gram")
-    gram = tuple(
-        tuple(
-            decode_fraction(entry, "surface.lattice.gram")
-            for entry in _expect_list(row, "surface.lattice.gram row")
-        )
-        for row in gram_doc
+    gram = _vector(
+        lat_doc.get("gram"),
+        "surface.lattice.gram",
+        lambda row, where: _vector(row, where, decode_fraction, "surface.lattice.gram"),
+        "surface.lattice.gram row",
     )
-    fibres = []
-    for item in _expect_list(body.get("multiple_fibres", []), "surface.multiple_fibres"):
-        pair = _expect_list(item, "surface.multiple_fibres entry")
-        if len(pair) != 2:
-            raise SchemaError("surface.multiple_fibres entry: expected [point, multiplicity]")
-        fibres.append(
-            (
-                decode_complex(pair[0], "multiple fibre point"),
-                _expect_int(pair[1], "multiple fibre multiplicity"),
-            )
-        )
+    fibres = _vector(
+        body.get("multiple_fibres", []),
+        "surface.multiple_fibres",
+        lambda item, where: _pair(
+            item,
+            where,
+            (decode_complex, _expect_int),
+            ("multiple fibre point", "multiple fibre multiplicity"),
+            "[point, multiplicity]",
+        ),
+    )
     theta = body.get("theta_degree")
     if theta is not None:
         theta = _expect_int(theta, "surface.theta_degree")
     hom_exp = None
     if body.get("hom_exponents") is not None:
-        hom_exp = tuple(
-            _expect_int(e, "surface.hom_exponents entry")
-            for e in _expect_list(body["hom_exponents"], "surface.hom_exponents")
-        )
-    try:
-        lattice = HomLattice(rank, gram)
-        return SurfaceData(
-            base=BaseCurve(genus, tate),
-            fibre=fibre,
-            multiple_fibres=tuple(fibres),
-            theta_degree=theta,
-            lattice=lattice,
-            hom_exponents=hom_exp,
-        )
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(f"surface: {exc}") from exc
+        hom_exp = _vector(body["hom_exponents"], "surface.hom_exponents", _expect_int)
+    lattice = _domain("surface", HomLattice, rank, gram)
+    base = _domain("surface", BaseCurve, genus, tate)
+    return _domain("surface", SurfaceData, base, fibre, fibres, theta, lattice, hom_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +192,8 @@ def encode_ns_class(cls: NSClass) -> dict:
 
 def decode_ns_class(doc: Any, surface: SurfaceData, where: str = "class") -> NSClass:
     body = _expect_map(doc, where)
-    torsion = tuple(
-        _expect_int(t, f"{where}.torsion entry")
-        for t in _expect_list(body.get("torsion"), f"{where}.torsion")
-    )
-    hom = tuple(
-        _expect_int(h, f"{where}.hom entry")
-        for h in _expect_list(body.get("hom"), f"{where}.hom")
-    )
+    torsion = _vector(body.get("torsion"), f"{where}.torsion", _expect_int)
+    hom = _vector(body.get("hom"), f"{where}.hom", _expect_int)
     if len(torsion) != surface.torsion_rank:
         raise SchemaError(
             f"{where}: torsion length {len(torsion)} does not match the surface "
@@ -235,16 +230,10 @@ def encode_section(s: SectionOfJ) -> dict:
 def decode_section(doc: Any, surface: SurfaceData, where: str = "section") -> SectionOfJ:
     body = _expect_map(doc, where)
     constant = decode_complex(body.get("constant"), f"{where}.constant")
-    hom = tuple(
-        _expect_int(h, f"{where}.hom entry")
-        for h in _expect_list(body.get("hom", [0] * surface.lattice.rank), f"{where}.hom")
-    )
+    hom = _vector(body.get("hom", [0] * surface.lattice.rank), f"{where}.hom", _expect_int)
     if len(hom) != surface.lattice.rank:
         raise SchemaError(f"{where}: hom length does not match the lattice rank")
-    try:
-        return SectionOfJ(TatePoint(constant, surface.fibre), hom)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return SectionOfJ(_domain(where, TatePoint, constant, surface.fibre), hom)
 
 
 def encode_rational_map(r: RationalMap) -> dict:
@@ -256,18 +245,9 @@ def encode_rational_map(r: RationalMap) -> dict:
 
 def decode_rational_map(doc: Any, where: str = "trace") -> RationalMap:
     body = _expect_map(doc, where)
-    num = tuple(
-        decode_complex(c, f"{where}.num entry")
-        for c in _expect_list(body.get("num"), f"{where}.num")
-    )
-    den = tuple(
-        decode_complex(c, f"{where}.den entry")
-        for c in _expect_list(body.get("den", [[1.0, 0.0]]), f"{where}.den")
-    )
-    try:
-        return RationalMap(num, den)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    num = _vector(body.get("num"), f"{where}.num", decode_complex)
+    den = _vector(body.get("den", [[1.0, 0.0]]), f"{where}.den", decode_complex)
+    return _domain(where, RationalMap, num, den)
 
 
 def encode_bisection(bis: Bisection) -> dict:
@@ -301,20 +281,14 @@ def decode_bisection(doc: Any, surface: SurfaceData, where: str = "bisection") -
         trace = None
         if "trace" in inner:
             trace = decode_rational_map(inner["trace"], f"{where}.trace")
-        branch = tuple(
-            decode_complex(p, f"{where}.branch_points entry")
-            for p in _expect_list(inner.get("branch_points", []), f"{where}.branch_points")
-        )
+        branch = _vector(inner.get("branch_points", []), f"{where}.branch_points", decode_complex)
         declared = inner.get("declared_self_intersection")
         if declared is not None:
             declared = _expect_int(declared, f"{where}.declared_self_intersection")
         norm = None
         if "norm" in inner:
             norm = decode_rational_map(inner["norm"], f"{where}.norm")
-        try:
-            return irreducible_bisection(DoubleCoverData(trace, branch, declared, norm))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+        return irreducible_bisection(_domain(where, DoubleCoverData, trace, branch, declared, norm))
     raise SchemaError(f"{where}: expected a 'reducible' or 'irreducible' key")
 
 
@@ -336,10 +310,7 @@ def decode_line_bundle(doc: Any, surface: SurfaceData, where: str = "line bundle
     body = _expect_map(doc, where)
     section = decode_section(body.get("section"), surface, f"{where}.section")
     twist = _expect_int(body.get("base_twist", 0), f"{where}.base_twist")
-    fibre_twists = tuple(
-        _expect_int(t, f"{where}.fibre_twists entry")
-        for t in _expect_list(body.get("fibre_twists", []), f"{where}.fibre_twists")
-    )
+    fibre_twists = _vector(body.get("fibre_twists", []), f"{where}.fibre_twists", _expect_int)
     return LineBundleOnX(section, twist, fibre_twists)
 
 
@@ -374,59 +345,48 @@ def encode_bundle(bundle: RankTwoBundle) -> dict:
 
 def decode_bundle(doc: Any, surface: SurfaceData, where: str = "bundle") -> RankTwoBundle:
     body = _expect_map(doc, where)
-    try:
-        if "extension" in body:
-            inner = _expect_map(body["extension"], f"{where}.extension")
-            cycle = []
-            for item in _expect_list(inner.get("Z", []), f"{where}.extension.Z"):
-                pair = _expect_list(item, f"{where}.extension.Z entry")
-                if len(pair) != 2:
-                    raise SchemaError(f"{where}.extension.Z entry: expected [point, length]")
-                cycle.append(
-                    (
-                        decode_complex(pair[0], "cycle point"),
-                        _expect_int(pair[1], "cycle length"),
-                    )
-                )
-            nonsplit = tuple(
-                decode_complex(p, f"{where}.extension.nonsplit_at entry")
-                for p in _expect_list(
-                    inner.get("nonsplit_at", []), f"{where}.extension.nonsplit_at"
-                )
-            )
-            everywhere = inner.get("nonsplit_everywhere", False)
-            if not isinstance(everywhere, bool):
-                raise SchemaError(f"{where}.extension.nonsplit_everywhere: expected a boolean")
-            return ExtensionBundle(
-                sub=decode_line_bundle(inner.get("D"), surface, f"{where}.extension.D"),
-                determinant=decode_line_bundle(
-                    inner.get("delta"), surface, f"{where}.extension.delta"
-                ),
-                zero_cycle=tuple(cycle),
-                nonsplit_at=nonsplit,
-                nonsplit_everywhere=everywhere,
-            )
-        if "spectral_push" in body:
-            inner = _expect_map(body["spectral_push"], f"{where}.spectral_push")
-            return SpectralPushBundle(
-                cover=decode_bisection(
-                    inner.get("bisection"), surface, f"{where}.spectral_push.bisection"
-                ),
-                determinant=decode_line_bundle(
-                    inner.get("delta"), surface, f"{where}.spectral_push.delta"
-                ),
-            )
-        if "elem_mod" in body:
-            inner = _expect_map(body["elem_mod"], f"{where}.elem_mod")
-            return ElemModBundle(
-                parent=decode_bundle(inner.get("parent"), surface, f"{where}.elem_mod.parent"),
-                fibre=decode_complex(inner.get("fibre"), f"{where}.elem_mod.fibre"),
-                steps=_expect_int(inner.get("steps"), f"{where}.elem_mod.steps"),
-            )
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+
+    def point(item: Any, name: str) -> complex:
+        return _domain(name, base_point, surface, decode_complex(item, name))
+
+    if "extension" in body:
+        inner = _expect_map(body["extension"], f"{where}.extension")
+        cycle = _vector(
+            inner.get("Z", []),
+            f"{where}.extension.Z",
+            lambda item, entry: _pair(
+                item, entry, (point, _expect_int), ("cycle point", "cycle length"), "[point, length]"
+            ),
+        )
+        nonsplit = _vector(inner.get("nonsplit_at", []), f"{where}.extension.nonsplit_at", point)
+        everywhere = inner.get("nonsplit_everywhere", False)
+        if not isinstance(everywhere, bool):
+            raise SchemaError(f"{where}.extension.nonsplit_everywhere: expected a boolean")
+        sub = decode_line_bundle(inner.get("D"), surface, f"{where}.extension.D")
+        determinant = decode_line_bundle(inner.get("delta"), surface, f"{where}.extension.delta")
+        # the bundle alone tells its points apart as numbers; the surface knows their classes
+        if not distinct_base_points(surface, (p for p, _ in cycle)):
+            raise SchemaError(f"{where}: zero-cycle points must be distinct")
+        return _domain(where, ExtensionBundle, sub, determinant, cycle, nonsplit, everywhere)
+    if "spectral_push" in body:
+        inner = _expect_map(body["spectral_push"], f"{where}.spectral_push")
+        return _domain(
+            where,
+            SpectralPushBundle,
+            cover=decode_bisection(
+                inner.get("bisection"), surface, f"{where}.spectral_push.bisection"
+            ),
+            determinant=decode_line_bundle(inner.get("delta"), surface, f"{where}.spectral_push.delta"),
+        )
+    if "elem_mod" in body:
+        inner = _expect_map(body["elem_mod"], f"{where}.elem_mod")
+        return _domain(
+            where,
+            ElemModBundle,
+            parent=decode_bundle(inner.get("parent"), surface, f"{where}.elem_mod.parent"),
+            fibre=point(inner.get("fibre"), f"{where}.elem_mod.fibre"),
+            steps=_expect_int(inner.get("steps"), f"{where}.elem_mod.steps"),
+        )
     raise SchemaError(
         f"{where}: expected an 'extension', 'spectral_push', or 'elem_mod' key"
     )
@@ -503,19 +463,12 @@ def decode_verdict(doc: Any, surface: SurfaceData) -> Verdict:
         raise SchemaError("verdict: unknown status value")
     interval = None
     if body.get("threshold_interval") is not None:
-        pair = _expect_list(body["threshold_interval"], "threshold_interval")
-        if len(pair) != 2:
-            raise SchemaError("threshold_interval: expected two endpoints")
-        interval = (
-            decode_fraction(pair[0], "threshold_interval[0]"),
-            decode_fraction(pair[1], "threshold_interval[1]"),
+        interval = _pair(
+            body["threshold_interval"], "threshold_interval", (decode_fraction, decode_fraction)
         )
     d_interval = None
     if body.get("d_interval") is not None:
-        pair = _expect_list(body["d_interval"], "d_interval")
-        if len(pair) != 2:
-            raise SchemaError("d_interval: expected two endpoints")
-        d_interval = (_expect_int(pair[0], "d_interval[0]"), _expect_int(pair[1], "d_interval[1]"))
+        d_interval = _pair(body["d_interval"], "d_interval", (_expect_int, _expect_int))
     recipe = None
     if body.get("recipe") is not None:
         recipe = decode_recipe(body["recipe"], surface)

@@ -17,12 +17,13 @@ minimum are computed from it in integers only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
-from .tate import CurveParam
+from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, is_infinite
 
 
 def as_fraction(x) -> Fraction:
@@ -124,11 +125,47 @@ class BaseCurve:
             raise ValueError("only a genus-1 base carries a Tate model")
 
 
+def base_point(surface: SurfaceData | None, b) -> complex:
+    """The complex number that stands for a base point.
+
+    On a genus-1 base this is the annulus representative of the point's
+    class on the Tate base curve, and a TatePoint must lie on that curve;
+    on any other base, or with no surface at hand, it is the point itself.
+    """
+    genus_one = surface is not None and surface.base.genus == 1
+    if isinstance(b, TatePoint):
+        if genus_one and b.curve != surface.base.tate:
+            raise ValueError("base point lies on the wrong curve")
+        return b.rep
+    if genus_one:
+        return TatePoint(complex(b), surface.base.tate).rep
+    return complex(b)
+
+
+def same_base_point(surface: SurfaceData | None, a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether two base points agree within tol.eps: as classes on a genus-1
+    base, as complex numbers on any other or with no surface at hand, where
+    every infinite number is the one point at infinity."""
+    a, b = base_point(surface, a), base_point(surface, b)
+    if surface is not None and surface.base.genus == 1:
+        # class_distance of the two annulus representatives, without
+        # building a TatePoint for each comparison on the sampling path
+        tau = surface.base.tate.tau
+        return min(abs(a - b), abs(a * tau - b), abs(a - b * tau)) <= tol.eps
+    return abs(a - b) <= tol.eps or (is_infinite(a) and is_infinite(b))
+
+
+def distinct_base_points(surface: SurfaceData | None, points) -> bool:
+    """Whether no two of the points are the same base point."""
+    return not any(same_base_point(surface, p, q) for p, q in itertools.combinations(points, 2))
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """An elliptic quotient surface over the base, with fibre C*/<tau>.
 
-    multiple_fibres lists (base point, multiplicity >= 2) pairs; a
+    multiple_fibres lists (base point, multiplicity >= 2) pairs over
+    distinct base points, each stored as its base_point number; a
     positive theta degree marks the principal case and excludes multiple
     fibres.  hom_exponents optionally realises the lattice generators as
     power maps z -> z^n on a genus-1 base whose multiplier equals tau.
@@ -142,10 +179,13 @@ class SurfaceData:
     hom_exponents: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        pts = [complex(b) for b, _ in self.multiple_fibres]
-        for i, p in enumerate(pts):
-            if p in pts[:i]:
-                raise ValueError("multiple fibres must sit over distinct base points")
+        try:
+            fibres = tuple((base_point(self, b), mult) for b, mult in self.multiple_fibres)
+        except ValueError as exc:
+            raise ValueError(f"multiple fibre point: {exc}") from exc
+        object.__setattr__(self, "multiple_fibres", fibres)
+        if not distinct_base_points(self, (b for b, _ in fibres)):
+            raise ValueError("multiple fibres must sit over distinct base points")
         for _, mult in self.multiple_fibres:
             if mult < 2:
                 raise ValueError("multiple-fibre multiplicities are at least 2")

@@ -30,6 +30,9 @@ class SeriesCapError(RuntimeError):
     """Raised when the series term cap is hit before the tail bound is met."""
 
 
+_SERIES_CAP = 4096  # terms a series may take to meet its tail bound
+
+
 @dataclass(frozen=True)
 class CurveParam:
     """Multiplier of the curve C*/<tau>; requires |tau| > 1."""
@@ -47,16 +50,13 @@ class CurveParam:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric tolerance: absolute comparison radius and a series term cap."""
+    """Numeric tolerance: an absolute comparison radius."""
 
     eps: float = 1e-9
-    series_terms: int = 4096
 
     def __post_init__(self) -> None:
         if not self.eps > 0.0:
             raise ValueError("tolerance eps must be positive")
-        if self.series_terms <= 0:
-            raise ValueError("series term cap must be positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -149,19 +149,19 @@ def two_torsion(curve: CurveParam) -> list[TatePoint]:
 
 
 @lru_cache(maxsize=256)
-def _inversion_constant(tau: complex, eps: float, cap: int) -> complex:
+def _inversion_constant(tau: complex, eps: float) -> complex:
     """The u-independent part 2 sum_{n>=1} q^n/(1-q^n)^2, to absolute error eps."""
     q = 1.0 / tau
     aq = abs(q)
     total = 0.0 + 0.0j
     qn = 1.0 + 0.0j
-    for n in range(1, cap + 1):
+    for n in range(1, _SERIES_CAP + 1):
         qn *= q
         total += qn / (1.0 - qn) ** 2
         rho = aq ** (n + 1)
         if rho < 0.9 and rho / ((1.0 - aq) * (1.0 - rho) ** 2) < eps / 2.0:
             return 2.0 * total
-    raise SeriesCapError(f"series cap {cap} hit before tail bound {eps} was met")
+    raise SeriesCapError(f"series cap {_SERIES_CAP} hit before tail bound {eps} was met")
 
 
 def _x_series(u: complex, curve: CurveParam, tol: Tolerance, want_derivative: bool = False):
@@ -179,7 +179,7 @@ def _x_series(u: complex, curve: CurveParam, tol: Tolerance, want_derivative: bo
     value = u / (1.0 - u) ** 2
     deriv = (1.0 + u) / (1.0 - u) ** 3
     qn = 1.0 + 0.0j
-    for n in range(1, tol.series_terms + 1):
+    for n in range(1, _SERIES_CAP + 1):
         qn *= q
         for g in (qn, 1.0 / qn):
             gu = g * u
@@ -196,9 +196,9 @@ def _x_series(u: complex, curve: CurveParam, tol: Tolerance, want_derivative: bo
                 break
     else:
         raise SeriesCapError(
-            f"series cap {tol.series_terms} hit before tail bound {tol.eps} was met"
+            f"series cap {_SERIES_CAP} hit before tail bound {tol.eps} was met"
         )
-    const = _inversion_constant(curve.tau, tol.eps, tol.series_terms)
+    const = _inversion_constant(curve.tau, tol.eps)
     if want_derivative:
         return value - const, deriv
     return value - const

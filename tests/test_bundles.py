@@ -295,6 +295,20 @@ def test_cover_of_elem_mod_merges_jumps():
     assert cover.jump_fibres == ((0.7 + 0j, 3), (-0.4 + 0j, 1))
 
 
+def test_genus_one_points_of_one_class_are_one_point():
+    pt, shifted = 1.4 + 0.1j, (1.4 + 0.1j) * 3.0  # one class of the base C*/<3>
+    base = trivial_extension(S1U)
+    twice = ElemModBundle(ElemModBundle(base, pt, 1), shifted, 2)
+    (jump,) = spectral_cover(twice, S1U).jump_fibres
+    assert abs(jump[0] - pt) < 1e-12 and jump[1] == 3
+    # a zero cycle given by two representatives of one class counts once there
+    bundle = trivial_extension(S1U, zero_cycle=((pt, 1), (shifted, 1)))
+    assert chern_data(bundle, S1U).c2 == 2
+    assert restrict_to_fibre(bundle, TatePoint(pt, TAU3), S1U) == UnstableRestriction(2)
+    (jump,) = spectral_cover(bundle, S1U).jump_fibres
+    assert jump[1] == 2
+
+
 def test_cover_of_spectral_push_inverts_trace():
     bundle = push_bundle(RationalMap((0.0, 0.0, 1.0)), det_value=2.0)
     cover = spectral_cover(bundle, S0, verify_samples=40)

@@ -379,11 +379,131 @@ def test_nonsplit_everywhere_must_be_boolean(tmp_path, capsys):
     ],
 )
 def test_bad_options_are_schema_errors(tmp_path, capsys, options, flags):
-    doc = g2_request(0)
-    doc["options"] = options
-    code, body = run_cli(tmp_path, capsys, "exists", doc, *flags)
+    # every command checks its options before any work
+    for command in ("exists", "recipe", "spectral-cover", "intersect", "genus", "check"):
+        doc = g2_request(0)
+        doc["options"] = options
+        code, body = run_cli(tmp_path, capsys, command, doc, *flags)
+        assert code == EX_SCHEMA, command
+        assert body["exit_code"] == EX_SCHEMA and body["error"].startswith("options."), command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exists", "REQUEST", "--tol", "abc"),
+        ("exists", "REQUEST", "--bogus"),
+        ("nope", "REQUEST"),
+        (),
+    ],
+)
+def test_bad_command_line_is_a_schema_error(tmp_path, capsys, argv):
+    req = tmp_path / "request.json"
+    req.write_text(json.dumps(g2_request(0)), encoding="utf-8")
+    assert main([str(req) if a == "REQUEST" else a for a in argv]) == EX_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ellspec")
+    with pytest.raises(SystemExit) as exc:
+        main(["exists", "--help"])
+    assert exc.value.code == 0
+    assert "usage: ellspec exists" in capsys.readouterr().out
+
+
+def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys):
+    deep = "[" * 1200 + "]" * 1200
+    req = tmp_path / "request.json"
+    req.write_text(deep, encoding="utf-8")
+    assert main(["exists", str(req)]) == EX_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input is not valid JSON" in captured.err
+    code, body = run_cli(tmp_path, capsys, "exists", g2_request(0), "--c1", deep)
+    assert code == EX_SCHEMA and "--c1 is not valid JSON" in body["error"]
+
+
+def g1_extension_request(**extension) -> dict:
+    doc = extension_request(**extension)
+    doc["surface"] = dict(G1_SURFACE)
+    for part in ("D", "delta"):
+        doc["bundle"]["extension"][part]["section"]["hom"] = [0]
+    return doc
+
+
+def g1_fibred_request(command: str, fibres: list) -> dict:
+    surface = dict(G1_SURFACE, multiple_fibres=fibres)
+    c1 = {"torsion": [0] * (1 + len(fibres)), "hom": [1]}
+    if command == "intersect":
+        return {"schema": 1, "surface": surface, "classes": [c1, c1]}
+    return {"schema": 1, "surface": surface, "chern": {"c1": c1, "c2": 1}}
+
+
+# 1.4+0.1i and 4.2+0.3i = sigma (1.4+0.1i) are one point of the base C*/<3>
+SAME_CLASS = [[1.4, 0.1], [4.2, 0.3]]
+
+
+@pytest.mark.parametrize(
+    "command, doc, error",
+    [
+        (
+            "spectral-cover",
+            g1_extension_request(Z=[[SAME_CLASS[0], 1], [SAME_CLASS[1], 1]]),
+            "bundle: zero-cycle points must be distinct",
+        ),
+        (
+            "exists",
+            g1_fibred_request("exists", [[SAME_CLASS[0], 2], [SAME_CLASS[1], 3]]),
+            "surface: multiple fibres must sit over distinct base points",
+        ),
+        ("exists", g1_fibred_request("exists", [[[0, 0], 2]]), "surface: multiple fibre point: points"),
+        ("intersect", g1_fibred_request("intersect", [[[0, 0], 2]]), "surface: multiple fibre point: points"),
+        ("intersect", g1_fibred_request("intersect", [["inf", 2]]), "surface: multiple fibre point: points"),
+        ("spectral-cover", g1_extension_request(Z=[[[0, 0], 1]]), "cycle point: points"),
+        (
+            "spectral-cover",
+            g1_extension_request(nonsplit_at=[[0, 0]]),
+            "bundle.extension.nonsplit_at entry: points",
+        ),
+        (
+            "spectral-cover",
+            dict(
+                g1_extension_request(),
+                bundle={"elem_mod": {"parent": g1_extension_request()["bundle"], "fibre": [0, 0], "steps": 1}},
+            ),
+            "bundle.elem_mod.fibre: points",
+        ),
+    ],
+    ids=[
+        "cycle-same-class",
+        "fibres-same-class",
+        "fibre-zero-exists",
+        "fibre-zero-intersect",
+        "fibre-inf-intersect",
+        "cycle-zero",
+        "nonsplit-zero",
+        "elem-mod-zero",
+    ],
+)
+def test_genus_one_base_points_are_classes(tmp_path, capsys, command, doc, error):
+    code, body = run_cli(tmp_path, capsys, command, doc)
     assert code == EX_SCHEMA
-    assert body["exit_code"] == EX_SCHEMA and body["error"].startswith("options.")
+    assert body["exit_code"] == EX_SCHEMA and body["error"].startswith(error), body
+
+
+def test_point_at_infinity_is_one_point(tmp_path, capsys):
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", extension_request(Z=[["inf", 1], ["inf", 1]]))
+    assert code == EX_SCHEMA and body["error"] == "bundle: zero-cycle points must be distinct"
+    parent = extension_request(Z=[["inf", 1]])["bundle"]
+    modified = {"elem_mod": {"parent": parent, "fibre": "inf", "steps": 1}}
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", dict(extension_request(), bundle=modified))
+    assert code == EX_OK and body["jump_fibres"] == [["inf", 2]]
+
+
+def test_same_class_modified_fibres_merge(tmp_path, capsys):
+    parent = g1_extension_request()["bundle"]
+    once = {"elem_mod": {"parent": parent, "fibre": SAME_CLASS[0], "steps": 1}}
+    twice = {"elem_mod": {"parent": once, "fibre": SAME_CLASS[1], "steps": 2}}
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", dict(g1_extension_request(), bundle=twice))
+    assert code == EX_OK
+    assert body["jump_fibres"] == [[SAME_CLASS[0], 3]]
 
 
 def test_valid_options_still_accepted(tmp_path, capsys):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellspec.bundles import LineBundleOnX, SpectralPushBundle, _chern_cached, chern_data
+from ellspec.bundles import LineBundleOnX, SpectralPushBundle, chern_data
 from ellspec.existence import (
     Existence,
     existence_verdict,
@@ -220,12 +220,3 @@ def test_supplied_bisection_errors():
             base_bisection=declared_cover(2),
             base_determinant=LineBundleOnX(SectionOfJ(TatePoint(1.0, TAU), (0,))),
         )
-
-
-def test_chern_cache_is_bounded():
-    _chern_cached.cache_clear()
-    for c2 in range(3000):
-        assert existence_verdict(ChernData(C1_HOM, c2), G2_FOUR).status is Existence.EXISTS
-    info = _chern_cached.cache_info()
-    assert info.maxsize is not None and info.misses > info.maxsize
-    assert info.currsize <= info.maxsize

@@ -1,0 +1,35 @@
+"""The experiment scripts in scripts/ still run: each is started as README
+shows it, with small arguments, and must exit 0."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("existence_sweep.py", ("--genus", "2", "--tau", "3", "--gram", "4", "--hom", "1", "--c2=-1:1")),
+        ("quotient_profile.py", ("--tau", "2j", "--samples", "20")),
+    ],
+)
+def test_script_runs(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip()

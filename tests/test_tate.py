@@ -113,8 +113,6 @@ def test_rejects_small_multiplier():
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(eps=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(series_terms=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,8 +241,9 @@ def test_quotient_x_invariances():
 
 
 def test_series_cap_error():
+    # |q| = 1/1.001: the tail bound needs far more terms than the cap allows
     with pytest.raises(SeriesCapError):
-        quotient_x_at(-1.0 + 0j, TAU4, Tolerance(eps=1e-9, series_terms=1))
+        quotient_x_at(-1.0 + 0j, CurveParam(1.001))
 
 
 def test_h1_indicator():
