@@ -8,10 +8,11 @@ embed an "options" object ({"tol", "seed", "verify", "d",
 command checks the version, the options and the surface first, in that
 order.  Exit codes: 0 affirmative / success, 1 negative, 2 undecided,
 64 schema violation (a bad command line included), 70 computational or
-validation error.  With --batch the
-input is an array of requests for the same subcommand; the output is
-the array of responses in order and the exit code is the maximum over
-the items.
+validation error.  A recipe transcript holds one entry per modification
+step, so a recipe with more than MAX_RECIPE_STEPS steps exits 64.  With
+--batch the input is an array of requests for the same subcommand; the
+output is the array of responses in order and the exit code is the
+maximum over the items.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ from .tate import (
     points_equal,
     quotient_x_at,
 )
+
+MAX_RECIPE_STEPS = 10_000  # transcript entries a recipe reply may hold
 
 EX_OK = 0
 EX_NEGATIVE = 1
@@ -215,6 +218,11 @@ def _cmd_recipe(doc: dict, args: argparse.Namespace, opts: Options, surface: Sur
         "recipe": body["recipe"],
     }
     if verdict.recipe is not None:
+        if verdict.recipe.modification_steps > MAX_RECIPE_STEPS:
+            raise SchemaError(
+                f"recipe: {verdict.recipe.modification_steps} modification steps exceed "
+                f"the transcript cap of {MAX_RECIPE_STEPS}"
+            )
         snapshot = chern_data(verdict.recipe.base, surface, opts.tol)
         transcript = [encode_chern(snapshot)]
         for _ in range(verdict.recipe.modification_steps):

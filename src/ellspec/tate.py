@@ -9,7 +9,19 @@ quotient by inversion (z ~ 1/z) is computed from the bilateral series
     x(u) = sum_{n in Z} q^n u / (1 - q^n u)^2  -  2 sum_{n >= 1} q^n / (1 - q^n)^2
 
 with q = 1/tau, which converges geometrically since |q| < 1 and has its
-only pole (in the annulus) at the identity class u = 1.
+only pole (in the annulus) at the identity class u = 1.  This series is
+the one definition of x.
+
+Inversion (x_preimages) works in the dual frame.  With w = log u and
+L = log tau, the Jacobi imaginary transformation (DLMF 23.8.1 with the
+periods swapped) gives
+
+    x(u) = C(tau) + (pi/L)^2 sum_{m in Z} csc^2(pi (w + 2 pi i m) / L),
+
+where C(tau) follows from x(-1).  Inverting the m = 0 term gives a
+closed-form start that Newton iteration on the series polishes.  A value
+within the branch-test window of several branch values resolves to the
+nearest two-torsion class alone.
 """
 
 from __future__ import annotations
@@ -226,9 +238,27 @@ def h1_indicator(alpha: TatePoint, tol: Tolerance = DEFAULT_TOL) -> int:
     return 1 if distance_to_identity(alpha) <= tol.eps else 0
 
 
-_SEED_GRID = 44  # seeds per side of the polar grid over the annulus
-_NEWTON_STARTS = 12
 _NEWTON_STEPS = 90
+_SIN_LIMIT = 700.0  # |Im z| beyond which cmath.sin(z) overflows; csc^2 z < 1e-600 there
+
+
+def _dual_constant(x_minus_one: complex, k: complex) -> complex:
+    """C(tau) = x(-1) - k^2 sum_m csc^2(k (i pi + 2 pi i m)), with k = pi / log tau.
+
+    The summand is even in 2m + 1, so the sum is twice the sum over m >= 0.
+    Terms shrink geometrically in m; one whose |Im| would overflow
+    cmath.sin is negligible, and so is every later one.
+    """
+    total = 0.0 + 0.0j
+    for m in range(_SERIES_CAP):
+        z = k * (1j * math.pi * (2 * m + 1))
+        if abs(z.imag) > _SIN_LIMIT:
+            break
+        term = (1.0 / cmath.sin(z)) ** 2
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return x_minus_one - 2.0 * k * k * total
 
 
 def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL) -> list[TatePoint]:
@@ -237,52 +267,59 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
     The quotient by inversion is 2:1, so the preimage set of a finite
     value is an inversion pair {u, u^{-1}}, collapsing to a single class
     exactly at the four branch values: the images of the two-torsion
-    classes, with infinity (the identity class) among them.  Values that
-    agree with a branch value within series accuracy are therefore
-    resolved to the corresponding two-torsion class directly — near a
-    double root the function is locally quadratic, and residual-based
-    root finding alone cannot separate one class from two there.  Away
-    from the branch values a single root is located by Newton iteration
-    from the best grid seeds and completed with its inverse.
+    classes, with infinity (the identity class) among them.
+
+    Branch values first.  A value within 4 eps (1 + |value|) of a branch
+    value resolves to that two-torsion class directly: near a double root
+    x is locally quadratic, and residual-based root finding cannot tell
+    one class from two there.  When several branch values match (on real
+    tau <= 2, x(-1) and x(-sqrt(tau)) agree to within about 1e-8), only
+    the class whose x is nearest is returned, so the answer is never two
+    two-torsion classes.  Such a value is not resolvable at this
+    tolerance, yet the nearest class maps to it within the tolerance;
+    no error is raised for it.
+
+    Elsewhere the root comes from the dual frame.  With w = log u and
+    L = log tau, DLMF 23.8.1 with the periods swapped gives
+
+        x(u) = C(tau) + (pi/L)^2 sum_{m in Z} csc^2(pi (w + 2 pi i m) / L),
+
+    whose m = 0 term dominates while |Im w| < pi.  C is fixed by the
+    value x(-1) that the branch test has already computed.  Inverting
+    the m = 0 term gives the closed-form start
+
+        w0 = (L/pi) asin((pi/L) / sqrt(value - C)),
+
+    tried in turn with its half-period shifts w0 + L/2 and -w0 + L/2.
+    Newton iteration on the Tate series itself polishes the start until
+    the residual is below max(eps 1e-3, 1e-13) (1 + |value|); the root is
+    then completed with its inverse.  An empty list means no start
+    converged.
     """
-    tau = curve.tau
-    at = abs(tau)
+    at = abs(curve.tau)
     if is_infinite(value):
         return [identity(curve)]
 
-    matched: list[TatePoint] = []
-    for t in two_torsion(curve):
-        if distance_to_identity(t) <= tol.eps:
-            continue  # its value is the pole, never a finite target
-        if abs(_x_series(t.rep, curve, tol) - value) <= 4.0 * tol.eps * (1.0 + abs(value)):
-            matched.append(t)
-    if matched:
-        return matched
+    # the identity's value is the pole, never a finite target; -1 comes next
+    branch = [
+        (t, _x_series(t.rep, curve, tol))
+        for t in two_torsion(curve)
+        if distance_to_identity(t) > tol.eps
+    ]
+    nearest, x_nearest = min(branch, key=lambda b: abs(b[1] - value))
+    if abs(x_nearest - value) <= 4.0 * tol.eps * (1.0 + abs(value)):
+        return [nearest]
 
-    seeds: list[tuple[float, complex]] = []
-    for i in range(_SEED_GRID):
-        radius = at ** ((i + 0.5) / _SEED_GRID)
-        for j in range(_SEED_GRID):
-            theta = 2.0 * math.pi * (j + 0.5) / _SEED_GRID
-            u = radius * cmath.exp(1j * theta)
-            try:
-                m = abs(_x_series(u, curve, tol) - value)
-            except (ZeroDivisionError, OverflowError):
-                continue
-            if math.isfinite(m):
-                seeds.append((m, u))
-    seeds.sort(key=lambda t: t[0])
-
-    # spread the Newton starts: skip seeds too close to one already taken
-    chosen: list[complex] = []
-    for _, u in seeds:
-        if all(abs(u - v) > 0.25 for v in chosen):
-            chosen.append(u)
-        if len(chosen) >= _NEWTON_STARTS:
-            break
-
+    log_tau = cmath.log(curve.tau)
+    k = math.pi / log_tau
+    gap_c = value - _dual_constant(branch[0][1], k)
+    if gap_c:
+        w0 = cmath.asin(k / cmath.sqrt(gap_c)) / k
+    else:  # the m = 0 and m = -1 terms cancel near w = i pi + L/4
+        w0 = 1j * math.pi + 0.25 * log_tau
     conv = max(tol.eps * 1e-3, 1e-13)
-    for u in chosen:
+    for w in (w0, w0 + 0.5 * log_tau, -w0 + 0.5 * log_tau):
+        u = cmath.exp(w)
         ok = False
         for _ in range(_NEWTON_STEPS):
             if abs(u) < 0.5 or abs(u) > 2.0 * at:

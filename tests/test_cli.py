@@ -18,7 +18,15 @@ from pathlib import Path
 import pytest
 
 from ellspec.bundles import chern_data
-from ellspec.cli import EX_FAILURE, EX_NEGATIVE, EX_OK, EX_SCHEMA, EX_UNDECIDED, main
+from ellspec.cli import (
+    EX_FAILURE,
+    EX_NEGATIVE,
+    EX_OK,
+    EX_SCHEMA,
+    EX_UNDECIDED,
+    MAX_RECIPE_STEPS,
+    main,
+)
 from ellspec.schemas import (
     decode_bisection,
     decode_recipe,
@@ -172,6 +180,23 @@ def test_recipe_transcript(tmp_path, capsys):
     assert transcript[-1] == {"c1": {"torsion": [0], "hom": []}, "c2": 2}
     recipe = decode_recipe(body["recipe"], S0)
     assert chern_data(recipe.realize(), S0) == ChernData(NSClass((0,), ()), 2)
+
+
+@pytest.mark.parametrize("c2", [MAX_RECIPE_STEPS + 1, 80_000, 10**400])
+def test_recipe_over_the_step_cap_is_a_schema_error(tmp_path, capsys, c2):
+    # on this surface a recipe for c2 takes c2 modification steps
+    start = time.perf_counter()
+    code, body = run_cli(tmp_path, capsys, "recipe", g0_request(c2))
+    assert time.perf_counter() - start < 1.0
+    assert code == EX_SCHEMA
+    assert f"cap of {MAX_RECIPE_STEPS}" in body["error"]
+
+
+def test_recipe_at_the_step_cap_is_built(tmp_path, capsys):
+    code, body = run_cli(tmp_path, capsys, "recipe", g0_request(MAX_RECIPE_STEPS))
+    assert code == EX_OK
+    assert body["recipe"]["modification_steps"] == MAX_RECIPE_STEPS
+    assert len(body["transcript"]) == MAX_RECIPE_STEPS + 1
 
 
 def test_recipe_refuses_negative(tmp_path, capsys):

@@ -2,20 +2,23 @@
 
 Oracles used to freeze expected values, written before the assertions:
   - brute_canonical: exhaustive power search over k in [-64, 64].
-  - mp_quotient_x: 400-term bilateral sum at 30 decimal digits (mpmath).
+  - mp_quotient_x: bilateral sum at 25 decimal digits (mpmath), summed
+    until the geometric tail is below 1e-24, so it also holds near |tau| = 1.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellspec import tate
 from ellspec.tate import (
     _inversion_constant,
     DEFAULT_TOL,
@@ -53,18 +56,18 @@ def brute_canonical(z: complex, tau: complex) -> complex:
     raise AssertionError("no representative found in the searched power range")
 
 
-def mp_quotient_x(u: complex, tau: complex, terms: int = 400) -> complex:
+def mp_quotient_x(u: complex, tau: complex) -> complex:
     """High-precision bilateral series for the quotient x-coordinate."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(25):
         q = 1 / mpmath.mpmathify(tau)
         uu = mpmath.mpmathify(u)
-        total = mpmath.mpc(0)
-        for n in range(-terms, terms + 1):
-            g = q**n * uu
-            total += g / (1 - g) ** 2
-        const = 2 * mpmath.nsum(lambda n: q**n / (1 - q**n) ** 2, [1, mpmath.inf])
-        val = total - const
-        return complex(val)
+        total = uu / (1 - uu) ** 2
+        qn = mpmath.mpc(1)
+        while abs(qn) * (abs(uu) + 1 / abs(uu) + 2) > mpmath.mpf(10) ** -24:
+            qn *= q
+            total += qn * uu / (1 - qn * uu) ** 2 + uu / qn / (1 - uu / qn) ** 2
+            total -= 2 * qn / (1 - qn) ** 2
+        return complex(total)
 
 
 TAU4 = CurveParam(4.0)
@@ -277,6 +280,96 @@ def test_x_preimages_infinite_value():
     found = x_preimages(INF, TAU4)
     assert len(found) == 1
     assert distance_to_identity(found[0]) == 0.0
+
+
+@pytest.mark.parametrize("u", [1.1615 + 0.0320j, 1.0608 - 0.2615j])
+def test_x_preimages_tau_1_2_returns_the_pair(u):
+    # targets well away from every branch value, on a curve near |tau| = 1
+    curve = CurveParam(1.2)
+    p = TatePoint(u, curve)
+    found = x_preimages(quotient_x(p), curve)
+    assert len(found) == 2
+    for want in (p, group_inv(p)):
+        assert min(class_distance(f, want) for f in found) < 1e-6
+
+
+@pytest.mark.parametrize("tau, radius", [(2.0, 1.2), (1.5, 1.2), (1.2, 1.1), (1.05, 1.02)])
+def test_x_preimages_flat_value_returns_the_nearest_branch_class(tau, radius):
+    # near arg u = pi on real tau <= 2, x is flat to within the branch test's
+    # window: x(-1) and x(-sqrt(tau)) both match, and one class comes back
+    curve = CurveParam(tau)
+    u = cmath.rect(radius, 2.5)
+    want = mp_quotient_x(u, tau)
+    found = x_preimages(quotient_x(TatePoint(u, curve)), curve)
+    assert len(found) == 1
+    assert points_equal(group_pow(found[0], 2), identity(curve))
+    assert abs(mp_quotient_x(found[0].rep, tau) - want) <= 1e-7 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("tau", [3.0, 2j, -2.0])
+def test_x_preimages_at_the_dual_constant(tau):
+    # at value = C the closed-form start asin(inf) has no finite value
+    curve = CurveParam(tau)
+    value = tate._dual_constant(quotient_x_at(-1.0 + 0j, curve), math.pi / cmath.log(tau))
+    found = x_preimages(value, curve)
+    assert len(found) == 2
+    for f in found:
+        assert abs(mp_quotient_x(f.rep, tau) - value) <= 1e-7 * (1.0 + abs(value))
+
+
+PREIMAGE_TAUS = [3.0, 2j, 1.5 + 1.5j, 2.0, 1.5, 1.2, 1.05, 100.0, -2.0]
+
+
+@functools.lru_cache(maxsize=None)
+def mp_branch_values(tau: complex) -> tuple[complex, ...]:
+    s = cmath.sqrt(tau)
+    return tuple(mp_quotient_x(z, tau) for z in (-1.0, s, -s))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    tau=st.sampled_from(PREIMAGE_TAUS),
+    radial=st.floats(0.0, 1.0, exclude_max=True),
+    angular=st.floats(-1.0, 1.0),
+)
+def test_x_preimages_returns_the_inversion_pair(tau, radial, angular):
+    # arg u = pi angular^3 spends most draws near arg u = 0, where x on a
+    # curve close to |tau| = 1 is not yet flat
+    curve = CurveParam(tau)
+    p = TatePoint(abs(tau) ** radial * cmath.exp(1j * math.pi * angular**3), curve)
+    assume(distance_to_identity(p) > 1e-3 and class_distance(p, group_inv(p)) > 1e-3)
+    want = quotient_x(p)
+    scale = 1.0 + abs(want)
+    assume(min(abs(want - b) for b in mp_branch_values(tau)) > 1e-6 * scale)
+    found = x_preimages(want, curve)
+    assert len(found) == 2
+    # x fixes the class only to about eps (1 + |x|) / |x'(u)|, which near
+    # the flat region is far above eps
+    _, slope = tate._x_series(p.rep, curve, DEFAULT_TOL, want_derivative=True)
+    radius = 10.0 * DEFAULT_TOL.eps * scale / abs(slope) + 1e-12
+    for q in (p, group_inv(p)):
+        assert min(class_distance(f, q) for f in found) <= radius
+    for f in found:
+        assert abs(mp_quotient_x(f.rep, tau) - want) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("tau", [3.0, 2j, 1.5])
+def test_x_preimages_series_work_is_bounded(tau, monkeypatch):
+    # a closed-form start needs a few Newton steps; any scan of the annulus
+    # for starts would need hundreds of series evaluations
+    curve = CurveParam(tau)
+    points = [
+        TatePoint(abs(tau) ** r * cmath.exp(1j * a), curve)
+        for r, a in ((0.3, 0.7), (0.6, 0.25), (0.45, -0.4))
+    ]
+    values = [quotient_x(p) for p in points]
+    calls = []
+    series = tate._x_series
+    monkeypatch.setattr(tate, "_x_series", lambda *a, **k: calls.append(1) or series(*a, **k))
+    for value in values:
+        calls.clear()
+        assert len(x_preimages(value, curve)) == 2
+        assert len(calls) <= 40
 
 
 def test_inversion_constant_cache_is_bounded():
