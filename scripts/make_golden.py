@@ -82,6 +82,29 @@ CASES: list[tuple[str, list[str], object]] = [
         },
     ),
     (
+        "spectral-cover-g1-elem-mod-verify",
+        ["spectral-cover"],
+        {
+            "schema": 1,
+            "surface": G1,
+            "bundle": {
+                "elem_mod": {
+                    "parent": {
+                        "extension": {
+                            "D": {"section": {"constant": [1.5, 0.5], "hom": [1]}, "base_twist": 1},
+                            "delta": {"section": {"constant": [2.0, -0.3], "hom": [0]}},
+                            "Z": [[[1.7, 0.4], 1]],
+                            "nonsplit_at": [[-1.2, 1.1]],
+                        }
+                    },
+                    "fibre": [2.1, -0.6],
+                    "steps": 2,
+                }
+            },
+            "options": {"verify": 50, "seed": 5},
+        },
+    ),
+    (
         "intersect-g1",
         ["intersect"],
         {"schema": 1, "surface": G1, "classes": [{"torsion": [0], "hom": [1]}, {"torsion": [0], "hom": [1]}]},
