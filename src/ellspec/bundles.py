@@ -53,11 +53,11 @@ from .tate import (
     DEFAULT_TOL,
     TatePoint,
     Tolerance,
+    _canonical_rep,
+    _class_distance,
+    _require_same_curve,
     class_distance,
-    distance_to_identity,
-    group_mul,
     group_inv,
-    h1_indicator,
     points_equal,
 )
 
@@ -356,8 +356,8 @@ def spectral_cover(
     determinant, and that dual section rides along for invariance
     checks.  Jump fibres collect the zero cycle and every modified
     fibre.  With verify_samples > 0 the cover is cross-checked against
-    restrict_to_fibre through the cohomology indicator at sampled
-    fibres; multiple fibres are never sampled and stay untracked.
+    restrict_to_fibre at sampled fibres (see _verify_cover); multiple
+    fibres are never sampled and stay untracked.
     """
     bis, jumps, dual = _cover_parts(bundle, surface, tol)
     cover = SpectralCover(bis, jumps, dual)
@@ -375,6 +375,16 @@ def _verify_cover(
     samples: int,
     seed: int,
 ) -> float:
+    """Largest per-value residual of the cover against the restrictions.
+
+    At each sampled fibre, every restriction value v must have a cover
+    class a whose twist v a is the identity class, i.e. makes first
+    cohomology jump, within ten times tol.eps.  The twist is compared as
+    a canonical annulus representative, with no point object built for
+    it: its residual is the class distance of that representative to 1.
+    A residual that is not within the jump tolerance (NaN included)
+    raises SpectralVerificationError.
+    """
     avoid = tuple(p for p, _ in cover.jump_fibres)
     jump_tol = Tolerance(10.0 * tol.eps)
     worst = 0.0
@@ -388,10 +398,14 @@ def _verify_cover(
             values = (restriction.first, restriction.second)
         alphas = cover_fibre_values(cover.bisection, b, cover.dual_determinant, surface, tol)
         for v in values:
-            twisted = [group_mul(v, a) for a in alphas]
-            residual = min(distance_to_identity(t) for t in twisted)
+            for a in alphas:
+                _require_same_curve(v, a)
+            residual = min(
+                _class_distance(_canonical_rep(v.rep * a.rep, v.curve), 1.0 + 0.0j, v.curve.tau)
+                for a in alphas
+            )
             worst = max(worst, residual)
-            if not any(h1_indicator(t, jump_tol) for t in twisted):
+            if not residual <= jump_tol.eps:
                 raise SpectralVerificationError(
                     "no cover class produces a cohomology jump at fibre "
                     f"{b!r} (best residual {residual:.3e})"

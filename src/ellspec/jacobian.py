@@ -256,6 +256,8 @@ def sample_base_points(
     rng = random.Random(seed)
     g = surface.base.genus
     forbidden = [complex(p) for p in avoid] + [complex(p) for p, _ in surface.multiple_fibres]
+    if g == 1:
+        forbidden_points = [TatePoint(f, surface.base.tate) for f in forbidden]
     out: list[complex | TatePoint] = []
     trials = 0
     while len(out) < count:
@@ -272,7 +274,7 @@ def sample_base_points(
             r = at ** rng.uniform(0.0, 1.0)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             pt = TatePoint(r * cmath.exp(1j * theta), surface.base.tate)
-            if any(class_distance(pt, TatePoint(f, surface.base.tate)) < _CLEARANCE for f in forbidden):
+            if any(class_distance(pt, f) < _CLEARANCE for f in forbidden_points):
                 continue
             out.append(pt)
         else:

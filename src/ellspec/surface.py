@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
-from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, is_infinite
+from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance, is_infinite
 
 
 def as_fraction(x) -> Fraction:
@@ -134,7 +134,7 @@ def base_point(surface: SurfaceData | None, b) -> complex:
     """
     genus_one = surface is not None and surface.base.genus == 1
     if isinstance(b, TatePoint):
-        if genus_one and b.curve != surface.base.tate:
+        if genus_one and b.curve is not surface.base.tate and b.curve != surface.base.tate:
             raise ValueError("base point lies on the wrong curve")
         return b.rep
     if genus_one:
@@ -148,10 +148,9 @@ def same_base_point(surface: SurfaceData | None, a, b, tol: Tolerance = DEFAULT_
     every infinite number is the one point at infinity."""
     a, b = base_point(surface, a), base_point(surface, b)
     if surface is not None and surface.base.genus == 1:
-        # class_distance of the two annulus representatives, without
+        # class distance of the two annulus representatives, without
         # building a TatePoint for each comparison on the sampling path
-        tau = surface.base.tate.tau
-        return min(abs(a - b), abs(a * tau - b), abs(a - b * tau)) <= tol.eps
+        return _class_distance(a, b, surface.base.tate.tau) <= tol.eps
     return abs(a - b) <= tol.eps or (is_infinite(a) and is_infinite(b))
 
 

@@ -79,7 +79,8 @@ class TatePoint:
     """A point of C*/<tau>, stored by its canonical annulus representative.
 
     Construction normalises any nonzero finite complex number into the
-    fundamental annulus.
+    fundamental annulus; a number already inside it is kept as it is,
+    with no logarithm taken.  NaN and infinite parts are rejected.
     """
 
     rep: complex
@@ -87,18 +88,29 @@ class TatePoint:
 
     def __post_init__(self) -> None:
         z = complex(self.rep)
-        if z == 0 or is_infinite(z):
+        if z == 0 or not cmath.isfinite(z):
             raise ValueError("points of C*/<tau> come from nonzero finite complex numbers")
         object.__setattr__(self, "rep", _canonical_rep(z, self.curve))
 
 
 def _canonical_rep(z: complex, curve: CurveParam) -> complex:
+    """The representative of z in 1 <= |z| < |tau|, for nonzero finite z."""
     tau = curve.tau
     at = abs(tau)
+    try:
+        az = abs(z)
+        if 1.0 <= az < at:
+            return z
+        log_az = math.log(az)
+    except OverflowError:  # finite parts whose modulus exceeds the float range
+        log_az = math.log(abs(0.5 * z)) + math.log(2.0)
     # initial guess from logs, then fix float fences at the annulus boundary
-    k = -math.floor(math.log(abs(z)) / math.log(at))
+    k = -math.floor(log_az / math.log(at))
     if k:
-        z = z * tau**k
+        try:
+            z = z * tau**k
+        except OverflowError:  # |z| so near the float floor that tau**k overflows
+            return _canonical_rep(z * tau ** (k // 2), curve)
     while abs(z) < 1.0:
         z *= tau
     while abs(z) >= at:
@@ -111,7 +123,7 @@ def identity(curve: CurveParam) -> TatePoint:
 
 
 def _require_same_curve(a: TatePoint, b: TatePoint) -> None:
-    if a.curve != b.curve:
+    if a.curve is not b.curve and a.curve != b.curve:
         raise ValueError("points lie on curves with different multipliers")
 
 
@@ -130,19 +142,19 @@ def group_pow(a: TatePoint, n: int) -> TatePoint:
     return TatePoint(a.rep**n, a.curve)
 
 
+def _class_distance(x: complex, y: complex, tau: complex) -> float:
+    """Distance between the classes of two canonical representatives x, y."""
+    return min(abs(x - y), abs(x * tau - y), abs(x - y * tau))
+
+
 def class_distance(a: TatePoint, b: TatePoint) -> float:
     """Distance between classes; wraps across the annulus boundary."""
     _require_same_curve(a, b)
-    tau = a.curve.tau
-    return min(
-        abs(a.rep - b.rep),
-        abs(a.rep * tau - b.rep),
-        abs(a.rep - b.rep * tau),
-    )
+    return _class_distance(a.rep, b.rep, a.curve.tau)
 
 
 def distance_to_identity(a: TatePoint) -> float:
-    return class_distance(a, identity(a.curve))
+    return _class_distance(a.rep, 1.0 + 0.0j, a.curve.tau)
 
 
 def points_equal(a: TatePoint, b: TatePoint, tol: Tolerance = DEFAULT_TOL) -> bool:

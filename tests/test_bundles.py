@@ -334,6 +334,34 @@ def test_cover_verification_detects_tampering():
         _verify_cover(bundle, bad, S0, Tolerance(), 20, 0)
 
 
+G1_EXTENSION = ExtensionBundle(
+    LineBundleOnX(section_for_class(S1U, NSClass((0,), (1,)), 1.5 + 0.5j)),
+    trivial_line_bundle(S1U),
+    zero_cycle=((1.7 + 0.4j, 1),),
+)
+
+
+@pytest.mark.parametrize(
+    "bundle, surface, most",
+    [
+        (ExtensionBundle(LineBundleOnX(constant_section(S0, 2.5)), trivial_line_bundle(S0)), S0, 2),
+        (G1_EXTENSION, S1U, 9),
+        (ElemModBundle(G1_EXTENSION, 2.1 - 0.6j, 2), S1U, 9),
+    ],
+    ids=["genus-0-extension", "genus-1-extension", "genus-1-elem-mod"],
+)
+def test_cover_verification_point_work_is_bounded(bundle, surface, most, monkeypatch):
+    # twists are compared as raw annulus representatives; points are built
+    # only for the sampled base point and the restriction and cover values,
+    # where a group_mul per twist and an identity per distance made 12 to 21
+    calls = []
+    post_init = TatePoint.__post_init__
+    monkeypatch.setattr(TatePoint, "__post_init__", lambda self: calls.append(1) or post_init(self))
+    cover = spectral_cover(bundle, surface, verify_samples=50)
+    assert cover.max_residual < 1e-8
+    assert len(calls) / 50 <= most
+
+
 def test_cover_base_intersections_requires_reducible():
     cover = spectral_cover(push_bundle(RationalMap((0.0, 0.0, 1.0))), S0)
     with pytest.raises(ValueError):

@@ -513,6 +513,23 @@ def test_genus_one_base_points_are_classes(tmp_path, capsys, command, doc, error
     assert body["exit_code"] == EX_SCHEMA and body["error"].startswith(error), body
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        g1_extension_request(Z=[[[5e-324, 0], 1]]),
+        g1_extension_request(D={"section": {"constant": [5e-324, 0], "hom": [0]}}),
+        g1_extension_request(Z=[[[-1.7e308, 1e308], 1]]),
+    ],
+    ids=["subnormal-cycle-point", "subnormal-constant", "huge-cycle-point"],
+)
+def test_extreme_finite_points_are_answered(tmp_path, capsys, doc):
+    # each number has a class on C*/<3>; the reduction into the annulus must
+    # not overflow on the way there
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert code == EX_OK, body
+    assert body["verification"]["samples"] == 50
+
+
 def test_point_at_infinity_is_one_point(tmp_path, capsys):
     code, body = run_cli(tmp_path, capsys, "spectral-cover", extension_request(Z=[["inf", 1], ["inf", 1]]))
     assert code == EX_SCHEMA and body["error"] == "bundle: zero-cycle points must be distinct"

@@ -106,6 +106,46 @@ def test_rejects_zero_and_infinite_points():
         TatePoint(INF, TAU4)
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.inf, math.nan)])
+def test_rejects_nan_points(z):
+    with pytest.raises(ValueError, match="nonzero finite"):
+        TatePoint(z, TAU4)
+
+
+def mp_canonical(z: complex, tau: complex) -> complex:
+    """z times the power of tau that takes it into the annulus, at 40 digits."""
+    with mpmath.workdps(40):
+        zz, tt = mpmath.mpmathify(z), mpmath.mpmathify(tau)
+        k = -int(mpmath.floor(mpmath.log(abs(zz)) / mpmath.log(abs(tt))))
+        return complex(zz * tt**k)
+
+
+@pytest.mark.parametrize("tau", [3.0, 1.001, 1.5 + 1.5j, 2j])
+@pytest.mark.parametrize("z", [5e-324, 5e-324j, 1.7e308, -1.7e308 + 1e308j])
+def test_canonical_rep_reaches_the_annulus_from_float_extremes(z, tau):
+    # a subnormal |z| overflows tau**k in one power, and the last modulus
+    # overflows abs(); every nonzero finite z still has a representative
+    curve = CurveParam(tau)
+    rep = TatePoint(z, curve).rep
+    assert 1.0 <= abs(rep) < abs(tau)
+    assert class_distance(TatePoint(rep, curve), TatePoint(mp_canonical(z, tau), curve)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    radial=st.floats(0.0, 1.0, exclude_max=True),
+    angle=st.floats(-math.pi, math.pi),
+    tau=st.sampled_from([2.0, 4.0, 2j, -2.0, 3.0, 1.5 + 1.5j, 1.05]),
+)
+def test_canonical_rep_keeps_annulus_points(radial, angle, tau):
+    z = abs(tau) ** radial * cmath.exp(1j * angle)
+    assume(1.0 <= abs(z) < abs(tau))
+    # within an ulp of |tau|, z tau^-1 may round onto |w| = 1 as well, and
+    # brute_canonical then returns that second float representative
+    assume(abs(z * tau**-1) < 1.0)
+    assert tate._canonical_rep(z, CurveParam(tau)) == z == brute_canonical(z, tau)
+
+
 def test_rejects_small_multiplier():
     with pytest.raises(ValueError):
         CurveParam(0.5)
@@ -160,6 +200,19 @@ def test_class_distance_wraps_boundary():
     b = TatePoint(3.9 + 0j, TAU4)
     assert class_distance(a, b) == pytest.approx(0.1)
     assert points_equal(a, TatePoint(3.9999999999 + 0j, TAU4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    re=st.floats(-30, 30, allow_nan=False),
+    im=st.floats(-30, 30, allow_nan=False),
+    tau=st.sampled_from([2.0, 4.0, 2j, 1.5 + 1.5j, 1.05]),
+)
+def test_distance_to_identity_is_class_distance_to_identity(re, im, tau):
+    assume(complex(re, im) != 0)
+    curve = CurveParam(tau)
+    p = TatePoint(complex(re, im), curve)
+    assert distance_to_identity(p) == class_distance(p, identity(curve))
 
 
 @settings(max_examples=40, deadline=None)
