@@ -362,6 +362,17 @@ def test_cover_verification_point_work_is_bounded(bundle, surface, most, monkeyp
     assert len(calls) / 50 <= most
 
 
+@pytest.mark.parametrize("tau", [1e160, 1e300])
+def test_cover_verification_on_a_huge_multiplier(tau):
+    # two annulus representatives multiply past the float range once
+    # |tau| > 1.3e154; the twist must still reach its class
+    surface = SurfaceData(BaseCurve(0), CurveParam(tau))
+    sub = LineBundleOnX(constant_section(surface, 0.37 * tau * (1 + 0.3j)))
+    det = LineBundleOnX(constant_section(surface, 0.71 * tau * (1 - 0.2j)))
+    cover = spectral_cover(ExtensionBundle(sub, det), surface, verify_samples=50)
+    assert cover.verification_samples == 50 and cover.max_residual < 1e-9
+
+
 def test_cover_base_intersections_requires_reducible():
     cover = spectral_cover(push_bundle(RationalMap((0.0, 0.0, 1.0))), S0)
     with pytest.raises(ValueError):
