@@ -373,7 +373,7 @@ def _twist_residual(v: TatePoint, a: TatePoint) -> float:
     _require_same_curve(v, a)
     tau = v.curve.tau
     twist = v.rep * a.rep
-    if not cmath.isfinite(twist):  # |v a| < |tau|^2 leaves the float range
+    if not cmath.isfinite(twist):  # |v a| nears |tau|^2, past the float range once |tau| > 1.3e154
         twist = v.rep / tau * a.rep
     return _class_distance(_canonical_rep(twist, v.curve), 1.0 + 0.0j, tau)
 
