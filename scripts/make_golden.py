@@ -105,6 +105,35 @@ CASES: list[tuple[str, list[str], object]] = [
         },
     ),
     (
+        "spectral-cover-g0-push-chain-verify",
+        ["spectral-cover"],
+        {
+            "schema": 1,
+            "surface": G0,
+            "bundle": {
+                "elem_mod": {
+                    "parent": {
+                        "elem_mod": {
+                            "parent": {
+                                "spectral_push": {
+                                    "bisection": {
+                                        "irreducible": {"trace": {"num": [[0.3, 0], [0.2, 0], [1, 0]], "den": [[1, 0]]}}
+                                    },
+                                    "delta": {"section": {"constant": [1.5, 0.0], "hom": []}},
+                                }
+                            },
+                            "fibre": [0.4, 0.3],
+                            "steps": 1,
+                        }
+                    },
+                    "fibre": [-0.6, 0.2],
+                    "steps": 2,
+                }
+            },
+            "options": {"verify": 50, "seed": 3},
+        },
+    ),
+    (
         "intersect-g1",
         ["intersect"],
         {"schema": 1, "surface": G1, "classes": [{"torsion": [0], "hom": [1]}, {"torsion": [0], "hom": [1]}]},

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .jacobian import (
@@ -115,6 +115,10 @@ class ExtensionBundle:
     points, told apart here as numbers and by class where the surface is
     known; nonsplit_at marks fibres where the extension class does not
     restrict to zero, so coincident values glue to the non-split type.
+    quotient is the section of the quotient line bundle, the image of
+    sub's section under the involution of the determinant's; it is
+    worked out once, here, for the Chern data, every fibre restriction
+    and the spectral cover.
     """
 
     sub: LineBundleOnX
@@ -122,12 +126,15 @@ class ExtensionBundle:
     zero_cycle: tuple[tuple[complex, int], ...] = ()
     nonsplit_at: tuple[complex, ...] = ()
     nonsplit_everywhere: bool = False
+    quotient: SectionOfJ = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not distinct_base_points(None, (p for p, _ in self.zero_cycle)):
             raise ValueError("zero-cycle points must be distinct")
         if any(length <= 0 for _, length in self.zero_cycle):
             raise ValueError("zero-cycle lengths are positive")
+        quotient = involution_on_section(self.sub.section, self.determinant.section)
+        object.__setattr__(self, "quotient", quotient)
 
     @property
     def cycle_length(self) -> int:
@@ -162,37 +169,27 @@ class ElemModBundle:
 RankTwoBundle = ExtensionBundle | SpectralPushBundle | ElemModBundle
 
 
-def chern_of_extension(
-    sub: LineBundleOnX,
-    determinant: LineBundleOnX,
-    zero_cycle: tuple[tuple[complex, int], ...],
-    lattice: HomLattice,
-    torsion_rank: int,
-) -> ChernData:
+def chern_of_extension(bundle: ExtensionBundle, lattice: HomLattice, torsion_rank: int) -> ChernData:
     """Chern data of the extension, with the discriminant identity checked.
 
     c1 = c1(determinant), c2 = c1(sub).(c1(determinant) - c1(sub)) + len(Z);
-    equivalently Delta = pairing(sub section, involuted sub section)/4 + len(Z)/2.
+    equivalently Delta = pairing(sub section, bundle.quotient)/4 + len(Z)/2,
+    the quotient section being the one stored on the bundle.
     """
-    length = sum(l for _, l in zero_cycle)
-    if length < 0:
-        raise ValueError("negative zero-cycle length")
-    c1_sub = sub.chern_class(torsion_rank)
-    c1_det = determinant.chern_class(torsion_rank)
+    length = bundle.cycle_length
+    c1_sub = bundle.sub.chern_class(torsion_rank)
+    c1_det = bundle.determinant.chern_class(torsion_rank)
     c2 = pairing(c1_sub, c1_det - c1_sub, lattice) + length
     cd = ChernData(c1_det, c2)
-    mirror = involution_on_section(sub.section, determinant.section)
-    cross = Fraction(section_pairing(sub.section, mirror, lattice), 4) + Fraction(length, 2)
-    assert discriminant(cd, lattice) == cross, "discriminant identity failed"
+    cross = Fraction(section_pairing(bundle.sub.section, bundle.quotient, lattice), 4)
+    assert discriminant(cd, lattice) == cross + Fraction(length, 2), "discriminant identity failed"
     return cd
 
 
 def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> ChernData:
     """Chern data of a presentation."""
     if isinstance(bundle, ExtensionBundle):
-        cd = chern_of_extension(
-            bundle.sub, bundle.determinant, bundle.zero_cycle, surface.lattice, surface.torsion_rank
-        )
+        cd = chern_of_extension(bundle, surface.lattice, surface.torsion_rank)
     elif isinstance(bundle, SpectralPushBundle):
         c1 = bundle.determinant.chern_class(surface.torsion_rank)
         a2 = graph_self_intersection(bundle.cover, bundle.determinant.section, surface, tol)
@@ -238,31 +235,33 @@ def restrict_to_fibre(
 ) -> FibreRestriction:
     """Isomorphism type of the restriction to the fibre over b.
 
-    Smooth non-multiple fibres only.  Coincidence of the two values at a
+    Smooth non-multiple fibres only, checked once.  A chain of
+    modifications is walked down in one pass: the first modified fibre
+    at b makes the restriction unstable, and otherwise the root
+    presentation decides.  An extension reads its two values off the sub
+    and the stored quotient section.  Coincidence of the two values at a
     branch point of an irreducible cover is detected at square-root
     tolerance, matching the sensitivity of a double root.
     """
     if _multiple_fibre_at(surface, b, tol):
         raise ValueError("restriction to a multiple fibre is unsupported")
+    while isinstance(bundle, ElemModBundle):
+        if same_base_point(surface, b, bundle.fibre, tol):
+            return UnstableRestriction(1)
+        bundle = bundle.parent
     if isinstance(bundle, ExtensionBundle):
         k = sum(length for p, length in bundle.zero_cycle if same_base_point(surface, b, p, tol))
         if k >= 1:
             return UnstableRestriction(k)
         v1 = section_value(bundle.sub.section, b, surface)
-        quot = involution_on_section(bundle.sub.section, bundle.determinant.section)
-        v2 = section_value(quot, b, surface)
+        v2 = section_value(bundle.quotient, b, surface)
         if points_equal(v1, v2, tol) and _marked_nonsplit(bundle, b, surface, tol):
             return NonSplitRestriction(v1)
         return SplitRestriction(v1, v2)
-    if isinstance(bundle, SpectralPushBundle):
-        v1, v2 = cover_fibre_values(bundle.cover, b, bundle.determinant.section, surface, tol)
-        near = class_distance(v1, v2) <= max(tol.eps, tol.eps**0.5)
-        if near:
-            return NonSplitRestriction(v1)
-        return SplitRestriction(v1, v2)
-    if same_base_point(surface, b, bundle.fibre, tol):
-        return UnstableRestriction(1)
-    return restrict_to_fibre(bundle.parent, b, surface, tol)
+    v1, v2 = cover_fibre_values(bundle.cover, b, bundle.determinant.section, surface, tol)
+    if class_distance(v1, v2) <= max(tol.eps, tol.eps**0.5):
+        return NonSplitRestriction(v1)
+    return SplitRestriction(v1, v2)
 
 
 @dataclass(frozen=True)
@@ -310,8 +309,7 @@ def _cover_parts(
     bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance
 ) -> tuple[Bisection, tuple[tuple[complex, int], ...], SectionOfJ]:
     if isinstance(bundle, ExtensionBundle):
-        quot = involution_on_section(bundle.sub.section, bundle.determinant.section)
-        bis = reducible_bisection(_dual_section(bundle.sub.section), _dual_section(quot))
+        bis = reducible_bisection(_dual_section(bundle.sub.section), _dual_section(bundle.quotient))
         jumps = _merge_jumps(surface, tol, bundle.zero_cycle)
         return bis, jumps, _dual_section(bundle.determinant.section)
     if isinstance(bundle, SpectralPushBundle):

@@ -9,7 +9,10 @@ command checks the version, the options and the surface first, in that
 order.  Exit codes: 0 affirmative / success, 1 negative, 2 undecided,
 64 schema violation (a bad command line included), 70 computational or
 validation error.  A recipe transcript holds one entry per modification
-step, so a recipe with more than MAX_RECIPE_STEPS steps exits 64.  With
+step, so a recipe with more than MAX_RECIPE_STEPS steps exits 64.  Work
+that grows with an option is capped the same way: "verify" above
+MAX_VERIFY_SAMPLES fibres or "enum_radius" above MAX_ENUM_RADIUS (the
+cube holds (2r+1)^rank points) exits 64, from a flag or embedded.  With
 --batch the input is an array of requests for the same subcommand; the
 output is the array of responses in order and the exit code is the
 maximum over the items.
@@ -64,6 +67,8 @@ from .tate import (
 )
 
 MAX_RECIPE_STEPS = 10_000  # transcript entries a recipe reply may hold
+MAX_VERIFY_SAMPLES = 10_000  # fibres a spectral-cover verification may sample
+MAX_ENUM_RADIUS = 200  # cube radius of the brute-force lattice-minimum check
 
 EX_OK = 0
 EX_NEGATIVE = 1
@@ -99,13 +104,15 @@ def _merge_options(args: argparse.Namespace, doc: dict) -> Options:
             return embedded[key]
         return fallback
 
-    def integer(key, value, least=None):
+    def integer(key, value, least=None, cap=None):
         if value is None:
             return None
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"options.{key}: expected an integer")
         if least is not None and value < least:
             raise SchemaError(f"options.{key}: expected an integer >= {least}")
+        if cap is not None and value > cap:
+            raise SchemaError(f"options.{key}: exceeds the cap of {cap}")
         return value
 
     tol = pick(args.tol, "tol", 1e-9)
@@ -115,9 +122,14 @@ def _merge_options(args: argparse.Namespace, doc: dict) -> Options:
     return Options(
         tol=Tolerance(float(tol)),
         seed=integer("seed", pick(args.seed, "seed", 0)),
-        verify=integer("verify", pick(args.verify, "verify", 50), least=1),
+        verify=integer("verify", pick(args.verify, "verify", 50), least=1, cap=MAX_VERIFY_SAMPLES),
         d=integer("d", pick(args.d, "d", None)),
-        enum_radius=integer("enum_radius", pick(args.enum_radius, "enum_radius", None), least=0),
+        enum_radius=integer(
+            "enum_radius",
+            pick(args.enum_radius, "enum_radius", None),
+            least=0,
+            cap=MAX_ENUM_RADIUS,
+        ),
     )
 
 

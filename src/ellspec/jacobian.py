@@ -103,12 +103,6 @@ def involution_on_section(section: SectionOfJ, delta: SectionOfJ) -> SectionOfJ:
     return SectionOfJ(const, hom)
 
 
-def involution_apply(lam: TatePoint, b, delta: SectionOfJ, surface: SurfaceData) -> TatePoint:
-    """Fibrewise involution at base point b."""
-    d = section_value(delta, b, surface)
-    return TatePoint(d.rep / lam.rep, lam.curve)
-
-
 @dataclass(frozen=True)
 class RationalMap:
     """Rational function of the base coordinate; coefficients low to high."""
@@ -282,9 +276,6 @@ def sample_base_points(
     return out
 
 
-_INVARIANCE_SAMPLES = 50
-
-
 def is_invariant_bisection(
     bis: Bisection,
     delta: SectionOfJ,
@@ -294,9 +285,14 @@ def is_invariant_bisection(
     """Whether the bisection is carried to itself by the involution of delta.
 
     Reducible: the involution swaps the two sections or fixes each.
-    Irreducible with a concrete trace: checked by value-set comparison at
-    _INVARIANCE_SAMPLES fibres sampled with seed 0.  Declared covers (abstract base) are trusted, since
-    their fibrewise relation has delta as its norm by construction.
+    Irreducible over a rational base with a concrete trace: the fibre
+    values over b solve l^2 - t(b) l + n(b) = 0, so by Vieta their
+    product is n(b) and l -> delta/l swaps them exactly when n is delta's
+    value.  Without a norm map n is delta by construction; with one, the
+    cover is invariant only when the norm is a nonzero constant in the
+    class of delta's (constant) value, and otherwise this returns False.
+    No fibre is sampled.  Declared covers (abstract base) are trusted,
+    since their fibrewise relation has delta as its norm by construction.
     """
     if bis.is_reducible:
         s1, s2 = bis.components
@@ -305,26 +301,13 @@ def is_invariant_bisection(
             return True
         i2 = involution_on_section(s2, delta)
         return sections_equal(i1, s1, tol) and sections_equal(i2, s2, tol)
-    if bis.cover.trace is None or surface.base.genus != 0:
+    norm = bis.cover.norm
+    if bis.cover.trace is None or surface.base.genus != 0 or norm is None:
         return True
-    for b in sample_base_points(surface, _INVARIANCE_SAMPLES):
-        try:
-            v1, v2 = cover_fibre_values(bis, b, delta, surface, tol)
-        except ValueError:
-            continue
-        w1 = involution_apply(v1, b, delta, surface)
-        w2 = involution_apply(v2, b, delta, surface)
-        if not _same_value_set((v1, v2), (w1, w2), tol):
-            return False
-    return True
-
-
-def _same_value_set(
-    a: tuple[TatePoint, TatePoint], b: tuple[TatePoint, TatePoint], tol: Tolerance
-) -> bool:
-    straight = points_equal(a[0], b[0], tol) and points_equal(a[1], b[1], tol)
-    crossed = points_equal(a[0], b[1], tol) and points_equal(a[1], b[0], tol)
-    return straight or crossed
+    n = norm(0j)
+    if norm.degree > 0 or any(delta.hom) or n == 0 or not cmath.isfinite(n):
+        return False
+    return points_equal(TatePoint(n, surface.fibre), delta.constant, tol)
 
 
 def graph_self_intersection(

@@ -35,11 +35,13 @@ from ellspec.bundles import (
     spectral_cover,
     trivial_line_bundle,
 )
+import ellspec.bundles as bundles_module
 from ellspec.jacobian import (
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
     constant_section,
+    involution_on_section,
     irreducible_bisection,
     reducible_bisection,
     section_for_class,
@@ -65,6 +67,7 @@ S1U = SurfaceData(
     BaseCurve(1, tate=TAU3), TAU3, lattice=UNIT_LATTICE, hom_exponents=(1,)
 )
 SMF = SurfaceData(BaseCurve(0), TAU4, multiple_fibres=((1.5, 2),))
+S03 = SurfaceData(BaseCurve(0), TAU3)
 
 
 def trivial_extension(surface: SurfaceData, **kw) -> ExtensionBundle:
@@ -94,6 +97,17 @@ def test_extension_validation():
         trivial_extension(S0, zero_cycle=((0.5, 1), (0.5, 2)))
     with pytest.raises(ValueError):
         trivial_extension(S0, zero_cycle=((0.5, 0),))
+
+
+def test_extension_stores_its_quotient_section():
+    sub = LineBundleOnX(section_for_class(S1U, NSClass((0,), (1,)), 1.5 + 0.5j))
+    det = LineBundleOnX(section_for_class(S1U, NSClass((0,), (2,)), 2.0 - 0.3j))
+    bundle = ExtensionBundle(sub, det)
+    assert sections_equal(bundle.quotient, involution_on_section(sub.section, det.section))
+    assert bundle.quotient.hom == (1,)
+    # derived data: not an argument, not shown, not compared
+    assert "quotient" not in repr(bundle)
+    assert bundle == ExtensionBundle(sub, det) and hash(bundle) == hash(ExtensionBundle(sub, det))
 
 
 def test_spectral_push_needs_irreducible():
@@ -158,6 +172,19 @@ def test_chern_spectral_push():
 def test_chern_spectral_push_integrality():
     with pytest.raises(ValueError):
         chern_data(push_bundle(RationalMap((0.0, 1.0))), S0)
+
+
+def test_chern_of_mismatched_norm_cover_is_rejected():
+    # the norm 2.5 is not in the class of the determinant 1.5 on tau = 3, so
+    # l -> 1.5/l does not preserve the roots of l^2 - t l + 2.5
+    def push(norm: float) -> SpectralPushBundle:
+        cover = DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=RationalMap((norm,)))
+        return SpectralPushBundle(irreducible_bisection(cover), LineBundleOnX(constant_section(S03, 1.5)))
+
+    with pytest.raises(ValueError, match="bisection is not invariant under the involution"):
+        chern_data(push(2.5), S03)
+    for norm in (1.5, 4.5):  # 4.5 = 1.5 tau is the same class
+        assert chern_data(push(norm), S03) == ChernData(NSClass((0,), ()), 1)
 
 
 def test_chern_elem_mod():
@@ -238,6 +265,14 @@ def test_restrict_elem_mod():
     bundle = ElemModBundle(trivial_extension(S0), 0.3, 1)
     assert restrict_to_fibre(bundle, 0.3, S0) == UnstableRestriction(1)
     assert isinstance(restrict_to_fibre(bundle, 0.8, S0), SplitRestriction)
+    # a chain two levels deep over a spectral push: each modified fibre is
+    # unstable, and elsewhere the push decides
+    chain = ElemModBundle(ElemModBundle(push_bundle(RationalMap((0.3, 0.2, 1.0)), 1.5), 0.3, 1), 0.8, 2)
+    assert restrict_to_fibre(chain, 0.3, S0) == UnstableRestriction(1)
+    assert restrict_to_fibre(chain, 0.8, S0) == UnstableRestriction(1)
+    assert isinstance(restrict_to_fibre(chain, -0.5, S0), SplitRestriction)
+    with pytest.raises(ValueError, match="multiple fibre"):
+        restrict_to_fibre(ElemModBundle(trivial_extension(SMF), 0.3, 1), 1.5, SMF)
 
 
 def test_restrict_multiple_fibre_rejected():
@@ -344,22 +379,40 @@ G1_EXTENSION = ExtensionBundle(
 @pytest.mark.parametrize(
     "bundle, surface, most",
     [
-        (ExtensionBundle(LineBundleOnX(constant_section(S0, 2.5)), trivial_line_bundle(S0)), S0, 2),
-        (G1_EXTENSION, S1U, 9),
-        (ElemModBundle(G1_EXTENSION, 2.1 - 0.6j, 2), S1U, 9),
+        (ExtensionBundle(LineBundleOnX(constant_section(S0, 2.5)), trivial_line_bundle(S0)), S0, 0.5),
+        (G1_EXTENSION, S1U, 7),
+        (ElemModBundle(G1_EXTENSION, 2.1 - 0.6j, 2), S1U, 8),
     ],
     ids=["genus-0-extension", "genus-1-extension", "genus-1-elem-mod"],
 )
 def test_cover_verification_point_work_is_bounded(bundle, surface, most, monkeypatch):
     # twists are compared as raw annulus representatives; points are built
     # only for the sampled base point and the restriction and cover values,
-    # where a group_mul per twist and an identity per distance made 12 to 21
+    # where a group_mul per twist and an identity per distance made 12 to 21;
+    # the extension's quotient section is built with the bundle, not per fibre
     calls = []
     post_init = TatePoint.__post_init__
     monkeypatch.setattr(TatePoint, "__post_init__", lambda self: calls.append(1) or post_init(self))
     cover = spectral_cover(bundle, surface, verify_samples=50)
     assert cover.max_residual < 1e-8
     assert len(calls) / 50 <= most
+
+
+def test_cover_verification_applies_no_involution(monkeypatch):
+    # the quotient section is stored on the extension when it is built, so
+    # neither the cover, its verification at 50 fibres nor the Chern data
+    # applies the involution again
+    bundle = ExtensionBundle(LineBundleOnX(constant_section(S0, 2.5)), trivial_line_bundle(S0))
+    calls = []
+    monkeypatch.setattr(
+        bundles_module,
+        "involution_on_section",
+        lambda *args: calls.append(1) or involution_on_section(*args),
+    )
+    cover = spectral_cover(bundle, S0, verify_samples=50)
+    chern_data(bundle, S0)
+    assert cover.verification_samples == 50
+    assert calls == []
 
 
 @pytest.mark.parametrize("tau", [1e160, 1e300])

@@ -24,7 +24,9 @@ from ellspec.cli import (
     EX_OK,
     EX_SCHEMA,
     EX_UNDECIDED,
+    MAX_ENUM_RADIUS,
     MAX_RECIPE_STEPS,
+    MAX_VERIFY_SAMPLES,
     main,
 )
 from ellspec.schemas import (
@@ -405,12 +407,63 @@ def test_nonsplit_everywhere_must_be_boolean(tmp_path, capsys):
 )
 def test_bad_options_are_schema_errors(tmp_path, capsys, options, flags):
     # every command checks its options before any work
-    for command in ("exists", "recipe", "spectral-cover", "intersect", "genus", "check"):
+    for command in COMMANDS:
         doc = g2_request(0)
         doc["options"] = options
         code, body = run_cli(tmp_path, capsys, command, doc, *flags)
         assert code == EX_SCHEMA, command
         assert body["exit_code"] == EX_SCHEMA and body["error"].startswith("options."), command
+
+
+COMMANDS = ("exists", "recipe", "spectral-cover", "intersect", "genus", "check")
+
+# one request every command answers with exit 0: a rank-2 genus-1 surface,
+# where the brute-force cube holds (2r+1)^2 points, with a bundle to verify
+CAPPED_REQUEST = {
+    "schema": 1,
+    "surface": {
+        "genus": 1,
+        "tau": [3.0, 0.0],
+        "sigma": [3.0, 0.0],
+        "lattice": {"rank": 2, "gram": [[2, 0], [0, 1]]},
+        "hom_exponents": [1, 0],
+    },
+    "chern": {"c1": {"torsion": [0], "hom": [1, 1]}, "c2": 3},
+    "classes": [{"torsion": [0], "hom": [1, 0]}, {"torsion": [0], "hom": [0, 1]}],
+    "bundle": {
+        "extension": {
+            "D": {"section": {"constant": [1.5, 0.5], "hom": [1, 0]}},
+            "delta": {"section": {"constant": [2.0, -0.3], "hom": [1, 1]}},
+            "Z": [[[1.7, 0.4], 1]],
+        }
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "key, flag, cap",
+    [("verify", "--verify", MAX_VERIFY_SAMPLES), ("enum_radius", "--enum-radius", MAX_ENUM_RADIUS)],
+)
+def test_options_over_their_cap_are_schema_errors(tmp_path, capsys, key, flag, cap):
+    for command in COMMANDS:
+        for options, flags in (({key: cap + 1}, ()), ({}, (flag, str(cap + 1))), ({key: 10**400}, ())):
+            doc = dict(CAPPED_REQUEST, options=options)
+            start = time.perf_counter()
+            code, body = run_cli(tmp_path, capsys, command, doc, *flags)
+            assert time.perf_counter() - start < 1.0, (command, options, flags)
+            assert code == EX_SCHEMA, (command, options, flags)
+            assert body["error"] == f"options.{key}: exceeds the cap of {cap}"
+
+
+def test_options_at_their_cap_are_accepted(tmp_path, capsys):
+    doc = dict(CAPPED_REQUEST, options={"verify": MAX_VERIFY_SAMPLES, "enum_radius": MAX_ENUM_RADIUS})
+    bodies = {}
+    for command in COMMANDS:
+        code, bodies[command] = run_cli(tmp_path, capsys, command, doc)
+        assert code == EX_OK, (command, bodies[command])
+    assert bodies["spectral-cover"]["verification"]["samples"] == MAX_VERIFY_SAMPLES
+    enumeration = {"name": "lattice-minimum-enumeration", "passed": True, "detail": "radius 200"}
+    assert enumeration in bodies["check"]["checks"]
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellspec import jacobian
 from ellspec.jacobian import (
     _poly_roots,
     Bisection,
@@ -29,7 +30,6 @@ from ellspec.jacobian import (
     cover_fibre_values,
     genus_and_branching,
     graph_self_intersection,
-    involution_apply,
     involution_on_section,
     irreducible_bisection,
     is_invariant_bisection,
@@ -62,7 +62,6 @@ from ellspec.tate import (
     identity,
     is_infinite,
     points_equal,
-    two_torsion,
 )
 
 TAU4 = CurveParam(4.0)
@@ -174,14 +173,6 @@ def test_power_map_pairing_matches_coincidence_count():
 # ----------------------------------------------------------- involution
 
 
-def test_involution_fixed_points_trivial_determinant():
-    delta = zero_section(S0)
-    for t in two_torsion(TAU4):
-        assert points_equal(involution_apply(t, 0.0, delta, S0), t)
-    generic = TatePoint(1.7 + 0.4j, TAU4)
-    assert not points_equal(involution_apply(generic, 0.0, delta, S0), generic)
-
-
 def test_involution_sends_zero_section_to_determinant():
     delta = SectionOfJ(TatePoint(2.5 + 0j, TAU4), ())
     img = involution_on_section(zero_section(S0), delta)
@@ -237,6 +228,36 @@ def test_concrete_cover_invariant_by_construction():
     bis = irreducible_bisection(cover)
     delta = constant_section(S0, 1.0)
     assert is_invariant_bisection(bis, delta, S0)
+
+
+def test_cover_norm_decides_invariance():
+    # by Vieta the fibre values multiply to the norm, so l -> delta/l swaps
+    # them exactly when the norm is a constant in delta's class
+    s03 = SurfaceData(BaseCurve(0), TAU3)
+    delta = constant_section(s03, 1.5)
+    trace = RationalMap((0.3, 0.2, 1.0))
+    for norm, invariant in [
+        (None, True),
+        (RationalMap((1.5,)), True),
+        (RationalMap((4.5,)), True),  # 1.5 tau
+        (RationalMap((2.5,)), False),
+        (RationalMap((1.5, 1.0)), False),
+        (RationalMap((0.0,)), False),
+    ]:
+        bis = irreducible_bisection(DoubleCoverData(trace=trace, norm=norm))
+        assert is_invariant_bisection(bis, delta, s03) is invariant, norm
+
+
+def test_cover_invariance_samples_no_fibre(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("invariance sampled a fibre")
+
+    monkeypatch.setattr(jacobian, "sample_base_points", never)
+    monkeypatch.setattr(jacobian, "cover_fibre_values", never)
+    delta = constant_section(S0, 1.5)
+    for norm in (None, RationalMap((1.5,)), RationalMap((2.5,))):
+        bis = irreducible_bisection(DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=norm))
+        is_invariant_bisection(bis, delta, S0)
 
 
 def test_declared_cover_trusted():
