@@ -159,6 +159,22 @@ CASES: list[tuple[str, list[str], object]] = [
             {"schema": 1, "surface": G0, "chern": {"c1": {"torsion": [0], "hom": []}, "c2": "two"}},
         ],
     ),
+    (
+        "recipe-batch-transcripts",
+        ["recipe", "--batch"],
+        [
+            chern(G0, [0], [], 7),
+            chern(G1, [1], [1], 3),
+            chern(G0, [0], [], -2),
+            {"schema": 1, "surface": G0, "chern": {"c1": {"torsion": [0], "hom": []}, "c2": "two"}},
+            chern(G2, [0], [1, 1], 4),
+        ],
+    ),
+    (
+        "exists-non-ascii-gram",
+        ["exists"],
+        chern({"genus": 2, "tau": [3.0, 0.0], "lattice": {"rank": 1, "gram": [["½"]]}}, [0], [1], 0),
+    ),
 ]
 
 

@@ -43,8 +43,8 @@ from .surface import (
     NSClass,
     SurfaceData,
     base_point,
-    discriminant,
     distinct_base_points,
+    eight_discriminant,
     pairing,
     same_base_point,
     self_intersection,
@@ -174,15 +174,16 @@ def chern_of_extension(bundle: ExtensionBundle, lattice: HomLattice, torsion_ran
 
     c1 = c1(determinant), c2 = c1(sub).(c1(determinant) - c1(sub)) + len(Z);
     equivalently Delta = pairing(sub section, bundle.quotient)/4 + len(Z)/2,
-    the quotient section being the one stored on the bundle.
+    the quotient section being the one stored on the bundle.  The identity
+    is checked on 8 Delta, in integers.
     """
     length = bundle.cycle_length
     c1_sub = bundle.sub.chern_class(torsion_rank)
     c1_det = bundle.determinant.chern_class(torsion_rank)
     c2 = pairing(c1_sub, c1_det - c1_sub, lattice) + length
     cd = ChernData(c1_det, c2)
-    cross = Fraction(section_pairing(bundle.sub.section, bundle.quotient, lattice), 4)
-    assert discriminant(cd, lattice) == cross + Fraction(length, 2), "discriminant identity failed"
+    cross = section_pairing(bundle.sub.section, bundle.quotient, lattice)
+    assert eight_discriminant(cd, lattice) == 2 * cross + 4 * length, "discriminant identity failed"
     return cd
 
 
@@ -191,6 +192,8 @@ def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEF
     if isinstance(bundle, ExtensionBundle):
         cd = chern_of_extension(bundle, surface.lattice, surface.torsion_rank)
     elif isinstance(bundle, SpectralPushBundle):
+        if surface.base.genus == 0 and any(bundle.determinant.section.hom):
+            raise ValueError("over a rational base the determinant section is constant")
         c1 = bundle.determinant.chern_class(surface.torsion_rank)
         a2 = graph_self_intersection(bundle.cover, bundle.determinant.section, surface, tol)
         delta = a2 / 4  # an eighth of the bisection self-intersection upstairs
@@ -202,7 +205,7 @@ def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEF
     else:
         parent = chern_data(bundle.parent, surface, tol)
         cd = apply_modification_ledger(parent, bundle.steps, surface.lattice)
-    if discriminant(cd, surface.lattice) < 0:
+    if eight_discriminant(cd, surface.lattice) < 0:
         raise ValueError("presentation has negative discriminant")
     return cd
 
@@ -211,12 +214,13 @@ def apply_modification_ledger(cd: ChernData, steps: int, lattice: HomLattice) ->
     """Ledger arithmetic for elementary modifications along a smooth fibre.
 
     Each forward step raises c2 by one and lowers the fibre-torsion
-    coefficient of c1 by one, so the discriminant rises by exactly 1/2;
-    negative steps replay the formal inverse.
+    coefficient of c1 by one, so the discriminant rises by exactly 1/2
+    (8 Delta by 4, the integer form checked here); negative steps replay
+    the formal inverse.
     """
     torsion = (cd.c1.torsion[0] - steps,) + cd.c1.torsion[1:]
     out = ChernData(NSClass(torsion, cd.c1.hom), cd.c2 + steps)
-    assert discriminant(out, lattice) == discriminant(cd, lattice) + Fraction(steps, 2)
+    assert eight_discriminant(out, lattice) == eight_discriminant(cd, lattice) + 4 * steps
     return out
 
 

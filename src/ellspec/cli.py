@@ -16,6 +16,12 @@ cube holds (2r+1)^rank points) exits 64, from a flag or embedded.  With
 --batch the input is an array of requests for the same subcommand; the
 output is the array of responses in order and the exit code is the
 maximum over the items.
+
+Replies are JSON with a 2-space indent, the separators "," and ": ",
+strings and keys escaped to ASCII, and no NaN or Infinity (a non-finite
+float raises ValueError): byte for byte what json.dumps(indent=2,
+allow_nan=False) writes.  _dump builds that text directly, because the
+stdlib's C encoder serves only unindented output.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .bundles import apply_modification_ledger, chern_data, spectral_cover
@@ -532,8 +539,39 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def _dump(value: Any, newline: str = "\n") -> str:
+    """The JSON text of value, indented by 2 as json.dumps(indent=2,
+    allow_nan=False) writes it; newline is the line break plus the indent
+    of the enclosing level.  Tuples are written as lists."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dump(v, inner) for v in value]) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(body: Any, path: str | None) -> None:
-    text = json.dumps(body, indent=2, allow_nan=False)
+    text = _dump(body)
     if not path:
         print(text)
         return

@@ -12,7 +12,10 @@ everything.  All bookkeeping is exact.  The Gram matrix of B has integer
 diagonal and half-integer off-diagonal entries, so each lattice also
 carries the integer binary form (A, B, C) = (g00, 2 g01, g11), with
 deg(x, y) = A x^2 + B x y + C y^2; degrees, pairings and the lattice
-minimum are computed from it in integers only.
+minimum are computed from it in integers only.  So is the discriminant
+Delta = (c2 - c1^2/4)/2 wherever it is only compared: eight_discriminant
+returns the integer 8 Delta = 4 c2 + 2 deg(c1), and discriminant is that
+integer over 8.
 """
 
 from __future__ import annotations
@@ -263,9 +266,14 @@ def pairing(a: NSClass, b: NSClass, lattice: HomLattice) -> int:
     return -lattice.bilinear(a.hom, b.hom)
 
 
+def eight_discriminant(cd: ChernData, lattice: HomLattice) -> int:
+    """8 Delta = 4 c2 - c1^2 = 4 c2 + 2 deg(c1): the discriminant in integers."""
+    return 4 * cd.c2 + 2 * lattice.degree(cd.c1.hom)
+
+
 def discriminant(cd: ChernData, lattice: HomLattice) -> Fraction:
     """(c2 - c1^2/4) / 2, exactly."""
-    return Fraction(4 * cd.c2 - self_intersection(cd.c1, lattice), 8)
+    return Fraction(eight_discriminant(cd, lattice), 8)
 
 
 def spectral_support_count(cd: ChernData, lattice: HomLattice) -> int:

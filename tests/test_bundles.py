@@ -27,6 +27,7 @@ from ellspec.bundles import (
     _verify_cover,
     apply_modification_ledger,
     chern_data,
+    chern_of_extension,
     cover_base_intersections,
     elementary_modification,
     filtrability,
@@ -185,6 +186,39 @@ def test_chern_of_mismatched_norm_cover_is_rejected():
         chern_data(push(2.5), S03)
     for norm in (1.5, 4.5):  # 4.5 = 1.5 tau is the same class
         assert chern_data(push(norm), S03) == ChernData(NSClass((0,), ()), 1)
+
+
+def test_chern_of_rational_push_with_hom_determinant_is_rejected():
+    # over a rational base a section has no hom part; the determinant of
+    # this push once got c2 = -1 from chern_data, though the cover and the
+    # fibre restrictions of the same bundle reject it
+    det = LineBundleOnX(SectionOfJ(TatePoint(1.5, TAU4), (2,)))
+    bundle = SpectralPushBundle(irreducible_bisection(DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)))), det)
+    for compute in (lambda: chern_data(bundle, S0U), lambda: spectral_cover(bundle, S0U)):
+        with pytest.raises(ValueError, match="over a rational base the determinant section is constant"):
+            compute()
+    with pytest.raises(ValueError, match="over a rational base every section is constant"):
+        restrict_to_fibre(bundle, 0.4, S0U)
+    constant = SpectralPushBundle(bundle.cover, LineBundleOnX(SectionOfJ(TatePoint(1.5, TAU4), (0,))))
+    assert chern_data(constant, S0U) == ChernData(NSClass((0,), (0,)), 1)
+
+
+def test_discriminant_checks_build_no_fraction(monkeypatch):
+    # the ledger and the extension identity are checked on 8 Delta, in integers
+    bundle = ExtensionBundle(
+        LineBundleOnX(SectionOfJ(TatePoint(1.5 + 0.5j, TAU3), (1,)), base_twist=1),
+        LineBundleOnX(SectionOfJ(TatePoint(2.0 - 0.3j, TAU3), (-1,))),
+        zero_cycle=((1.7 + 0.4j, 2),),
+    )
+    calls = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *a, **k: calls.append(1) or new(*a, **k)))
+    cd = chern_of_extension(bundle, UNIT_LATTICE, 1)
+    out = apply_modification_ledger(cd, 5, UNIT_LATTICE)
+    back = apply_modification_ledger(out, -5, UNIT_LATTICE)
+    assert calls == []
+    assert cd == back == ChernData(NSClass((0,), (-1,)), 6)  # 8 Delta = 26 = 2 * 9 + 4 * 2
+    assert out == ChernData(NSClass((-5,), (-1,)), 11)
 
 
 def test_chern_elem_mod():

@@ -7,8 +7,10 @@ under test).
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +18,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellspec.bundles import chern_data
 from ellspec.cli import (
@@ -27,6 +31,7 @@ from ellspec.cli import (
     MAX_ENUM_RADIUS,
     MAX_RECIPE_STEPS,
     MAX_VERIFY_SAMPLES,
+    _emit,
     main,
 )
 from ellspec.schemas import (
@@ -43,6 +48,7 @@ from ellspec.tate import CurveParam, TatePoint, points_equal
 from fractions import Fraction
 
 S0 = SurfaceData(BaseCurve(0), CurveParam(4.0))
+GOLDEN = Path(__file__).parent / "golden"
 
 G0_SURFACE = {"genus": 0, "tau": [4.0, 0.0], "lattice": {"rank": 0, "gram": []}}
 G1_SURFACE = {
@@ -182,6 +188,19 @@ def test_recipe_transcript(tmp_path, capsys):
     assert transcript[-1] == {"c1": {"torsion": [0], "hom": []}, "c2": 2}
     recipe = decode_recipe(body["recipe"], S0)
     assert chern_data(recipe.realize(), S0) == ChernData(NSClass((0,), ()), 2)
+
+
+def test_recipe_builds_few_fractions(monkeypatch, capsys):
+    # each transcript step is checked on 8 Delta in integers; checking it
+    # with Fractions built 31 of them for this two-step recipe
+    request = GOLDEN / "recipe-g0-transcript.request.json"
+    calls = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *a, **k: calls.append(1) or new(*a, **k)))
+    assert main(["recipe", str(request)]) == EX_OK
+    monkeypatch.undo()
+    assert capsys.readouterr().out == (GOLDEN / "recipe-g0-transcript.reply.json").read_text(encoding="utf-8")
+    assert len(calls) <= 10
 
 
 @pytest.mark.parametrize("c2", [MAX_RECIPE_STEPS + 1, 80_000, 10**400])
@@ -712,3 +731,48 @@ def test_main_reuses_parser_without_leaking_arguments(tmp_path, capsys):
     assert plain != flagged
     fresh = _fresh_python("-m", "ellspec", "exists", str(req))
     assert (plain, code) == (fresh.stdout, fresh.returncode)
+
+
+# ------------------------------------------------------------ reply text
+
+
+def emitted(body) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(body, None)
+    return out.getvalue()
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u00bd\u2028\U0001f600')))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7e308, 1e16]),
+    _TEXT,
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, kids, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_TREES)
+def test_reply_text_is_json_dumps_indent_2(tree):
+    assert emitted(tree) == json.dumps(tree, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_reply_value_raises(bad):
+    tree = {"a": [1, {"b": bad}]}
+    with pytest.raises(ValueError):
+        json.dumps(tree, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        emitted(tree)

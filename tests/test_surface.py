@@ -30,6 +30,7 @@ from ellspec.surface import (
     as_fraction,
     canonical_class,
     discriminant,
+    eight_discriminant,
     filtrable_bound,
     pairing,
     self_intersection,
@@ -260,6 +261,7 @@ def test_discriminant_frozen():
     odd = NSClass((0,), (1,))
     assert discriminant(ChernData(odd, 0), UNIT_LATTICE) == Fraction(1, 4)
     assert discriminant(ChernData(odd, -1), UNIT_LATTICE) == Fraction(-1, 4)
+    assert eight_discriminant(ChernData(odd, -1), UNIT_LATTICE) == -2
 
 
 def test_spectral_support_count():
@@ -277,6 +279,8 @@ def test_spectral_support_count():
 def test_four_delta_integral(hom, c2):
     cd = ChernData(NSClass((0,), hom), c2)
     assert (4 * discriminant(cd, POLARIZED)).denominator == 1
+    eight = eight_discriminant(cd, POLARIZED)
+    assert type(eight) is int and eight == 4 * c2 - self_intersection(cd.c1, POLARIZED)
 
 
 # -------------------------------------------------------- canonical class
