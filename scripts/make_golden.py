@@ -147,6 +147,7 @@ CASES: list[tuple[str, list[str], object]] = [
     ("genus-g2", ["genus", "--c2", "5"], chern(G2, [0], [1, 1], 0)),
     ("check-g1-enum", ["check", "--enum-radius", "4"], {"schema": 1, "surface": G1}),
     ("check-g3-seed", ["check", "--seed", "3"], {"schema": 1, "surface": G3_FIBRES}),
+    ("check-g3-near-unit", ["check", "--seed", "3"], {"schema": 1, "surface": {**G3_FIBRES, "tau": [1.003, 0.0]}}),
     (
         "exists-batch",
         ["exists", "--batch"],

@@ -4,22 +4,36 @@ The curve is the quotient of C* by the subgroup generated by a multiplier
 tau with |tau| > 1.  Every class has a unique representative in the
 half-open fundamental annulus 1 <= |z| < |tau|; all point arithmetic is
 done on these canonical representatives.  The x-coordinate of the
-quotient by inversion (z ~ 1/z) is computed from the bilateral series
+quotient by inversion (z ~ 1/z) is defined by the bilateral series
 
     x(u) = sum_{n in Z} q^n u / (1 - q^n u)^2  -  2 sum_{n >= 1} q^n / (1 - q^n)^2
 
-with q = 1/tau, which converges geometrically since |q| < 1 and has its
-only pole (in the annulus) at the identity class u = 1.  This series is
-the one definition of x.
+with q = 1/tau, which converges since |q| < 1 and has its only pole (in
+the annulus) at the identity class u = 1.  This series is the one
+definition of x: with w = log u it is x = P(w) - 1/12, where P is the
+Weierstrass function of the period lattice 2 pi i Z + log(tau) Z
+(DLMF 23.8.1).
 
-Inversion (x_preimages) works in the dual frame.  With w = log u and
-L = log tau, the Jacobi imaginary transformation (DLMF 23.8.1 with the
-periods swapped) gives
+It is summed in the reduced frame of that lattice, where it converges
+fast for every |tau| > 1.  The basis (a, b) is Lagrange-reduced: a is a
+shortest period and tau_r = b / a has |Re tau_r| <= 1/2, |tau_r| >= 1 and
+Im tau_r > 0, so the reduced nome p = exp(2 pi i tau_r) satisfies
+|p| <= exp(-pi sqrt 3) < 0.0044.  With t = w / a shifted by periods so
+that 0 <= Im t <= Im tau_r / 2 (x is even in w), U = exp(2 pi i t) and
+k = 2 pi i / a, the same series in the frame reads
 
-    x(u) = C(tau) + (pi/L)^2 sum_{m in Z} csc^2(pi (w + 2 pi i m) / L),
+    x(u) = k^2 (X_p(U) + 1/12) - 1/12,
 
-where C(tau) follows from x(-1).  Inverting the m = 0 term gives a
-closed-form start that Newton iteration on the series polishes.  A value
+where X_p is the series above with q -> p and u -> U.  Every term has the
+shape e / (1 - e)^2 with |e| <= 1, the powers of p come from running
+products, and no power of U is ever divided by.  When a = 2 pi i (real
+tau > exp(2 pi)) this is the q-series itself, term for term.  The number
+of terms comes from a tail bound scaled by |k|^2, so Tolerance.eps bounds
+the truncation error of x itself: about five terms at the default eps,
+and fewer than 150 for any eps > 0.
+
+Inversion (x_preimages) inverts the leading term of the frame's series
+in closed form and polishes the start by Newton iteration.  A value
 within the branch-test window of several branch values resolves to the
 nearest two-torsion class alone.
 """
@@ -29,20 +43,26 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from typing import NamedTuple
 
 INF = complex(math.inf, 0.0)
+_TWO_PI_I = 2j * math.pi
 
 
 def is_infinite(z: complex) -> bool:
     return math.isinf(z.real) or math.isinf(z.imag)
 
 
-class SeriesCapError(RuntimeError):
-    """Raised when the series term cap is hit before the tail bound is met."""
+class PeriodFrame(NamedTuple):
+    """The reduced basis (a, b) of the period lattice 2 pi i Z + log(tau) Z."""
 
-
-_SERIES_CAP = 4096  # terms a series may take to meet its tail bound
+    a: complex  # a shortest period
+    tau_r: complex  # b / a: |Re| <= 1/2, |tau_r| >= 1, Im > 0
+    nome: complex  # p = exp(2 pi i tau_r)
+    k: complex  # 2 pi i / a; x = k^2 (X_p(U) + 1/12) - 1/12
+    decay: float  # -log|p| = 2 pi Im tau_r >= pi sqrt 3
+    log_tail: float  # log(1.1 |k|^2): log of the bound on x's tail after zero terms
 
 
 @dataclass(frozen=True)
@@ -58,6 +78,28 @@ class CurveParam:
     @property
     def q(self) -> complex:
         return 1.0 / self.tau
+
+    @cached_property
+    def frame(self) -> PeriodFrame:
+        """The reduced period basis that the x series is summed in.
+
+        Computed on first use, so curves that never evaluate x pay nothing.
+        (log tau, 2 pi i) is positively oriented since Re log tau > 0, and
+        |a| strictly falls at every swap, so the loop ends in floating point.
+        """
+        a, b = cmath.log(self.tau), _TWO_PI_I
+        while True:
+            b -= round((b / a).real) * a
+            if not abs(b) < abs(a):
+                break
+            a, b = b, -a
+        tau_r = b / a
+        k = _TWO_PI_I / a
+        # after n terms, each |e| <= |p| and the rest of
+        # sum |f(p^m U)| + |f(p^m V)| + 2 |f(p^(m+1))| is at most
+        # |p|^n (1 + |p|^(1/2) + 2|p|) / (1 - |p|)^3 < 1.1 |p|^n
+        log_tail = math.log(1.1 * abs(k) ** 2)
+        return PeriodFrame(a, tau_r, cmath.exp(_TWO_PI_I * tau_r), k, 2.0 * math.pi * tau_r.imag, log_tail)
 
 
 @dataclass(frozen=True)
@@ -172,60 +214,70 @@ def two_torsion(curve: CurveParam) -> list[TatePoint]:
     ]
 
 
-@lru_cache(maxsize=256)
-def _inversion_constant(tau: complex, eps: float) -> complex:
-    """The u-independent part 2 sum_{n>=1} q^n/(1-q^n)^2, to absolute error eps."""
-    q = 1.0 / tau
-    aq = abs(q)
-    total = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for n in range(1, _SERIES_CAP + 1):
-        qn *= q
-        total += qn / (1.0 - qn) ** 2
-        rho = aq ** (n + 1)
-        if rho < 0.9 and rho / ((1.0 - aq) * (1.0 - rho) ** 2) < eps / 2.0:
-            return 2.0 * total
-    raise SeriesCapError(f"series cap {_SERIES_CAP} hit before tail bound {eps} was met")
+def _reduce(t: complex, tau_r: complex) -> complex:
+    """t shifted by Z + tau_r Z into |Re t| <= 1/2, |Im t| <= Im tau_r / 2."""
+    t -= round(t.imag / tau_r.imag) * tau_r
+    return t - round(t.real)
+
+
+def _term(plus: complex, minus: complex, pn: complex, want_derivative: bool):
+    """The n-th term of the frame's series: f(plus) + f(minus), f(pn) and
+    the slope g(plus) - g(minus), with f(e) = e / (1 - e)^2 and
+    g(e) = e f'(e).  Every argument has modulus at most 1."""
+    dp = 1.0 - plus
+    dm = 1.0 - minus
+    fp = plus / (dp * dp)
+    fm = minus / (dm * dm)
+    dc = 1.0 - pn
+    if want_derivative:
+        return fp + fm, pn / (dc * dc), fp * (1.0 + plus) / dp - fm * (1.0 + minus) / dm
+    return fp + fm, pn / (dc * dc), 0j
+
+
+def _frame_sums(plus: complex, minus: complex, curve: CurveParam, tol: Tolerance, want_derivative: bool):
+    """Sums over n >= 0 of f(p^n plus) + f(p^n minus), of f(p^(n+1)) and of
+    the slope, truncated where the tail of x drops below tol.eps."""
+    frame = curve.frame
+    p = frame.nome
+    terms = max(1, math.floor((frame.log_tail - math.log(tol.eps)) / frame.decay) + 1)
+    value = const = slope = 0j
+    pn = p
+    for _ in range(terms):
+        v, c, s = _term(plus, minus, pn, want_derivative)
+        value += v
+        const += c
+        slope += s
+        plus *= p
+        minus *= p
+        pn *= p
+    return value, const, slope
 
 
 def _x_series(u: complex, curve: CurveParam, tol: Tolerance, want_derivative: bool = False):
-    """Bilateral sum for the quotient x-coordinate at a raw representative u.
+    """The quotient x-coordinate at a raw representative u, and dx/du on request.
 
-    Converges on all of C* away from the identity orbit u in <tau>.  Terms
-    for +n and -n are added in pairs; the loop stops once the geometric
-    tail bound for both half-sums drops below eps/2.
+    Converges on all of C* away from the identity orbit u in <tau>, with
+    truncation error below tol.eps.  With t reduced into the frame's strip
+    0 <= Im t <= Im tau_r / 2, U = exp(2 pi i t) and V = p / U both have
+    modulus at most 1, and X_p(U) sums f(p^n U) + f(p^n V) - 2 f(p^(n+1))
+    over n >= 0.
     """
-    if u == 0:
-        raise ValueError("x-series needs a nonzero argument")
-    q = curve.q
-    aq = abs(q)
-    au = abs(u)
-    value = u / (1.0 - u) ** 2
-    deriv = (1.0 + u) / (1.0 - u) ** 3
-    qn = 1.0 + 0.0j
-    for n in range(1, _SERIES_CAP + 1):
-        qn *= q
-        for g in (qn, 1.0 / qn):
-            gu = g * u
-            value += gu / (1.0 - gu) ** 2
-            if want_derivative:
-                deriv += g * (1.0 + gu) / (1.0 - gu) ** 3
-        rho_p = aq ** (n + 1) * au
-        rho_m = aq ** (n + 1) / au
-        if rho_p < 0.9 and rho_m < 0.9:
-            bound = rho_p / ((1.0 - aq) * (1.0 - rho_p) ** 2) + rho_m / (
-                (1.0 - aq) * (1.0 - rho_m) ** 2
-            )
-            if bound < tol.eps / 2.0:
-                break
-    else:
-        raise SeriesCapError(
-            f"series cap {_SERIES_CAP} hit before tail bound {tol.eps} was met"
-        )
-    const = _inversion_constant(curve.tau, tol.eps)
+    if u == 0 or not cmath.isfinite(u):
+        raise ValueError("x-series needs a nonzero finite argument")
+    frame = curve.frame
+    t = _reduce(cmath.log(u) / frame.a, frame.tau_r)
+    sign = 1.0
+    if t.imag < 0:  # x is even in t; its slope is odd
+        t, sign = -t, -1.0
+    value, const, slope = _frame_sums(
+        cmath.exp(_TWO_PI_I * t), cmath.exp(_TWO_PI_I * (frame.tau_r - t)), curve, tol, want_derivative
+    )
+    k = frame.k
+    kk = k * k
+    x = kk * (value - 2.0 * const) + (kk - 1.0) / 12.0
     if want_derivative:
-        return value - const, deriv
-    return value - const
+        return x, sign * kk * k * slope / u
+    return x
 
 
 def quotient_x(alpha: TatePoint, tol: Tolerance = DEFAULT_TOL) -> complex:
@@ -251,26 +303,6 @@ def h1_indicator(alpha: TatePoint, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 _NEWTON_STEPS = 90
-_SIN_LIMIT = 700.0  # |Im z| beyond which cmath.sin(z) overflows; csc^2 z < 1e-600 there
-
-
-def _dual_constant(x_minus_one: complex, k: complex) -> complex:
-    """C(tau) = x(-1) - k^2 sum_m csc^2(k (i pi + 2 pi i m)), with k = pi / log tau.
-
-    The summand is even in 2m + 1, so the sum is twice the sum over m >= 0.
-    Terms shrink geometrically in m; one whose |Im| would overflow
-    cmath.sin is negligible, and so is every later one.
-    """
-    total = 0.0 + 0.0j
-    for m in range(_SERIES_CAP):
-        z = k * (1j * math.pi * (2 * m + 1))
-        if abs(z.imag) > _SIN_LIMIT:
-            break
-        term = (1.0 / cmath.sin(z)) ** 2
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return x_minus_one - 2.0 * k * k * total
 
 
 def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL) -> list[TatePoint]:
@@ -291,26 +323,29 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
     tolerance, yet the nearest class maps to it within the tolerance;
     no error is raised for it.
 
-    Elsewhere the root comes from the dual frame.  With w = log u and
-    L = log tau, DLMF 23.8.1 with the periods swapped gives
+    Elsewhere the root comes from the reduced frame (see the module
+    docstring).  Summed over the periods of tau_r, f(U) is a cosecant
+    square (DLMF 23.8.1), so
 
-        x(u) = C(tau) + (pi/L)^2 sum_{m in Z} csc^2(pi (w + 2 pi i m) / L),
+        x(u) = C + (pi/a)^2 sum_{m in Z} csc^2(pi (t + m tau_r)),
+        C = k^2 (1/12 - 2 sum_{n >= 1} p^n / (1 - p^n)^2) - 1/12,
 
-    whose m = 0 term dominates while |Im w| < pi.  C is fixed by the
-    value x(-1) that the branch test has already computed.  Inverting
-    the m = 0 term gives the closed-form start
+    whose m = 0 term dominates while |Im t| < Im tau_r / 2.  Inverting it
+    gives the closed-form start
 
-        w0 = (L/pi) asin((pi/L) / sqrt(value - C)),
+        w0 = a asin((pi/a) / sqrt(value - C)) / pi,
 
-    tried in turn with its half-period shifts w0 + L/2 and -w0 + L/2.
-    Newton iteration on the Tate series itself polishes the start until
-    the residual is below max(eps 1e-3, 1e-13) (1 + |value|); the root is
-    then completed with its inverse.  An empty list means no start
-    converged.
+    reduced into the frame's period cell and tried in turn with its
+    half-period shifts w0 + b/2 and -w0 + b/2.  Newton iteration on the
+    series itself polishes the start until the residual is below
+    max(eps 1e-3, 1e-13) (1 + |value|); the root is then completed with
+    its inverse.  An empty list means no start converged, or a NaN value.
     """
     at = abs(curve.tau)
     if is_infinite(value):
         return [identity(curve)]
+    if cmath.isnan(value):
+        return []
 
     # the identity's value is the pole, never a finite target; -1 comes next
     branch = [
@@ -322,23 +357,25 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
     if abs(x_nearest - value) <= 4.0 * tol.eps * (1.0 + abs(value)):
         return [nearest]
 
-    log_tau = cmath.log(curve.tau)
-    k = math.pi / log_tau
-    gap_c = value - _dual_constant(branch[0][1], k)
+    frame = curve.frame
+    tau_r = frame.tau_r
+    kk = frame.k * frame.k
+    _, const, _ = _frame_sums(0j, 0j, curve, tol, False)  # sum_{n >= 1} f(p^n)
+    gap_c = value - (kk * (1.0 / 12.0 - 2.0 * const) - 1.0 / 12.0)
     if gap_c:
-        w0 = cmath.asin(k / cmath.sqrt(gap_c)) / k
-    else:  # the m = 0 and m = -1 terms cancel near w = i pi + L/4
-        w0 = 1j * math.pi + 0.25 * log_tau
+        t0 = _reduce(cmath.asin((math.pi / frame.a) / cmath.sqrt(gap_c)) / math.pi, tau_r)
+    else:  # the m = 0 and m = -1 terms cancel near t = tau_r/2 + 1/4
+        t0 = 0.5 * tau_r + 0.25
     conv = max(tol.eps * 1e-3, 1e-13)
-    for w in (w0, w0 + 0.5 * log_tau, -w0 + 0.5 * log_tau):
-        u = cmath.exp(w)
+    for start in (t0, t0 + 0.5 * tau_r, -t0 + 0.5 * tau_r):
+        u = cmath.exp(frame.a * start)
         ok = False
         for _ in range(_NEWTON_STEPS):
             if abs(u) < 0.5 or abs(u) > 2.0 * at:
                 u = _canonical_rep(u, curve)
             try:
                 x, dx = _x_series(u, curve, tol, want_derivative=True)
-            except (ZeroDivisionError, OverflowError):
+            except (ZeroDivisionError, OverflowError, ValueError):  # a step onto the pole or out of C*
                 break
             f = x - value
             if abs(f) <= conv * (1.0 + abs(value)):

@@ -316,6 +316,19 @@ def test_check_suite(tmp_path, capsys):
     assert all(c["passed"] for c in body["checks"])
 
 
+@pytest.mark.parametrize("tau", [1.001, 1.003, 1.01, -1.001, 1e10])
+def test_check_passes_near_and_far_from_the_unit_circle(tau, tmp_path, capsys):
+    # near |tau| = 1 the q-series would need thousands of terms; at
+    # |tau| = 1e10 rounding alone moves an involuted section by about 1e-6
+    doc = json.loads((GOLDEN / "check-g3-seed.request.json").read_text(encoding="utf-8"))
+    doc["surface"]["tau"] = [tau, 0.0]
+    for seed in ("1", "3"):
+        start = time.perf_counter()
+        code, body = run_cli(tmp_path, capsys, "check", doc, "--seed", seed)
+        assert time.perf_counter() - start < 1.0
+        assert code == EX_OK, body
+
+
 # ----------------------------------------------------------- exit codes
 
 

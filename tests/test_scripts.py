@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("existence_sweep.py", ("--genus", "2", "--tau", "3", "--gram", "4", "--hom", "1", "--c2=-1:1")),
         ("quotient_profile.py", ("--tau", "2j", "--samples", "20")),
         ("reply_digest.py", ("--workload", "lattice-ladder", "--seeds", "1")),
+        ("quotient_profile.py", ("--tau", "1.003", "--samples", "20")),
     ],
 )
 def test_script_runs(script, args):

@@ -3,7 +3,11 @@
 Oracles used to freeze expected values, written before the assertions:
   - brute_canonical: exhaustive power search over k in [-64, 64].
   - mp_quotient_x: bilateral sum at 25 decimal digits (mpmath), summed
-    until the geometric tail is below 1e-24, so it also holds near |tau| = 1.
+    until the geometric tail is below 1e-24, so it also holds near |tau| = 1;
+    it needs about 1 s per point at tau = 1.01.
+  - mp_dual_x: the cosecant-square sum of DLMF 23.8.1 at 30 digits in a
+    Lagrange-reduced period basis, for |tau| below 1.01; checked against
+    mp_quotient_x at tau = 1.05 and 1.2.
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ from hypothesis import strategies as st
 
 from ellspec import tate
 from ellspec.tate import (
-    _inversion_constant,
     DEFAULT_TOL,
     INF,
     CurveParam,
-    SeriesCapError,
     TatePoint,
     Tolerance,
     class_distance,
@@ -68,6 +70,46 @@ def mp_quotient_x(u: complex, tau: complex) -> complex:
             total += qn * uu / (1 - qn * uu) ** 2 + uu / qn / (1 - uu / qn) ** 2
             total -= 2 * qn / (1 - qn) ** 2
         return complex(total)
+
+
+def mp_reduced_basis(tau: complex):
+    """A Lagrange-reduced basis (a, b) of 2 pi i Z + log(tau) Z, Im(b/a) > 0."""
+    a, b = mpmath.log(mpmath.mpmathify(tau)), 2j * mpmath.pi
+    while True:
+        b -= mpmath.nint(mpmath.re(b / a)) * a
+        if not abs(b) < abs(a):
+            return a, b
+        a, b = b, -a
+
+
+def mp_dual_x(u: complex, tau: complex) -> complex:
+    """x = P(log u) - 1/12 from DLMF 23.8.1 with 2 omega_1 = a, 2 omega_3 = b:
+
+        P(w) = -eta_1/omega_1 + (pi/a)^2 sum_m csc^2(pi (w/a + m b/a)),
+        eta_1/omega_1 = (pi/a)^2 (1 - 24 sum_{n>=1} p^n/(1 - p^n)^2) / 3,
+
+    with p = exp(2 pi i b/a), summed until the terms are below 1e-40."""
+    with mpmath.workdps(30):
+        a, b = mp_reduced_basis(tau)
+        tr = b / a
+        t = mpmath.log(mpmath.mpmathify(u)) / a
+        t -= mpmath.nint(mpmath.im(t) / mpmath.im(tr)) * tr
+        p = mpmath.exp(2j * mpmath.pi * tr)
+        tiny = mpmath.mpf(10) ** -40
+        eisen = mpmath.mpf(1)
+        n = 1
+        while abs(p) ** n > tiny:
+            eisen -= 24 * p**n / (1 - p**n) ** 2
+            n += 1
+        csc2 = mpmath.csc(mpmath.pi * t) ** 2
+        m = 1
+        while True:
+            term = mpmath.csc(mpmath.pi * (t + m * tr)) ** 2 + mpmath.csc(mpmath.pi * (t - m * tr)) ** 2
+            csc2 += term
+            if abs(term) < tiny * abs(csc2):
+                break
+            m += 1
+        return complex((mpmath.pi / a) ** 2 * (csc2 - eisen / 3) - mpmath.mpf(1) / 12)
 
 
 TAU4 = CurveParam(4.0)
@@ -296,10 +338,20 @@ def test_quotient_x_invariances():
     assert worst < 2e-9
 
 
-def test_series_cap_error():
-    # |q| = 1/1.001: the tail bound needs far more terms than the cap allows
-    with pytest.raises(SeriesCapError):
-        quotient_x_at(-1.0 + 0j, CurveParam(1.001))
+@pytest.mark.parametrize("tau", [1.001, -1.001, 1.001 * cmath.exp(1j * math.pi / 3)])
+def test_quotient_x_near_the_unit_circle(tau):
+    # |q| = 1/1.001: the q-series would need thousands of terms here
+    want = mp_dual_x(-1.0, tau)
+    got = quotient_x_at(-1.0 + 0j, CurveParam(tau))
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_non_finite_arguments():
+    with pytest.raises(ValueError, match="finite"):
+        quotient_x_at(complex(math.nan, 1.0), TAU3)
+    assert x_preimages(complex(math.nan, 0.0), TAU3) == []
+    # Newton from every start overflows to a non-finite u, which fails that start
+    assert x_preimages(1e200, TAU2I) == []
 
 
 def test_h1_indicator():
@@ -363,7 +415,10 @@ def test_x_preimages_flat_value_returns_the_nearest_branch_class(tau, radius):
 def test_x_preimages_at_the_dual_constant(tau):
     # at value = C the closed-form start asin(inf) has no finite value
     curve = CurveParam(tau)
-    value = tate._dual_constant(quotient_x_at(-1.0 + 0j, curve), math.pi / cmath.log(tau))
+    frame = curve.frame
+    p = frame.nome
+    k2 = (2j * math.pi / frame.a) ** 2
+    value = k2 * (1.0 / 12.0 - 2.0 * sum(p**n / (1.0 - p**n) ** 2 for n in range(1, 40))) - 1.0 / 12.0
     found = x_preimages(value, curve)
     assert len(found) == 2
     for f in found:
@@ -425,11 +480,57 @@ def test_x_preimages_series_work_is_bounded(tau, monkeypatch):
         assert len(calls) <= 40
 
 
-def test_inversion_constant_cache_is_bounded():
-    _inversion_constant.cache_clear()
-    for k in range(3000):
-        curve = CurveParam(complex(3.0 + 1e-3 * k, 0.5))
-        assert math.isfinite(abs(quotient_x_at(1.5 + 0.5j, curve, DEFAULT_TOL)))
-    info = _inversion_constant.cache_info()
-    assert info.maxsize is not None and info.misses >= 3000 > info.maxsize
-    assert info.currsize <= info.maxsize
+@pytest.mark.parametrize(
+    "tau", [1.0001, -1.001, 1j * cmath.exp(0.001), 1.05, 2j, 535.0, 536.0, 1e12, 1e300]
+)
+def test_x_series_term_count_is_bounded(tau, monkeypatch):
+    # the reduced nome has |p| <= exp(-pi sqrt 3), so a handful of terms
+    # meets the default eps, and fewer than 150 meet any eps > 0
+    curve = CurveParam(tau)
+    points = [abs(tau) ** r * cmath.exp(1j * a) for r, a in ((0.3, 0.7), (0.6, 2.5), (0.95, -0.4))]
+    terms = []
+    term = tate._term
+    monkeypatch.setattr(tate, "_term", lambda *a: terms.append(1) or term(*a))
+    for u in points:
+        for tol, most in ((DEFAULT_TOL, 8), (Tolerance(5e-324), 149)):
+            terms.clear()
+            assert cmath.isfinite(quotient_x_at(u, curve, tol))
+            assert 1 <= len(terms) <= most
+
+
+MP_SERIES_TAUS = [1.01, 1.05, 1.2, 2.0, 100.0, 1e4, 2j, -2.0, 1.5 + 1.5j, 1.02 * cmath.exp(0.5j)]
+MP_DUAL_TAUS = [1.001, -1.001, 1.001 * cmath.exp(1j * math.pi / 3), 1j * cmath.exp(0.001)]
+
+
+def oracle_points(tau: complex, count: int) -> list[complex]:
+    """Points exp(a t) with t off every half period, in the reduced frame."""
+    with mpmath.workdps(30):
+        a, _ = mp_reduced_basis(tau)
+    ts = [0.3 + 0.1j, -0.2 + 0.25j, 0.45 - 0.05j][:count]
+    return [complex(mpmath.exp(a * t)) for t in ts]
+
+
+@pytest.mark.parametrize("tau", [1.05, 1.2])
+def test_mp_dual_oracle_matches_the_q_series(tau):
+    for u in oracle_points(tau, 2):
+        want = mp_quotient_x(u, tau)
+        assert abs(mp_dual_x(u, tau) - want) <= 1e-20 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("tau", MP_SERIES_TAUS + MP_DUAL_TAUS)
+def test_quotient_x_and_preimages_match_the_oracle(tau):
+    curve = CurveParam(tau)
+    oracle = mp_dual_x if tau in MP_DUAL_TAUS else mp_quotient_x
+    for u in oracle_points(tau, 2 if abs(tau) < 1.03 else 3):
+        want = oracle(u, tau)
+        scale = 1.0 + abs(want)
+        assert abs(quotient_x_at(u, curve, Tolerance(1e-14)) - want) <= 1e-12 * scale
+        p = TatePoint(u, curve)
+        found = x_preimages(quotient_x(p), curve)
+        assert len(found) == 2
+        _, slope = tate._x_series(p.rep, curve, DEFAULT_TOL, want_derivative=True)
+        radius = 10.0 * DEFAULT_TOL.eps * scale / abs(slope) + 1e-12
+        for q in (p, group_inv(p)):
+            assert min(class_distance(f, q) for f in found) <= radius
+        for f in found:
+            assert abs(mp_dual_x(f.rep, tau) - want) <= 1e-7 * scale
