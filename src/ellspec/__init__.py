@@ -44,7 +44,6 @@ from .jacobian import (
     SectionOfJ,
     branch_point_count,
     branch_points_numeric,
-    constant_section,
     cover_fibre_values,
     genus_and_branching,
     graph_self_intersection,
@@ -69,7 +68,6 @@ from .surface import (
     UNIT_LATTICE,
     ZERO_LATTICE,
     base_point,
-    canonical_class,
     discriminant,
     filtrable_bound,
     pairing,
@@ -86,9 +84,6 @@ from .tate import (
     class_distance,
     distance_to_identity,
     group_inv,
-    group_mul,
-    group_pow,
-    h1_indicator,
     identity,
     is_infinite,
     points_equal,

@@ -6,12 +6,15 @@ bisection, or as a chain of elementary modifications along smooth
 fibres.  Each presentation determines Chern data exactly; restriction to
 a smooth fibre determines a split, non-split, or unstable isomorphism
 type whose determinant is the fibre value of the determinant bundle.
+Whether a spectral push fits its surface (constant determinant over a
+rational base, invariant bisection) is decided by check_spectral_push,
+once per call; fibre evaluation compares nothing.
 
 The spectral cover of a presentation records, per fibre, the classes
 whose twist makes first cohomology jump: these are the inverses of the
 restriction's sub-line-bundle values.  The cover therefore has the
-inverse determinant as its norm, and its invariance is checked against
-the involution of that dual section.
+inverse determinant as its norm, and is invariant under the involution
+of that dual section by construction.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .jacobian import (
     graph_self_intersection,
     involution_on_section,
     irreducible_bisection,
+    is_invariant_bisection,
     reducible_bisection,
     sample_base_points,
     section_pairing,
@@ -187,13 +191,23 @@ def chern_of_extension(bundle: ExtensionBundle, lattice: HomLattice, torsion_ran
     return cd
 
 
+def check_spectral_push(push: SpectralPushBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Raise ValueError unless the push fits the surface: over a rational
+    base the determinant is constant, and is_invariant_bisection holds (a
+    given norm map is a constant in the class of the determinant's value).
+    Callers pass the root of a modification chain."""
+    if surface.base.genus == 0 and any(push.determinant.section.hom):
+        raise ValueError("over a rational base the determinant section is constant")
+    if not is_invariant_bisection(push.cover, push.determinant.section, surface, tol):
+        raise ValueError("bisection is not invariant under the involution")
+
+
 def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> ChernData:
     """Chern data of a presentation."""
     if isinstance(bundle, ExtensionBundle):
         cd = chern_of_extension(bundle, surface.lattice, surface.torsion_rank)
     elif isinstance(bundle, SpectralPushBundle):
-        if surface.base.genus == 0 and any(bundle.determinant.section.hom):
-            raise ValueError("over a rational base the determinant section is constant")
+        check_spectral_push(bundle, surface, tol)
         c1 = bundle.determinant.chern_class(surface.torsion_rank)
         a2 = graph_self_intersection(bundle.cover, bundle.determinant.section, surface, tol)
         delta = a2 / 4  # an eighth of the bisection self-intersection upstairs
@@ -263,6 +277,7 @@ def restrict_to_fibre(
             return NonSplitRestriction(v1)
         return SplitRestriction(v1, v2)
     v1, v2 = cover_fibre_values(bundle.cover, b, bundle.determinant.section, surface, tol)
+    check_spectral_push(bundle, surface, tol)  # after evaluation, so errors at b come first
     if class_distance(v1, v2) <= max(tol.eps, tol.eps**0.5):
         return NonSplitRestriction(v1)
     return SplitRestriction(v1, v2)
@@ -317,10 +332,9 @@ def _cover_parts(
         jumps = _merge_jumps(surface, tol, bundle.zero_cycle)
         return bis, jumps, _dual_section(bundle.determinant.section)
     if isinstance(bundle, SpectralPushBundle):
+        check_spectral_push(bundle, surface, tol)
         cover = bundle.cover.cover
         if cover.trace is not None and surface.base.genus == 0:
-            if any(bundle.determinant.section.hom):
-                raise ValueError("over a rational base the determinant section is constant")
             d0 = bundle.determinant.section.constant.rep
             inv_trace = RationalMap(tuple(c / d0 for c in cover.trace.num), cover.trace.den)
             # The fibre values invert, so trace and norm divide by the

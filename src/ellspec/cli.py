@@ -12,7 +12,9 @@ validation error.  A recipe transcript holds one entry per modification
 step, so a recipe with more than MAX_RECIPE_STEPS steps exits 64.  Work
 that grows with an option is capped the same way: "verify" above
 MAX_VERIFY_SAMPLES fibres or "enum_radius" above MAX_ENUM_RADIUS (the
-cube holds (2r+1)^rank points) exits 64, from a flag or embedded.  With
+cube holds (2r+1)^rank points) exits 64, from a flag or embedded.  So
+does a spectral push that does not fit its surface at the request's tol
+(bundles.check_spectral_push), found before any fibre work.  With
 --batch the input is an array of requests for the same subcommand; the
 output is the array of responses in order and the exit code is the
 maximum over the items.
@@ -41,12 +43,20 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
-from .bundles import apply_modification_ledger, chern_data, spectral_cover
+from .bundles import (
+    ElemModBundle,
+    SpectralPushBundle,
+    apply_modification_ledger,
+    check_spectral_push,
+    chern_data,
+    spectral_cover,
+)
 from .existence import Existence, Verdict, existence_verdict
 from .jacobian import SectionOfJ, genus_and_branching, involution_on_section
 from .schemas import (
     SCHEMA_VERSION,
     SchemaError,
+    _domain,
     check_version,
     decode_bundle,
     decode_chern,
@@ -257,6 +267,11 @@ def _cmd_spectral_cover(
     doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData
 ) -> tuple[dict, int]:
     bundle = decode_bundle(doc.get("bundle"), surface)
+    root = bundle
+    while isinstance(root, ElemModBundle):
+        root = root.parent
+    if isinstance(root, SpectralPushBundle):
+        _domain("bundle", check_spectral_push, root, surface, opts.tol)
     cover = spectral_cover(
         bundle,
         surface,

@@ -283,12 +283,6 @@ def spectral_support_count(cd: ChernData, lattice: HomLattice) -> int:
     return cd.c2 - c1sq // 2
 
 
-def canonical_class(surface: SurfaceData) -> NSClass:
-    """(2g-2) fibres plus the reduced multiple fibres, each with weight m_i - 1."""
-    torsion = (2 * surface.base.genus - 2,) + tuple(m - 1 for _, m in surface.multiple_fibres)
-    return NSClass(torsion, (0,) * surface.lattice.rank)
-
-
 def filtrable_bound(c1: NSClass, lattice: HomLattice) -> tuple[Fraction, NSClass]:
     """Minimum of deg(c1 - 2 mu)/4 over lattice vectors mu, with a witness.
 

@@ -169,19 +169,8 @@ def _require_same_curve(a: TatePoint, b: TatePoint) -> None:
         raise ValueError("points lie on curves with different multipliers")
 
 
-def group_mul(a: TatePoint, b: TatePoint) -> TatePoint:
-    _require_same_curve(a, b)
-    return TatePoint(a.rep * b.rep, a.curve)
-
-
 def group_inv(a: TatePoint) -> TatePoint:
     return TatePoint(1.0 / a.rep, a.curve)
-
-
-def group_pow(a: TatePoint, n: int) -> TatePoint:
-    if n == 0:
-        return identity(a.curve)
-    return TatePoint(a.rep**n, a.curve)
 
 
 def _class_distance(x: complex, y: complex, tau: complex) -> float:
@@ -297,11 +286,6 @@ def quotient_x_at(u: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL) -
     return _x_series(u, curve, tol)
 
 
-def h1_indicator(alpha: TatePoint, tol: Tolerance = DEFAULT_TOL) -> int:
-    """1 when the class is trivial at tolerance (the cohomology jump), else 0."""
-    return 1 if distance_to_identity(alpha) <= tol.eps else 0
-
-
 _NEWTON_STEPS = 90
 
 
@@ -371,9 +355,9 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
         u = cmath.exp(frame.a * start)
         ok = False
         for _ in range(_NEWTON_STEPS):
-            if abs(u) < 0.5 or abs(u) > 2.0 * at:
-                u = _canonical_rep(u, curve)
             try:
+                if abs(u) < 0.5 or abs(u) > 2.0 * at:
+                    u = _canonical_rep(u, curve)
                 x, dx = _x_series(u, curve, tol, want_derivative=True)
             except (ZeroDivisionError, OverflowError, ValueError):  # a step onto the pole or out of C*
                 break

@@ -26,6 +26,7 @@ from ellspec.bundles import (
     UnstableRestriction,
     _verify_cover,
     apply_modification_ledger,
+    check_spectral_push,
     chern_data,
     chern_of_extension,
     cover_base_intersections,
@@ -41,7 +42,6 @@ from ellspec.jacobian import (
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
-    constant_section,
     involution_on_section,
     irreducible_bisection,
     reducible_bisection,
@@ -79,7 +79,7 @@ def trivial_extension(surface: SurfaceData, **kw) -> ExtensionBundle:
 
 def push_bundle(trace: RationalMap, det_value: complex = 1.0) -> SpectralPushBundle:
     cover = irreducible_bisection(DoubleCoverData(trace=trace))
-    return SpectralPushBundle(cover, LineBundleOnX(constant_section(S0, det_value)))
+    return SpectralPushBundle(cover, LineBundleOnX(SectionOfJ(TatePoint(det_value, S0.fibre), ())))
 
 
 # ------------------------------------------------------------- structures
@@ -180,12 +180,29 @@ def test_chern_of_mismatched_norm_cover_is_rejected():
     # l -> 1.5/l does not preserve the roots of l^2 - t l + 2.5
     def push(norm: float) -> SpectralPushBundle:
         cover = DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=RationalMap((norm,)))
-        return SpectralPushBundle(irreducible_bisection(cover), LineBundleOnX(constant_section(S03, 1.5)))
+        return SpectralPushBundle(irreducible_bisection(cover), LineBundleOnX(SectionOfJ(TatePoint(1.5, S03.fibre), ())))
 
     with pytest.raises(ValueError, match="bisection is not invariant under the involution"):
         chern_data(push(2.5), S03)
     for norm in (1.5, 4.5):  # 4.5 = 1.5 tau is the same class
         assert chern_data(push(norm), S03) == ChernData(NSClass((0,), ()), 1)
+
+
+def test_every_use_of_a_mismatched_norm_push_is_rejected():
+    # the norm 2.5 is not in the class of the determinant 1.5 on tau = 3;
+    # fibre evaluation trusts the push, so each entry point checks it first
+    cover = DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=RationalMap((2.5,)))
+    det = LineBundleOnX(SectionOfJ(TatePoint(1.5, S03.fibre), ()))
+    bundle = SpectralPushBundle(irreducible_bisection(cover), det)
+    chain = ElemModBundle(bundle, 0.4 + 0.3j, 1)
+    for compute in (
+        lambda: check_spectral_push(bundle, S03),
+        lambda: restrict_to_fibre(bundle, 0.7 - 0.2j, S03),
+        lambda: restrict_to_fibre(chain, 0.7 - 0.2j, S03),
+        lambda: spectral_cover(chain, S03),
+    ):
+        with pytest.raises(ValueError, match="bisection is not invariant under the involution"):
+            compute()
 
 
 def test_chern_of_rational_push_with_hom_determinant_is_rejected():
@@ -265,7 +282,7 @@ def test_restrict_everywhere_marked():
 
 def test_restrict_equal_values_unmarked_default_split():
     # sub = quotient = the class of -1, no marking: stays split
-    sub = LineBundleOnX(constant_section(S0, -1.0))
+    sub = LineBundleOnX(SectionOfJ(TatePoint(-1.0, S0.fibre), ()))
     det = trivial_line_bundle(S0)
     bundle = ExtensionBundle(sub, det)
     r = restrict_to_fibre(bundle, 0.3, S0)
@@ -329,7 +346,7 @@ def test_cover_of_split_trivial_bundle():
 
 
 def test_cover_of_constant_extension():
-    sub = LineBundleOnX(constant_section(S0, 2.5))
+    sub = LineBundleOnX(SectionOfJ(TatePoint(2.5, S0.fibre), ()))
     bundle = ExtensionBundle(sub, trivial_line_bundle(S0))
     cover = spectral_cover(bundle, S0, verify_samples=50)
     s1, s2 = cover.bisection.components
@@ -389,12 +406,12 @@ def test_cover_of_spectral_push_inverts_trace():
 
 
 def test_cover_verification_detects_tampering():
-    sub = LineBundleOnX(constant_section(S0, 2.5))
+    sub = LineBundleOnX(SectionOfJ(TatePoint(2.5, S0.fibre), ()))
     bundle = ExtensionBundle(sub, trivial_line_bundle(S0))
     good = spectral_cover(bundle, S0)
     bad = SpectralCover(
         reducible_bisection(
-            constant_section(S0, 1.7), good.bisection.components[1]
+            SectionOfJ(TatePoint(1.7, S0.fibre), ()), good.bisection.components[1]
         ),
         good.jump_fibres,
         good.dual_determinant,
@@ -413,17 +430,24 @@ G1_EXTENSION = ExtensionBundle(
 @pytest.mark.parametrize(
     "bundle, surface, most",
     [
-        (ExtensionBundle(LineBundleOnX(constant_section(S0, 2.5)), trivial_line_bundle(S0)), S0, 0.5),
+        (
+            ExtensionBundle(LineBundleOnX(SectionOfJ(TatePoint(2.5, S0.fibre), ())), trivial_line_bundle(S0)),
+            S0,
+            0.5,
+        ),
         (G1_EXTENSION, S1U, 7),
         (ElemModBundle(G1_EXTENSION, 2.1 - 0.6j, 2), S1U, 8),
+        (push_bundle(RationalMap((0.0, 0.0, 1.0)), 2.0), S0, 4.1),
     ],
-    ids=["genus-0-extension", "genus-1-extension", "genus-1-elem-mod"],
+    ids=["genus-0-extension", "genus-1-extension", "genus-1-elem-mod", "genus-0-push"],
 )
 def test_cover_verification_point_work_is_bounded(bundle, surface, most, monkeypatch):
     # twists are compared as raw annulus representatives; points are built
     # only for the sampled base point and the restriction and cover values,
-    # where a group_mul per twist and an identity per distance made 12 to 21;
-    # the extension's quotient section is built with the bundle, not per fibre
+    # where a point product per twist and an identity per distance made 12
+    # to 21; the extension's quotient section is built with the bundle, not
+    # per fibre, and a push's norm is checked against its determinant once
+    # per bundle, where a comparison per evaluated fibre made 5.02
     calls = []
     post_init = TatePoint.__post_init__
     monkeypatch.setattr(TatePoint, "__post_init__", lambda self: calls.append(1) or post_init(self))
@@ -436,7 +460,7 @@ def test_cover_verification_applies_no_involution(monkeypatch):
     # the quotient section is stored on the extension when it is built, so
     # neither the cover, its verification at 50 fibres nor the Chern data
     # applies the involution again
-    bundle = ExtensionBundle(LineBundleOnX(constant_section(S0, 2.5)), trivial_line_bundle(S0))
+    bundle = ExtensionBundle(LineBundleOnX(SectionOfJ(TatePoint(2.5, S0.fibre), ())), trivial_line_bundle(S0))
     calls = []
     monkeypatch.setattr(
         bundles_module,
@@ -454,8 +478,8 @@ def test_cover_verification_on_a_huge_multiplier(tau):
     # two annulus representatives multiply past the float range once
     # |tau| > 1.3e154; the twist must still reach its class
     surface = SurfaceData(BaseCurve(0), CurveParam(tau))
-    sub = LineBundleOnX(constant_section(surface, 0.37 * tau * (1 + 0.3j)))
-    det = LineBundleOnX(constant_section(surface, 0.71 * tau * (1 - 0.2j)))
+    sub = LineBundleOnX(SectionOfJ(TatePoint(0.37 * tau * (1 + 0.3j), surface.fibre), ()))
+    det = LineBundleOnX(SectionOfJ(TatePoint(0.71 * tau * (1 - 0.2j), surface.fibre), ()))
     cover = spectral_cover(ExtensionBundle(sub, det), surface, verify_samples=50)
     assert cover.verification_samples == 50 and cover.max_residual < 1e-9
 

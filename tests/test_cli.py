@@ -280,6 +280,49 @@ def test_spectral_cover_irreducible_roundtrip(tmp_path, capsys):
     assert encode_bisection(decode_bisection(body["bisection"], S0)) == body["bisection"]
 
 
+def golden_push(norm=None, hom=None) -> dict:
+    """The golden spectral-cover-irreducible request, with a norm map or a
+    determinant hom part (on a rank-1 lattice) added."""
+    doc = json.loads((GOLDEN / "spectral-cover-irreducible.request.json").read_text(encoding="utf-8"))
+    push = doc["bundle"]["spectral_push"]
+    if norm is not None:
+        push["bisection"]["irreducible"]["norm"] = {"num": norm}
+    if hom is not None:
+        doc["surface"]["lattice"] = {"rank": len(hom), "gram": [[1]]}
+        push["delta"]["section"]["hom"] = hom
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (golden_push(norm=[[2.5, 0]]), "bundle: bisection is not invariant under the involution"),
+        (golden_push(norm=[[0, 0], [2.5, 0]]), "bundle: bisection is not invariant under the involution"),
+        (golden_push(hom=[1]), "bundle: over a rational base the determinant section is constant"),
+        (
+            dict(
+                golden_push(),
+                bundle={
+                    "elem_mod": {"parent": golden_push(norm=[[2.5, 0]])["bundle"], "fibre": [0.4, 0.3], "steps": 1}
+                },
+            ),
+            "bundle: bisection is not invariant under the involution",
+        ),
+    ],
+    ids=[
+        "norm-other-class",
+        "norm-not-constant",
+        "rational-hom-determinant",
+        "elem-mod-over-norm-other-class",
+    ],
+)
+def test_push_that_does_not_fit_its_surface_is_a_schema_error(tmp_path, capsys, doc, error):
+    # decided once, at the request's tol, before any fibre is sampled
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert code == EX_SCHEMA
+    assert body == {"schema": 1, "error": error, "exit_code": EX_SCHEMA}
+
+
 # ----------------------------------------------------- small calculators
 
 

@@ -26,7 +26,6 @@ from ellspec.jacobian import (
     SectionOfJ,
     branch_point_count,
     branch_points_numeric,
-    constant_section,
     cover_fibre_values,
     genus_and_branching,
     graph_self_intersection,
@@ -104,7 +103,7 @@ def coincidence_classes(n: int, tau: complex) -> list[TatePoint]:
 
 
 def test_section_value_constant_g0():
-    s = constant_section(S0, -2.0)
+    s = SectionOfJ(TatePoint(-2.0, S0.fibre), ())
     v = section_value(s, 0.7 + 0.1j, S0)
     assert points_equal(v, TatePoint(-2.0 + 0j, TAU4))
 
@@ -226,7 +225,7 @@ def test_componentwise_fixed_pair_invariant():
 def test_concrete_cover_invariant_by_construction():
     cover = DoubleCoverData(trace=RationalMap((0.0, 1.0)))
     bis = irreducible_bisection(cover)
-    delta = constant_section(S0, 1.0)
+    delta = SectionOfJ(TatePoint(1.0, S0.fibre), ())
     assert is_invariant_bisection(bis, delta, S0)
 
 
@@ -234,7 +233,7 @@ def test_cover_norm_decides_invariance():
     # by Vieta the fibre values multiply to the norm, so l -> delta/l swaps
     # them exactly when the norm is a constant in delta's class
     s03 = SurfaceData(BaseCurve(0), TAU3)
-    delta = constant_section(s03, 1.5)
+    delta = SectionOfJ(TatePoint(1.5, s03.fibre), ())
     trace = RationalMap((0.3, 0.2, 1.0))
     for norm, invariant in [
         (None, True),
@@ -254,7 +253,7 @@ def test_cover_invariance_samples_no_fibre(monkeypatch):
 
     monkeypatch.setattr(jacobian, "sample_base_points", never)
     monkeypatch.setattr(jacobian, "cover_fibre_values", never)
-    delta = constant_section(S0, 1.5)
+    delta = SectionOfJ(TatePoint(1.5, S0.fibre), ())
     for norm in (None, RationalMap((1.5,)), RationalMap((2.5,))):
         bis = irreducible_bisection(DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=norm))
         is_invariant_bisection(bis, delta, S0)
@@ -279,7 +278,7 @@ def test_graph_self_intersection_values():
     assert graph_self_intersection(bis, d1, S1U) == 1
 
     cover = DoubleCoverData(trace=RationalMap((0.0, 1.0)))
-    got = graph_self_intersection(irreducible_bisection(cover), constant_section(S0, 1.0), S0)
+    got = graph_self_intersection(irreducible_bisection(cover), SectionOfJ(TatePoint(1.0, S0.fibre), ()), S0)
     assert got == 1
 
     declared = DoubleCoverData(declared_self_intersection=Fraction(3))
@@ -290,7 +289,7 @@ def test_graph_self_intersection_values():
 
 def test_graph_self_intersection_rejects_non_invariant():
     delta = zero_section(S0)
-    skew = reducible_bisection(zero_section(S0), constant_section(S0, 1.5 + 0.7j))
+    skew = reducible_bisection(zero_section(S0), SectionOfJ(TatePoint(1.5 + 0.7j, S0.fibre), ()))
     with pytest.raises(ValueError):
         graph_self_intersection(skew, delta, S0)
 
@@ -324,7 +323,7 @@ def test_rational_map_evaluation():
 def test_cover_fibre_values_product_is_determinant():
     cover = DoubleCoverData(trace=RationalMap((0.0, 1.0)))
     bis = irreducible_bisection(cover)
-    delta = constant_section(S0, 1.3 + 0.4j)
+    delta = SectionOfJ(TatePoint(1.3 + 0.4j, S0.fibre), ())
     for b in (0.3 + 0.2j, -1.1 + 0.8j, 2.0 - 0.5j):
         v1, v2 = cover_fibre_values(bis, b, delta, S0)
         prod = v1.rep * v2.rep
@@ -335,11 +334,11 @@ def test_cover_fibre_values_product_is_determinant():
 def test_cover_fibre_values_errors():
     pole = DoubleCoverData(trace=RationalMap((1.0,), (0.0, 1.0)))
     with pytest.raises(ValueError):
-        cover_fibre_values(irreducible_bisection(pole), 0.0, constant_section(S0, 1.0), S0)
+        cover_fibre_values(irreducible_bisection(pole), 0.0, SectionOfJ(TatePoint(1.0, S0.fibre), ()), S0)
     declared = DoubleCoverData(declared_self_intersection=Fraction(1))
     with pytest.raises(ValueError):
         cover_fibre_values(
-            irreducible_bisection(declared), 0.0, constant_section(S0, 1.0), S0
+            irreducible_bisection(declared), 0.0, SectionOfJ(TatePoint(1.0, S0.fibre), ()), S0
         )
 
 
@@ -348,7 +347,7 @@ def test_cover_fibre_values_errors():
 
 def test_branch_points_quadratic_trace():
     cover = DoubleCoverData(trace=RationalMap((0.0, 0.0, 1.0)))  # t(b) = b^2
-    delta = constant_section(S0, 1.0)
+    delta = SectionOfJ(TatePoint(1.0, S0.fibre), ())
     roots = sorted(
         branch_points_numeric(cover, delta, S0), key=lambda z: (round(z.real, 6), round(z.imag, 6))
     )
@@ -366,7 +365,7 @@ def test_branch_points_quadratic_trace():
 
 def test_branch_points_linear_trace():
     cover = DoubleCoverData(trace=RationalMap((0.0, 1.0)))
-    delta = constant_section(S0, 1.0)
+    delta = SectionOfJ(TatePoint(1.0, S0.fibre), ())
     roots = sorted(branch_points_numeric(cover, delta, S0), key=lambda z: z.real)
     assert len(roots) == 2
     assert abs(roots[0] - (-2.0)) < 1e-9 and abs(roots[1] - 2.0) < 1e-9
@@ -375,14 +374,14 @@ def test_branch_points_linear_trace():
 
 def test_branch_points_constant_trace():
     cover = DoubleCoverData(trace=RationalMap((3.0,)))
-    delta = constant_section(S0, 1.0)
+    delta = SectionOfJ(TatePoint(1.0, S0.fibre), ())
     assert branch_points_numeric(cover, delta, S0) == []
     assert branch_point_count(cover, delta, S0) == 0
 
 
 def test_branch_points_degenerate_square():
     cover = DoubleCoverData(trace=RationalMap((2.0,)))  # t^2 - 4 = 0 identically
-    delta = constant_section(S0, 1.0)
+    delta = SectionOfJ(TatePoint(1.0, S0.fibre), ())
     with pytest.raises(ValueError):
         branch_points_numeric(cover, delta, S0)
 
@@ -523,7 +522,7 @@ def test_branch_point_count_is_trimmed_degree(num, den, d0):
         assume(scale > 0)
         kept = [k for k, c in enumerate(disc) if abs(c) > 1e-10 * scale]
         disc = [complex(c) for c in disc[: kept[-1] + 1]]
-    found = branch_points_numeric(cover, constant_section(S0, 1.0), S0)
+    found = branch_points_numeric(cover, SectionOfJ(TatePoint(1.0, S0.fibre), ()), S0)
     assert len(found) == len(disc) - 1
     for z in found:  # each is a root of a polynomial within 1e-12 of disc
         residual = abs(sum(c * z**k for k, c in enumerate(disc)))

@@ -28,7 +28,6 @@ from ellspec.surface import (
     NSClass,
     SurfaceData,
     as_fraction,
-    canonical_class,
     discriminant,
     eight_discriminant,
     filtrable_bound,
@@ -281,18 +280,6 @@ def test_four_delta_integral(hom, c2):
     assert (4 * discriminant(cd, POLARIZED)).denominator == 1
     eight = eight_discriminant(cd, POLARIZED)
     assert type(eight) is int and eight == 4 * c2 - self_intersection(cd.c1, POLARIZED)
-
-
-# -------------------------------------------------------- canonical class
-
-
-def test_canonical_class():
-    fib = CurveParam(3.0)
-    assert canonical_class(SurfaceData(BaseCurve(0), fib)) == NSClass((-2,), ())
-    g1 = SurfaceData(BaseCurve(1, tate=fib), fib)
-    assert canonical_class(g1) == NSClass((0,), ())
-    mf = SurfaceData(BaseCurve(0), fib, multiple_fibres=((0.0, 2), (1.0, 3)))
-    assert canonical_class(mf) == NSClass((-2, 1, 2), ())
 
 
 # --------------------------------------------------- filtrable lower bound

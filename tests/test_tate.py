@@ -32,9 +32,6 @@ from ellspec.tate import (
     class_distance,
     distance_to_identity,
     group_inv,
-    group_mul,
-    group_pow,
-    h1_indicator,
     identity,
     is_infinite,
     points_equal,
@@ -218,23 +215,16 @@ def test_canonical_rep_lies_in_annulus(re, im, tau):
 # -------------------------------------------------------- group operations
 
 
-def test_group_mul_wraps_into_annulus():
-    a = TatePoint(3.0 + 0j, TAU4)
-    b = TatePoint(2.0 + 0j, TAU4)
-    assert group_mul(a, b).rep == pytest.approx(1.5 + 0j)
-
-
 def test_group_inverse_and_identity():
     a = TatePoint(2.5 + 0j, TAU4)
-    assert points_equal(group_mul(a, group_inv(a)), identity(TAU4))
-    assert group_pow(a, 0).rep == 1.0 + 0j
-    assert points_equal(group_pow(a, 3), TatePoint(2.5**3 + 0j, TAU4))
-    assert points_equal(group_pow(a, -2), group_inv(group_pow(a, 2)))
+    assert points_equal(TatePoint(a.rep * group_inv(a).rep, TAU4), identity(TAU4))
+    assert identity(TAU4).rep == 1.0 + 0j
+    assert points_equal(TatePoint(a.rep**-2, TAU4), group_inv(TatePoint(a.rep**2, TAU4)))
 
 
 def test_group_requires_same_curve():
     with pytest.raises(ValueError):
-        group_mul(TatePoint(1.5, TAU4), TatePoint(1.5, TAU2))
+        class_distance(TatePoint(1.5, TAU4), TatePoint(1.5, TAU2))
 
 
 def test_class_distance_wraps_boundary():
@@ -255,19 +245,6 @@ def test_distance_to_identity_is_class_distance_to_identity(re, im, tau):
     curve = CurveParam(tau)
     p = TatePoint(complex(re, im), curve)
     assert distance_to_identity(p) == class_distance(p, identity(curve))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    ra=st.floats(-10, 10), ia=st.floats(-10, 10),
-    rb=st.floats(-10, 10), ib=st.floats(-10, 10),
-)
-def test_group_mul_commutes(ra, ia, rb, ib):
-    za, zb = complex(ra, ia), complex(rb, ib)
-    if abs(za) < 1e-6 or abs(zb) < 1e-6:
-        return
-    a, b = TatePoint(za, TAU3), TatePoint(zb, TAU3)
-    assert class_distance(group_mul(a, b), group_mul(b, a)) < 1e-9
 
 
 # ------------------------------------------------------------- two-torsion
@@ -293,7 +270,7 @@ def test_two_torsion_frozen_tau2i():
 def test_two_torsion_squares_to_identity():
     for curve in (TAU4, TAU2I, CurveParam(1.5 + 1.5j)):
         for t in two_torsion(curve):
-            assert points_equal(group_pow(t, 2), identity(curve), Tolerance(1e-9))
+            assert points_equal(TatePoint(t.rep**2, curve), identity(curve), Tolerance(1e-9))
 
 
 # -------------------------------------------------- quotient x-coordinate
@@ -354,10 +331,11 @@ def test_non_finite_arguments():
     assert x_preimages(1e200, TAU2I) == []
 
 
-def test_h1_indicator():
-    assert h1_indicator(identity(TAU4)) == 1
-    assert h1_indicator(TatePoint(-1.0 + 0j, TAU4)) == 0
-    assert h1_indicator(TatePoint(1.0 + 1e-12j, TAU4)) == 1
+@pytest.mark.parametrize("tau", [3.0, 1e4, -2.0])
+def test_x_preimages_of_a_huge_finite_value_is_a_list(tau):
+    # a Newton step overflows u to infinity; reducing it into the annulus
+    # must fail that start like a failed series evaluation, not raise
+    assert isinstance(x_preimages(1e300, CurveParam(tau)), list)
 
 
 # ------------------------------------------------------------- preimages
@@ -407,7 +385,7 @@ def test_x_preimages_flat_value_returns_the_nearest_branch_class(tau, radius):
     want = mp_quotient_x(u, tau)
     found = x_preimages(quotient_x(TatePoint(u, curve)), curve)
     assert len(found) == 1
-    assert points_equal(group_pow(found[0], 2), identity(curve))
+    assert points_equal(TatePoint(found[0].rep**2, curve), identity(curve))
     assert abs(mp_quotient_x(found[0].rep, tau) - want) <= 1e-7 * (1.0 + abs(want))
 
 
