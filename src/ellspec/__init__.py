@@ -10,7 +10,6 @@ from .bundles import (
     ElemModBundle,
     ExtensionBundle,
     FibreRestriction,
-    Filtrability,
     LineBundleOnX,
     NonSplitRestriction,
     RankTwoBundle,
@@ -23,7 +22,6 @@ from .bundles import (
     chern_data,
     chern_of_extension,
     elementary_modification,
-    filtrability,
     restrict_to_fibre,
     spectral_accounting,
     spectral_cover,

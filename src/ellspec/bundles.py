@@ -20,7 +20,6 @@ of that dual section by construction.
 from __future__ import annotations
 
 import cmath
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -85,11 +84,6 @@ class LineBundleOnX:
 
 def trivial_line_bundle(surface: SurfaceData) -> LineBundleOnX:
     return LineBundleOnX(zero_section(surface))
-
-
-class Filtrability(enum.Enum):
-    FILTRABLE = "filtrable"
-    NON_FILTRABLE = "non-filtrable"
 
 
 @dataclass(frozen=True)
@@ -335,16 +329,18 @@ def _cover_parts(
         check_spectral_push(bundle, surface, tol)
         cover = bundle.cover.cover
         if cover.trace is not None and surface.base.genus == 0:
-            d0 = bundle.determinant.section.constant.rep
-            inv_trace = RationalMap(tuple(c / d0 for c in cover.trace.num), cover.trace.den)
-            # The fibre values invert, so trace and norm divide by the
-            # original constant; the reciprocal usually leaves the
-            # fundamental annulus, hence the explicit norm map.
+            # the product of the fibre values: the given (constant) norm,
+            # else the determinant's representative
+            n = cover.norm(0j) if cover.norm is not None else bundle.determinant.section.constant.rep
+            inv_trace = RationalMap(tuple(c / n for c in cover.trace.num), cover.trace.den)
+            # The fibre values invert, so trace and norm divide by that
+            # product; its reciprocal usually leaves the fundamental
+            # annulus, hence the explicit norm map.
             dual_cover = DoubleCoverData(
                 inv_trace,
                 cover.branch_points,
                 cover.declared_self_intersection,
-                norm=RationalMap((1.0 / d0,)),
+                norm=RationalMap((1.0 / n,)),
             )
         else:
             dual_cover = cover
@@ -483,8 +479,3 @@ def elementary_modification(
     if isinstance(bundle, ElemModBundle) and same_base_point(surface, bc, bundle.fibre, tol):
         return ElemModBundle(bundle.parent, bundle.fibre, bundle.steps + steps)
     return ElemModBundle(bundle, bc, steps)
-
-
-def filtrability(cover: SpectralCover) -> Filtrability:
-    """Non-filtrable exactly when the spectral bisection is irreducible."""
-    return Filtrability.FILTRABLE if cover.bisection.is_reducible else Filtrability.NON_FILTRABLE

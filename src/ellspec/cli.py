@@ -1,5 +1,12 @@
 """Command-line interface.
 
+main reads the common command line itself: a subcommand, at most one
+input, and flags spelled out in full, each with a value that does not
+start with '-' (_read_argv).  Any other command line, --help and every
+malformed one included, goes to argparse, so its errors and exit codes
+are argparse's own, mapped as below.  Both readers work from one flag
+table, _FLAGS.
+
 Subcommands read a JSON request (file path or '-' for stdin) and write a
 JSON response.  A request carries the surface description plus the
 command-specific payload ("chern", "bundle", "classes", "d") and may
@@ -485,6 +492,31 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(f"{self.prog}: {message}")
 
 
+# Every flag of every subcommand: its type, applied to the value as argparse
+# applies it, or None for a switch that takes no value; and its help text.
+# build_parser and _read_argv both read this table.
+_FLAGS: dict[str, tuple[Callable[[str], Any] | None, str]] = {
+    "--tol": (float, "numeric tolerance (default 1e-9)"),
+    "--seed": (int, "seed for sampled base points"),
+    "--verify": (int, "fibres sampled when verifying a spectral cover (default 50)"),
+    "--d": (int, "irreducible bisection degree, when known"),
+    "--enum-radius": (int, "cross-check the lattice minimum by brute force over this cube radius"),
+    "--c1": (str, 'first Chern class as JSON, e.g. {"torsion":[0],"hom":[1]}'),
+    "--c2": (int, "second Chern number"),
+    "--batch": (None, "treat the input as an array of requests; exit with the maximum item code"),
+    "--output": (str, "write the JSON response here instead of stdout"),
+}
+
+
+def _dest(flag: str) -> str:
+    """The Namespace attribute argparse stores a flag under."""
+    return flag[2:].replace("-", "_")
+
+
+# What parse_args stores for a flag left out
+_DEFAULTS = {_dest(flag): False if kind is None else None for flag, (kind, _) in _FLAGS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ellspec",
@@ -495,37 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} computation on a JSON request")
         p.add_argument("input", nargs="?", default="-", help="request file, or - for stdin")
-        p.add_argument("--tol", type=float, default=None, help="numeric tolerance (default 1e-9)")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled base points")
-        p.add_argument(
-            "--verify",
-            type=int,
-            default=None,
-            help="fibres sampled when verifying a spectral cover (default 50)",
-        )
-        p.add_argument(
-            "--d", type=int, default=None, help="irreducible bisection degree, when known"
-        )
-        p.add_argument(
-            "--enum-radius",
-            type=int,
-            default=None,
-            help="cross-check the lattice minimum by brute force over this cube radius",
-        )
-        p.add_argument(
-            "--c1",
-            default=None,
-            help='first Chern class as JSON, e.g. {"torsion":[0],"hom":[1]}',
-        )
-        p.add_argument("--c2", type=int, default=None, help="second Chern number")
-        p.add_argument(
-            "--batch",
-            action="store_true",
-            help="treat the input as an array of requests; exit with the maximum item code",
-        )
-        p.add_argument(
-            "--output", default=None, help="write the JSON response here instead of stdout"
-        )
+        for flag, (kind, text) in _FLAGS.items():
+            if kind is None:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=kind, default=None, help=text)
     return parser
 
 
@@ -536,9 +542,48 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """What parse_args makes of the common command line, read without it.
+
+    That line is a command, at most one input, and flags from _FLAGS spelled
+    out in full, in any order.  A flag that takes a value is followed by
+    one that does not start with '-' and that its type accepts.  Any other
+    line (help, an abbreviated or unknown flag, --flag=value, --, an input
+    or a value that starts with '-', a second input, a missing or rejected
+    value) gives None, and argparse reads it, errors and all.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values: dict[str, Any] = {"command": argv[0], "input": "-", **_DEFAULTS}
+    seen_input = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _FLAGS:
+            kind = _FLAGS[token][0]
+            if kind is None:
+                values[_dest(token)] = True
+                continue
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                values[_dest(token)] = kind(value)
+            except (TypeError, ValueError):
+                return None
+        elif seen_input or (token.startswith("-") and token != "-"):
+            return None
+        else:
+            values["input"], seen_input = token, True
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            args = _shared_parser().parse_args(argv)
         doc = _read_input(args.input)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

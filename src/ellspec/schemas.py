@@ -55,7 +55,11 @@ class SchemaError(ValueError):
 
 
 def encode_fraction(x: Fraction | int) -> str:
-    return str(Fraction(x))
+    """The "p/q" text of an exact rational; an int or a Fraction writes as
+    str does, and any other type (a bool or a float) raises TypeError."""
+    if type(x) is int or isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"cannot encode {x!r} as an exact rational")
 
 
 def decode_fraction(doc: Any, where: str = "rational") -> Fraction:
@@ -69,6 +73,11 @@ def decode_fraction(doc: Any, where: str = "rational") -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: malformed rational {doc!r}") from exc
     raise SchemaError(f"{where}: expected an integer or 'p/q' string")
+
+
+def _gram_entry(doc: Any, where: str) -> int | Fraction:
+    """A Gram matrix entry: a JSON integer as it stands, else decode_fraction."""
+    return doc if type(doc) is int else decode_fraction(doc, where)
 
 
 def encode_complex(z: complex) -> list[float] | str:
@@ -157,7 +166,7 @@ def decode_surface(doc: Any) -> SurfaceData:
     gram = _vector(
         lat_doc.get("gram"),
         "surface.lattice.gram",
-        lambda row, where: _vector(row, where, decode_fraction, "surface.lattice.gram"),
+        lambda row, where: _vector(row, where, _gram_entry, "surface.lattice.gram"),
         "surface.lattice.gram row",
     )
     fibres = _vector(

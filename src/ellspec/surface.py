@@ -9,13 +9,14 @@ semidefinite degree form; curve classes pair through
 where B is the polarisation of deg.  Torsion is spanned by the fibre
 class and one class per multiple fibre, and pairs to zero against
 everything.  All bookkeeping is exact.  The Gram matrix of B has integer
-diagonal and half-integer off-diagonal entries, so each lattice also
-carries the integer binary form (A, B, C) = (g00, 2 g01, g11), with
-deg(x, y) = A x^2 + B x y + C y^2; degrees, pairings and the lattice
-minimum are computed from it in integers only.  So is the discriminant
-Delta = (c2 - c1^2/4)/2 wherever it is only compared: eight_discriminant
-returns the integer 8 Delta = 4 c2 + 2 deg(c1), and discriminant is that
-integer over 8.
+diagonal and half-integer off-diagonal entries, so a lattice is held as
+the integer binary form (A, B, C) = (g00, 2 g01, g11), with
+deg(x, y) = A x^2 + B x y + C y^2, and the form is its identity.  A Gram
+matrix of ints is checked in integers, with no Fraction built; degrees,
+pairings and the lattice minimum are computed from the form in integers
+only.  So is the discriminant Delta = (c2 - c1^2/4)/2 wherever it is only
+compared: eight_discriminant returns the integer 8 Delta = 4 c2 + 2 deg(c1),
+and discriminant is that integer over 8.
 """
 
 from __future__ import annotations
@@ -43,44 +44,57 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot read {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomLattice:
     """Rank <= 2 lattice with a positive-semidefinite degree form.
 
-    gram is the symmetric matrix of the polarisation B, so
-    deg(v) = v . gram . v; diagonal entries are integers (degrees of the
-    generators) and off-diagonal entries are half-integers.  form holds
-    the same data as integers: (A, B, C) = (g00, 2 g01, g11) in rank 2,
-    (g00,) in rank 1 and () in rank 0.
+    Built from the Gram matrix of the polarisation B, so that
+    deg(v) = v . gram . v: diagonal entries are integers (degrees of the
+    generators) and off-diagonal entries are half-integers.  Entries may be
+    ints, Fractions, 'p/q' strings or floats that are exact halves; an int
+    is checked as it stands, so an all-integer matrix is read without
+    building a Fraction.  The lattice keeps the same data as the integer
+    binary form (A, B, C) = (g00, 2 g01, g11) in rank 2, (g00,) in rank 1
+    and () in rank 0.  form is the lattice's identity for equality and
+    hashing; gram is rebuilt from it as Fractions.
     """
 
-    rank: int
-    gram: tuple[tuple[Fraction, ...], ...]
-    form: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rank: int = field(compare=False)
+    form: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rank not in (0, 1, 2):
+    def __init__(self, rank: int, gram) -> None:
+        if rank not in (0, 1, 2):
             raise ValueError("lattice rank must be 0, 1 or 2")
-        g = tuple(tuple(as_fraction(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
-        if len(g) != self.rank or any(len(row) != self.rank for row in g):
+        # an int and a Fraction compare, double and report a denominator
+        # alike, so the checks below read either; ints stay ints
+        g = tuple(tuple(x if type(x) is int else as_fraction(x) for x in row) for row in gram)
+        if len(g) != rank or any(len(row) != rank for row in g):
             raise ValueError("gram matrix shape does not match the rank")
-        for i in range(self.rank):
+        for i in range(rank):
             if g[i][i].denominator != 1:
                 raise ValueError("generator degrees (gram diagonal) must be integers")
-            for j in range(self.rank):
+            for j in range(rank):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
                 if (2 * g[i][j]).denominator != 1:
                     raise ValueError("gram entries must be half-integers")
-        if self.rank == 2:
+        if rank == 2:
             form = (int(g[0][0]), int(2 * g[0][1]), int(g[1][1]))
         else:
-            form = tuple(int(g[i][i]) for i in range(self.rank))
-        object.__setattr__(self, "form", form)
-        # positive semidefinite, exactly
-        if any(x < 0 for x in form[::2]) or self.determinant() < 0:
+            form = tuple(int(g[i][i]) for i in range(rank))
+        # positive semidefinite, exactly: A, C >= 0 and 4AC - B^2 >= 0
+        if any(x < 0 for x in form[::2]) or (rank == 2 and 4 * form[0] * form[2] < form[1] ** 2):
             raise ValueError("degree form is indefinite")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "form", form)
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Gram matrix of B, as Fractions."""
+        if self.rank == 2:
+            a, b, c = self.form
+            return ((Fraction(a), Fraction(b, 2)), (Fraction(b, 2), Fraction(c)))
+        return tuple((Fraction(x),) for x in self.form)
 
     def _check_vec(self, v: tuple[int, ...]) -> None:
         if len(v) != self.rank:
@@ -107,7 +121,7 @@ class HomLattice:
         return Fraction(self.form[0]) if self.rank == 1 else Fraction(1)
 
 
-UNIT_LATTICE = HomLattice(1, ((Fraction(1),),))
+UNIT_LATTICE = HomLattice(1, ((1,),))
 ZERO_LATTICE = HomLattice(0, ())
 
 

@@ -16,7 +16,6 @@ import pytest
 from ellspec.bundles import (
     ElemModBundle,
     ExtensionBundle,
-    Filtrability,
     LineBundleOnX,
     NonSplitRestriction,
     SpectralCover,
@@ -31,7 +30,6 @@ from ellspec.bundles import (
     chern_of_extension,
     cover_base_intersections,
     elementary_modification,
-    filtrability,
     restrict_to_fibre,
     spectral_accounting,
     spectral_cover,
@@ -488,13 +486,6 @@ def test_cover_base_intersections_requires_reducible():
     cover = spectral_cover(push_bundle(RationalMap((0.0, 0.0, 1.0))), S0)
     with pytest.raises(ValueError):
         cover_base_intersections(cover, ZERO_LATTICE)
-
-
-def test_filtrability():
-    red = spectral_cover(trivial_extension(S0), S0)
-    assert filtrability(red) == Filtrability.FILTRABLE
-    irr = spectral_cover(push_bundle(RationalMap((0.0, 0.0, 1.0))), S0)
-    assert filtrability(irr) == Filtrability.NON_FILTRABLE
 
 
 # ------------------------------------------------- elementary modification

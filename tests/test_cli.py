@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ellspec.bundles import chern_data
@@ -31,15 +31,20 @@ from ellspec.cli import (
     MAX_ENUM_RADIUS,
     MAX_RECIPE_STEPS,
     MAX_VERIFY_SAMPLES,
+    _FLAGS,
     _emit,
+    _read_argv,
+    _shared_parser,
     main,
 )
 from ellspec.schemas import (
     decode_bisection,
     decode_recipe,
     decode_section,
+    decode_surface,
     decode_verdict,
     encode_bisection,
+    encode_fraction,
     encode_section,
     encode_verdict,
 )
@@ -321,6 +326,30 @@ def test_push_that_does_not_fit_its_surface_is_a_schema_error(tmp_path, capsys, 
     code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
     assert code == EX_SCHEMA
     assert body == {"schema": 1, "error": error, "exit_code": EX_SCHEMA}
+
+
+def test_push_with_a_given_norm_verifies(tmp_path, capsys):
+    # the norm 4.5 = 3 * 1.5 lies in the determinant's class off its
+    # representative; the dual cover divides by the norm the push carries
+    doc = {
+        "schema": 1,
+        "surface": {"genus": 0, "tau": [3.0, 0.0], "lattice": {"rank": 0, "gram": []}},
+        "bundle": {
+            "spectral_push": {
+                "bisection": {
+                    "irreducible": {
+                        "trace": {"num": [[0.3, 0], [0.2, 0], [1.0, 0]]},
+                        "norm": {"num": [[4.5, 0]]},
+                    }
+                },
+                "delta": {"section": {"constant": [1.5, 0.0], "hom": []}},
+            }
+        },
+    }
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc, "--verify", "50")
+    assert code == EX_OK, body
+    assert body["verification"]["max_residual"] < 1e-8
+    assert body["bisection"]["irreducible"]["norm"]["num"] == [[1 / 4.5, 0.0]]
 
 
 # ----------------------------------------------------- small calculators
@@ -787,6 +816,131 @@ def test_main_reuses_parser_without_leaking_arguments(tmp_path, capsys):
     assert plain != flagged
     fresh = _fresh_python("-m", "ellspec", "exists", str(req))
     assert (plain, code) == (fresh.stdout, fresh.returncode)
+
+
+# the reference surface of the benchmark's lattice-ladder workload
+LADDER_SURFACE = {"genus": 2, "tau": [3.0, 0.0], "lattice": {"rank": 2, "gram": [[1000, 0], [0, 1]]}}
+
+
+def test_integer_gram_is_decoded_without_fractions(monkeypatch):
+    calls = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *a, **k: calls.append(1) or new(*a, **k)))
+    surface = decode_surface(LADDER_SURFACE)
+    assert calls == []
+    assert surface.lattice.form == (1000, 0, 1)
+
+
+@pytest.mark.parametrize("value, text", [(Fraction(-3, 2), "-3/2"), (Fraction(4), "4"), (4, "4"), (0, "0")])
+def test_rationals_are_written_as_str_writes_them(value, text):
+    assert encode_fraction(value) == text
+
+
+@pytest.mark.parametrize("value", [True, 0.5, 2.0, "1/2", None])
+def test_only_exact_rationals_are_written(value):
+    with pytest.raises(TypeError):
+        encode_fraction(value)
+
+
+# ---------------------------------------------------------- command line
+
+
+def _namespace(args) -> str:
+    # repr keeps int apart from float and lets nan equal nan
+    return repr(sorted(vars(args).items()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exists"],
+        ["exists", "-"],
+        ["exists", "r.json", "--output", "o.json"],
+        ["recipe", "--batch", "r.json", "--output", "o.json"],
+        ["spectral-cover", "r.json", "--verify", "50", "--seed", "3", "--tol", "1e-6"],
+        ["genus", "--c1", '{"torsion":[0],"hom":[1]}', "--c2", "4", "r.json"],
+        ["check", "r.json", "--enum-radius", "3", "--d", "2", "--batch", "--batch"],
+    ],
+)
+def test_common_command_lines_are_read_directly(argv):
+    got = _read_argv(argv)
+    assert got is not None
+    assert _namespace(got) == _namespace(_shared_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nope", "r.json"],
+        ["--help"],
+        ["exists", "--help"],
+        ["exists", "-h"],
+        ["exists", "r.json", "--ver", "3"],
+        ["exists", "r.json", "--tol=1e-3"],
+        ["exists", "--", "r.json"],
+        ["exists", "r.json", "--seed", "-3"],
+        ["exists", "r.json", "s.json"],
+        ["exists", "r.json", "--tol"],
+        ["exists", "r.json", "--tol", "abc"],
+    ],
+)
+def test_other_command_lines_go_to_argparse(argv):
+    assert _read_argv(argv) is None
+
+
+# values each type may take or reject, and values argparse may read as a flag
+_PLAIN_VALUES = st.one_of(
+    st.sampled_from(["0", "3", "1e-3", "2.5", "nan", "inf", "1_000", " 7 ", "0x10", "abc", ""]),
+    st.sampled_from(["r.json", '{"hom":[1]}']),
+    st.text(alphabet="0123456789.e rx", max_size=4),
+)
+_DASHED_VALUES = st.one_of(
+    st.sampled_from(["-3", "-1e-3", "-", "--", "-x", "-h", "--help"]),
+    st.text(alphabet="-=0123456789.e", min_size=1, max_size=5).map(lambda t: "-" + t),
+)
+_ACCEPTED_VALUES = {
+    int: st.one_of(st.integers(0, 10**6).map(str), st.sampled_from([" 7 ", "1_000", "+2"])),
+    float: st.one_of(st.floats(0, 1e6).map(repr), st.sampled_from(["1e-3", "nan", "inf", ".5"])),
+    str: _PLAIN_VALUES,
+}
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    argv = [draw(st.sampled_from([*COMMANDS, "nope", "--help", "-"]))] if draw(st.integers(0, 9)) else []
+    odd = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(sorted(_FLAGS)))
+        kind = _FLAGS[flag][0]
+        if not odd:  # spelled out in full, with a value its type accepts
+            argv += [flag] if kind is None else [flag, draw(_ACCEPTED_VALUES[kind])]
+            continue
+        shape = draw(st.integers(0, 5))
+        if shape == 0:  # a switch, or a flag missing its value
+            argv.append(flag)
+        elif shape == 1:
+            argv.append(f"{flag}={draw(_PLAIN_VALUES)}")
+        elif shape == 2 and len(flag) > 3:  # an abbreviation
+            argv += [flag[: draw(st.integers(3, len(flag) - 1))], draw(_PLAIN_VALUES)]
+        elif shape == 3:  # an input, or a second one
+            argv.append(draw(_PLAIN_VALUES))
+        elif shape == 4:  # a negative number, a dash, or a flag-like token
+            argv += [flag, draw(_DASHED_VALUES)] if draw(st.booleans()) else [draw(_DASHED_VALUES)]
+        else:  # a value the flag's type may reject
+            argv += [flag, draw(_PLAIN_VALUES)]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), "--batch")
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_argvs())
+def test_direct_argv_reader_agrees_with_argparse(argv):
+    got = _read_argv(argv)
+    event("read directly" if got is not None else "handed to argparse")
+    if got is not None:
+        assert _namespace(got) == _namespace(_shared_parser().parse_args(argv))
 
 
 # ------------------------------------------------------------ reply text

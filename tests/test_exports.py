@@ -1,16 +1,17 @@
-"""Every name the package exports is referenced outside its own definition.
+"""Every name the package exports is read by code outside its own definition.
 
 The exported names are the ones src/ellspec/__init__.py imports.  Each
-must occur as a word, outside the def, class or assignment that defines
-it, in another module of the package, a script, the benchmark, or the
-acceptance tests.  Unit tests do not count: a name that only its own
-tests call has no consumer.
+must be read by code in another module of the package, a script, the
+benchmark, or the acceptance tests: loaded as a name or an attribute,
+outside the def, class or assignment that defines it, or imported by a
+file outside the package.  A word in a docstring or a comment does not
+count.  Unit tests do not count either: a name that only its own tests
+call has no consumer.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,17 +52,30 @@ def definition_lines(tree: ast.Module) -> dict[str, set[int]]:
     return lines
 
 
+def references(path: Path) -> set[str]:
+    """The names code in the file reads, each outside its own definition."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = definition_lines(tree)
+    outside = PACKAGE not in path.parents
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif outside and isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if node.lineno not in defined.get(name, ()):
+            found.add(name)
+    return found
+
+
 def unreferenced(names: set[str]) -> set[str]:
     missing = set(names)
     for path in consumer_files():
-        text = path.read_text(encoding="utf-8")
-        defined = definition_lines(ast.parse(text, filename=str(path)))
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            missing -= {
-                name
-                for name in missing
-                if lineno not in defined.get(name, ()) and re.search(rf"\b{name}\b", line)
-            }
+        missing -= references(path)
     return missing
 
 

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ellspec.surface import (
@@ -156,6 +156,90 @@ def test_lattice_validation():
     # degenerate but semidefinite forms are fine
     HomLattice(2, ((1, 1), (1, 1)))
     HomLattice(2, ((0, 0), (0, 0)))
+
+
+def reference_lattice(rank, gram):
+    """(form, gram) as HomLattice built them with Fraction arithmetic
+    before it checked integer entries as they stand; raises as it did."""
+    if rank not in (0, 1, 2):
+        raise ValueError("lattice rank must be 0, 1 or 2")
+    g = tuple(tuple(as_fraction(x) for x in row) for row in gram)
+    if len(g) != rank or any(len(row) != rank for row in g):
+        raise ValueError("gram matrix shape does not match the rank")
+    for i in range(rank):
+        if g[i][i].denominator != 1:
+            raise ValueError("generator degrees (gram diagonal) must be integers")
+        for j in range(rank):
+            if g[i][j] != g[j][i]:
+                raise ValueError("gram matrix must be symmetric")
+            if (2 * g[i][j]).denominator != 1:
+                raise ValueError("gram entries must be half-integers")
+    if rank == 2:
+        form = (int(g[0][0]), int(2 * g[0][1]), int(g[1][1]))
+        determinant = Fraction(4 * form[0] * form[2] - form[1] ** 2, 4)
+    else:
+        form = tuple(int(g[i][i]) for i in range(rank))
+        determinant = Fraction(form[0]) if rank == 1 else Fraction(1)
+    if any(x < 0 for x in form[::2]) or determinant < 0:
+        raise ValueError("degree form is indefinite")
+    return form, g
+
+
+def _outcome(build, rank, gram):
+    try:
+        return build(rank, gram)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_HALVES = st.integers(-7, 7).map(lambda k: Fraction(k, 2))
+_WELL_FORMED = st.one_of(st.integers(-6, 6), _HALVES, _HALVES.map(str), _HALVES.map(float))
+_ENTRIES = st.one_of(
+    _WELL_FORMED,
+    _WELL_FORMED,
+    _WELL_FORMED,
+    st.fractions(min_value=-8, max_value=8, max_denominator=4),
+    st.sampled_from(["1/3", "-5/4", "1/0", "abc", "", "2.5", " 3 ", "7/-2", 0.3, float("nan")]),
+    st.sampled_from([float("inf"), True, None, 10**30, -(10**30)]),
+)
+
+
+@st.composite
+def _grams(draw):
+    rank = draw(st.sampled_from([2, 2, 2, 2, 1, 1, 0, 3]))
+    size = rank if draw(st.integers(0, 5)) else draw(st.sampled_from([max(rank - 1, 0), rank + 1]))
+    # an integer diagonal more often than not, so later checks are reached
+    diagonal = st.one_of(st.integers(0, 6), st.integers(0, 6).map(str), _ENTRIES)
+    rows = [[draw(diagonal if i == j else _ENTRIES) for j in range(size)] for i in range(size)]
+    if draw(st.integers(0, 3)):  # mostly symmetric
+        for i in range(size):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    if size and not draw(st.integers(0, 7)):  # a ragged row
+        rows[draw(st.integers(0, size - 1))].append(draw(_ENTRIES))
+    return rank, tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_grams())
+def test_lattice_check_matches_the_fraction_reference(case):
+    rank, gram = case
+    want = _outcome(reference_lattice, rank, gram)
+    got = _outcome(HomLattice, rank, gram)
+    event(f"rank {rank} accepted" if isinstance(got, HomLattice) else got[1][:30])
+    if isinstance(got, HomLattice):
+        assert (got.form, got.gram) == want
+        assert got.rank == rank and got == HomLattice(rank, want[1])
+        assert hash(got) == hash(HomLattice(rank, want[1]))
+    else:
+        assert got == want
+
+
+def test_lattice_identity_is_its_form():
+    assert HomLattice(2, ((1, "1/2"), ("1/2", 1))) == HomLattice(2, ((1.0, 0.5), (Fraction(1, 2), 1)))
+    assert HomLattice(2, ((2, 1), (1, 2))).form == (2, 2, 2)
+    assert HomLattice(2, ((2, 1), (1, 2))) != HomLattice(2, ((2, 0), (0, 2)))
+    assert len({HomLattice(1, ((4,),)), HomLattice(1, ((Fraction(4),),)), HomLattice(1, (("4",),))}) == 1
 
 
 def test_base_curve_validation():
