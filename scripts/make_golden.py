@@ -33,6 +33,8 @@ G1 = {
     "hom_exponents": [1],
 }
 G2 = {"genus": 2, "tau": [3.0, 0.0], "lattice": {"rank": 2, "gram": [[4, "1/2"], ["1/2", 3]]}}
+G1_EVEN = {"genus": 1, "tau": [3.0, 0.0], "sigma": [3.0, 0.0], "lattice": {"rank": 1, "gram": [[2]]}}
+G2_FOUR = {"genus": 2, "tau": [3.0, 0.0], "lattice": {"rank": 1, "gram": [[4]]}}
 G3_FIBRES = {
     "genus": 3,
     "tau": [1.5, 1.5],
@@ -176,6 +178,11 @@ CASES: list[tuple[str, list[str], object]] = [
         ["exists"],
         chern({"genus": 2, "tau": [3.0, 0.0], "lattice": {"rank": 1, "gram": [["½"]]}}, [0], [1], 0),
     ),
+    # the three verdicts below m that only the genus >= 2 window, a stated
+    # degree and the quantized corner of genus 1 reach
+    ("exists-g2-window-exists", ["exists"], chern(G2_FOUR, [0], [1], -1)),
+    ("exists-g2-d-not-exists", ["exists", "--d", "1", "--c2", "-2"], chern(G2_FOUR, [0], [1], -1)),
+    ("recipe-g1-quantized-corner", ["recipe"], chern(G1_EVEN, [0], [1], -1)),
 ]
 
 
