@@ -24,7 +24,7 @@ does a spectral push that does not fit its surface at the request's tol
 (bundles.check_spectral_push), found before any fibre work.  With
 --batch the input is an array of requests for the same subcommand; the
 output is the array of responses in order and the exit code is the
-maximum over the items.
+maximum over the items.  An --output that cannot be written exits 64.
 
 Replies are JSON with a 2-space indent, the separators "," and ": ",
 strings and keys escaped to ASCII, and no NaN or Infinity (a non-finite
@@ -71,6 +71,7 @@ from .schemas import (
     decode_surface,
     encode_chern,
     encode_cover,
+    encode_recipe,
     encode_verdict,
 )
 from .surface import (
@@ -238,7 +239,6 @@ def _cmd_exists(doc: dict, args: argparse.Namespace, opts: Options, surface: Sur
 def _cmd_recipe(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
     verdict = _request_verdict(doc, args, opts, surface, None)
     code = _STATUS_CODES[verdict.status]
-    body = encode_verdict(verdict)
     if verdict.status is not Existence.EXISTS:
         return (
             {
@@ -250,8 +250,8 @@ def _cmd_recipe(doc: dict, args: argparse.Namespace, opts: Options, surface: Sur
         )
     out: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
-        "verdict": body["verdict"],
-        "recipe": body["recipe"],
+        "verdict": verdict.status.value,
+        "recipe": encode_recipe(verdict.recipe),
     }
     if verdict.recipe is not None:
         if verdict.recipe.modification_steps > MAX_RECIPE_STEPS:
@@ -265,8 +265,8 @@ def _cmd_recipe(doc: dict, args: argparse.Namespace, opts: Options, surface: Sur
             snapshot = apply_modification_ledger(snapshot, 1, surface.lattice)
             transcript.append(encode_chern(snapshot))
         out["transcript"] = transcript
-    if body.get("note"):
-        out["note"] = body["note"]
+    if verdict.note:
+        out["note"] = verdict.note
     return out, code
 
 
@@ -598,12 +598,17 @@ def main(argv: list[str] | None = None) -> int:
             body, code = _run_one(handler, item, args)
             outputs.append(body)
             codes.append(code)
-        _emit(outputs, args.output)
-        return max(codes)
-    body, code = _run_one(handler, doc, args)
-    _emit(body, args.output)
-    if "error" in body:
-        print(f"error: {body['error']}", file=sys.stderr)
+        reply, code = outputs, max(codes)
+    else:
+        reply, code = _run_one(handler, doc, args)
+    try:
+        _emit(reply, args.output)
+    except OSError as exc:
+        # an --output that cannot be written is a bad command line
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EX_SCHEMA
+    if not args.batch and "error" in reply:
+        print(f"error: {reply['error']}", file=sys.stderr)
     return code
 
 

@@ -1,14 +1,17 @@
 """Existence of holomorphic rank-2 bundles with prescribed Chern data.
 
-The verdict depends only on the discriminant Delta, the lattice minimum
-m attached to c1, the base genus, and — when the gap between the
-filtrable threshold m and the absolute one is in play — on the
-self-intersection degree d of an irreducible bisection, which ranges
-over a finite window determined by (genus, m).  Every affirmative
-verdict in reach of the two standard constructions carries a replayable
-recipe: a reducible base pair at the lattice minimum followed by
-elementary modifications, or a caller-supplied irreducible bisection
-followed by the same.
+The verdict depends on the discriminant Delta, the lattice minimum m
+attached to c1 and the base genus g, and for g >= 2 with 0 <= Delta < m
+on the degrees d of the irreducible bisections at hand: a bundle exists
+when Delta >= m - d/2.  Those degrees form one range [lo, hi] from one of
+three sources: a supplied bisection (its own degree), a stated d, or the
+admissible window of (g, m), which is never empty for g >= 2 because
+ceil(2m - g/2) <= ceil(2m) - 1 <= floor(2m).  With t_lo = m - hi/2 and
+t_hi = m - lo/2 the verdict is not-exists below t_lo, unknown below t_hi
+and exists from there on.  Every affirmative verdict in reach of the two
+standard constructions carries a replayed recipe: a reducible base pair
+at the lattice minimum, or a supplied bisection, followed by elementary
+modifications.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .bundles import (
 )
 from .jacobian import (
     Bisection,
-    RuledBounds,
-    branch_points_numeric,
     graph_self_intersection,
     ruled_invariant_bounds,
     sample_base_points,
@@ -80,15 +81,6 @@ class Verdict:
     note: str = ""
 
 
-def _validated_d(d: int, bounds: RuledBounds) -> int:
-    if bounds.empty or not bounds.d_min <= d <= bounds.d_max:
-        raise ValueError(
-            f"bisection degree {d} is outside the admissible window "
-            f"[{bounds.d_min}, {bounds.d_max}]"
-        )
-    return d
-
-
 def existence_verdict(
     cd: ChernData,
     surface: SurfaceData,
@@ -101,98 +93,90 @@ def existence_verdict(
 ) -> Verdict:
     """Decide whether a holomorphic rank-2 bundle with Chern data cd exists.
 
-    For genus <= 1 the answer is exactly Delta >= 0.  For genus >= 2,
-    Delta >= m gives a filtrable bundle; below m the threshold is
-    m - d/2 for the degree d of an available irreducible bisection, so
-    without a given d the verdict is Unknown on the interval swept out
-    by the admissible degrees.  Affirmative verdicts carry a recipe when
-    the reducible construction (or a supplied bisection) reaches them.
+    Only for genus >= 2 and 0 <= Delta < m are the bisection degrees read:
+    those of base_bisection, whose determinant line bundle must be given,
+    else [d, d], else the whole window.  A degree outside the window, or a
+    bisection that cannot reach cd, raises ValueError.
     """
     g = surface.base.genus
     delta = discriminant(cd, surface.lattice)
     m, witness = filtrable_bound(cd.c1, surface.lattice)
+    filtrable = None if delta < 0 else delta >= m
+
+    def verdict(status: Existence, **fields) -> Verdict:
+        return Verdict(status, delta, m, filtrable, **fields)
+
     if delta < 0:
-        return Verdict(Existence.NOT_EXISTS, delta, m)
+        return verdict(Existence.NOT_EXISTS)
     if g <= 1 or delta >= m:
-        recipe, note = _reducible_recipe(cd, surface, delta, m, witness, tol, seed)
-        return Verdict(
-            Existence.EXISTS, delta, m, filtrable=delta >= m, recipe=recipe, note=note
-        )
-    bounds = ruled_invariant_bounds(g, m)
-    window = None if bounds.empty else (bounds.d_min, bounds.d_max)
-    if base_bisection is not None:
-        return _verdict_with_bisection(
-            cd, surface, delta, m, bounds, base_bisection, base_determinant, tol, seed
-        )
-    if d is not None:
-        threshold = m - Fraction(_validated_d(d, bounds), 2)
-        if delta >= threshold:
-            return Verdict(
+        steps = 2 * (delta - m)
+        if steps.denominator != 1 or steps < 0:
+            # the quantized corner Delta < m of genus <= 1 lattices whose
+            # form never meets the minimum parity: no reducible base fits
+            return verdict(
                 Existence.EXISTS,
-                delta,
-                m,
-                filtrable=delta >= m,
-                d_interval=window,
-                note="irreducible bisection of the stated degree assumed available",
+                note="discriminant admissible by the sign test but below the reducible "
+                "threshold m; no reducible construction reaches it, so the verdict "
+                "carries no recipe (an irreducible bisection would be needed)",
             )
-        return Verdict(Existence.NOT_EXISTS, delta, m, filtrable=False, d_interval=window)
-    if bounds.empty:
-        return Verdict(Existence.NOT_EXISTS, delta, m, filtrable=False)
-    t_lo = m - Fraction(bounds.d_max, 2)
-    t_hi = m - Fraction(bounds.d_min, 2)
-    if delta >= t_hi:
-        return Verdict(
-            Existence.EXISTS,
-            delta,
-            m,
-            filtrable=delta >= m,
-            d_interval=window,
-            note="every admissible bisection degree suffices",
+        recipe = _reducible_recipe(cd, surface, m, witness, int(steps), seed)
+        return verdict(Existence.EXISTS, recipe=_replayed(recipe, cd, surface, tol))
+    bounds = ruled_invariant_bounds(g, m)
+    window = (bounds.d_min, bounds.d_max)
+    if base_bisection is not None:
+        if base_determinant is None:
+            raise ValueError("a supplied bisection needs its determinant line bundle")
+        a2 = graph_self_intersection(base_bisection, base_determinant.section, surface, tol)
+        # The quotient ruled surface has invariant e = -a2 = 2d - 4m for a
+        # minimal bisection, so the usable degree is d = 2m - a2/2 and the
+        # existence threshold m - d/2 equals a2/4 — the bisection's own
+        # base discriminant.
+        d_frac = 2 * m - Fraction(a2) / 2
+        if d_frac.denominator != 1:
+            raise ValueError("bisection self-intersection is incompatible with the lattice minimum")
+        d, window = int(d_frac), None
+    if d is not None and not bounds.d_min <= d <= bounds.d_max:
+        raise ValueError(
+            f"bisection degree {d} is outside the admissible window "
+            f"[{bounds.d_min}, {bounds.d_max}]"
         )
+    lo, hi = (bounds.d_min, bounds.d_max) if d is None else (d, d)
+    t_lo, t_hi = m - Fraction(hi, 2), m - Fraction(lo, 2)
     if delta < t_lo:
-        return Verdict(Existence.NOT_EXISTS, delta, m, filtrable=False, d_interval=window)
-    return Verdict(
-        Existence.UNKNOWN,
-        delta,
-        m,
-        filtrable=False,
-        threshold_interval=(t_lo, t_hi),
-        d_interval=window,
-        note="answer depends on which bisection degrees the surface carries",
-    )
+        return verdict(Existence.NOT_EXISTS, d_interval=window)
+    if delta < t_hi:
+        return verdict(
+            Existence.UNKNOWN,
+            threshold_interval=(t_lo, t_hi),
+            d_interval=window,
+            note="answer depends on which bisection degrees the surface carries",
+        )
+    if base_bisection is not None:
+        recipe = _push_recipe(cd, surface, delta, t_hi, base_bisection, base_determinant, seed)
+        return verdict(Existence.EXISTS, recipe=_replayed(recipe, cd, surface, tol))
+    if d is None:
+        note = "every admissible bisection degree suffices"
+    else:
+        note = "irreducible bisection of the stated degree assumed available"
+    return verdict(Existence.EXISTS, d_interval=window, note=note)
 
 
-def _verdict_with_bisection(
+def _push_recipe(
     cd: ChernData,
     surface: SurfaceData,
     delta: Fraction,
-    m: Fraction,
-    bounds: RuledBounds,
+    base_delta: Fraction,
     bisection: Bisection,
-    determinant: LineBundleOnX | None,
-    tol: Tolerance,
+    determinant: LineBundleOnX,
     seed: int,
-) -> Verdict:
-    if determinant is None:
-        raise ValueError("a supplied bisection needs its determinant line bundle")
-    a2 = graph_self_intersection(bisection, determinant.section, surface, tol)
-    # The quotient ruled surface has invariant e = -a2 = 2d - 4m for a
-    # minimal bisection, so the usable degree is d = 2m - a2/2 and the
-    # existence threshold m - d/2 equals a2/4 — the bisection's own
-    # base discriminant.
-    d_frac = 2 * m - Fraction(a2) / 2
-    if d_frac.denominator != 1:
-        raise ValueError("bisection self-intersection is incompatible with the lattice minimum")
-    d = _validated_d(int(d_frac), bounds)
-    base_delta = m - Fraction(d, 2)
-    if delta < base_delta:
-        return Verdict(Existence.NOT_EXISTS, delta, m, filtrable=False)
+) -> Recipe:
+    """The bisection's push at base_delta, then 2(Delta - base_delta) modifications."""
     if determinant.chern_class(surface.torsion_rank).hom != cd.c1.hom:
         raise ValueError(
             "supplied determinant does not realize the requested first Chern class"
         )
     steps = 2 * (delta - base_delta)
-    if steps.denominator != 1 or steps < 0:
+    if steps.denominator != 1:
         raise ValueError("target discriminant is not reachable from the supplied bisection")
     # Only the determinant's section matters to the construction; its
     # twists are chosen here so the modification ledger lands exactly on
@@ -203,58 +187,18 @@ def _verdict_with_bisection(
         cd.c1.torsion[1:],
     )
     base = SpectralPushBundle(bisection, det)
-    fibre = _generic_fibre(surface, seed, bisection=bisection, determinant=det, tol=tol)
-    recipe = Recipe(base, base_delta, fibre, int(steps))
-    if chern_data(recipe.realize(), surface, tol) != cd:
-        raise AssertionError("recipe replay drifted from the requested Chern data")
-    return Verdict(Existence.EXISTS, delta, m, filtrable=delta >= m, recipe=recipe)
-
-
-def _generic_fibre(
-    surface: SurfaceData,
-    seed: int,
-    *,
-    bisection: Bisection | None = None,
-    determinant: LineBundleOnX | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> complex:
-    if surface.base.genus >= 2:
-        # abstract base: a formal marker point, deterministic under the seed
-        rng = random.Random(seed)
-        return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-    avoid: tuple[complex, ...] = ()
-    if bisection is not None and not bisection.is_reducible and surface.base.genus == 0:
-        cover = bisection.cover
-        if cover.trace is not None and determinant is not None:
-            avoid = tuple(branch_points_numeric(cover, determinant.section, surface))
-    return base_point(surface, sample_base_points(surface, 1, seed=seed, avoid=avoid)[0])
+    return Recipe(base, base_delta, _generic_fibre(surface, seed), int(steps))
 
 
 def _reducible_recipe(
     cd: ChernData,
     surface: SurfaceData,
-    delta: Fraction,
     m: Fraction,
     witness: NSClass,
-    tol: Tolerance,
+    steps: int,
     seed: int,
-) -> tuple[Recipe | None, str]:
-    """Base pair at the lattice minimum, then 2(Delta - m) modifications.
-
-    The step count is a nonnegative integer whenever Delta >= m; in the
-    quantized corner Delta < m (possible only for genus <= 1 lattices
-    whose form never meets the minimum parity) no reducible base fits
-    and no bisection was supplied, so the verdict stands without a
-    recipe.
-    """
-    steps2 = 2 * (delta - m)
-    if steps2.denominator != 1 or steps2 < 0:
-        return None, (
-            "discriminant admissible by the sign test but below the reducible "
-            "threshold m; no reducible construction reaches it, so the verdict "
-            "carries no recipe (an irreducible bisection would be needed)"
-        )
-    steps = int(steps2)
+) -> Recipe:
+    """Base pair at the lattice minimum m, then steps = 2(Delta - m) modifications."""
     fibre = _generic_fibre(surface, seed)
     mu = NSClass(
         (0,) * len(cd.c1.torsion),
@@ -266,11 +210,21 @@ def _reducible_recipe(
         section_for_class(surface, det_c1), det_c1.torsion[0], det_c1.torsion[1:]
     )
     base = ExtensionBundle(sub, det, nonsplit_at=(fibre,))
-    recipe = Recipe(base, m, fibre, steps)
-    replayed = chern_data(recipe.realize(), surface, tol)
-    if replayed != cd:
+    return Recipe(base, m, fibre, steps)
+
+
+def _generic_fibre(surface: SurfaceData, seed: int) -> complex:
+    if surface.base.genus >= 2:
+        # abstract base: a formal marker point, deterministic under the seed
+        rng = random.Random(seed)
+        return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    return base_point(surface, sample_base_points(surface, 1, seed=seed)[0])
+
+
+def _replayed(recipe: Recipe, cd: ChernData, surface: SurfaceData, tol: Tolerance) -> Recipe:
+    if replay_recipe(recipe, surface, tol) != cd:
         raise AssertionError("recipe replay drifted from the requested Chern data")
-    return recipe, ""
+    return recipe
 
 
 def replay_recipe(

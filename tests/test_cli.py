@@ -786,6 +786,19 @@ def test_output_file_is_replaced_whole(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flags", [(), ("--batch",)])
+def test_output_into_a_missing_directory_is_a_schema_error(tmp_path, capsys, flags):
+    req = tmp_path / "request.json"
+    doc = g0_request(0)
+    req.write_text(json.dumps([doc] if flags else doc), encoding="utf-8")
+    out_path = tmp_path / "no" / "such" / "dir" / "reply.json"
+    assert main(["exists", str(req), "--output", str(out_path), *flags]) == EX_SCHEMA
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: cannot write output: ")
+    assert not out_path.parent.exists()
+
+
 def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

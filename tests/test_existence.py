@@ -8,6 +8,7 @@ Delta = (4 c2 - c1^2) / 8 done by hand on small lattices.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from ellspec.jacobian import (
     DoubleCoverData,
     SectionOfJ,
     irreducible_bisection,
+    ruled_invariant_bounds,
     section_for_class,
 )
 from ellspec.surface import (
@@ -32,6 +34,7 @@ from ellspec.surface import (
     NSClass,
     SurfaceData,
     discriminant,
+    filtrable_bound,
 )
 from ellspec.tate import CurveParam, TatePoint
 
@@ -220,3 +223,46 @@ def test_supplied_bisection_errors():
             base_bisection=declared_cover(2),
             base_determinant=LineBundleOnX(SectionOfJ(TatePoint(1.0, TAU), (0,))),
         )
+
+
+# ------------------------------------ stated degree against a bisection
+
+
+DIFFERENTIAL_LATTICES = (
+    HomLattice(1, ((1,),)),
+    HomLattice(1, ((2,),)),
+    HomLattice(1, ((4,),)),
+    HomLattice(2, ((2, Fraction(1, 2)), (Fraction(1, 2), 3))),
+    HomLattice(2, ((1, 0), (0, 1))),
+)
+
+
+def test_stated_degree_matches_supplied_bisection_of_that_degree():
+    # a supplied bisection of degree d is decided by the same threshold
+    # m - d/2 as a stated d; below m only the bisection builds a recipe
+    cases = replayed = 0
+    for genus in range(2, 6):
+        for lattice in DIFFERENTIAL_LATTICES:
+            surface = SurfaceData(BaseCurve(genus), TAU, lattice=lattice)
+            for hom in itertools.product(range(-2, 3), repeat=lattice.rank):
+                c1 = NSClass((0,), hom)
+                det = det_for(surface, c1)
+                m, _ = filtrable_bound(c1, lattice)
+                bounds = ruled_invariant_bounds(genus, m)
+                for c2 in range(-8, 14):
+                    cd = ChernData(c1, c2)
+                    for d in range(bounds.d_min, bounds.d_max + 1):
+                        stated = existence_verdict(cd, surface, d=d)
+                        supplied = existence_verdict(
+                            cd,
+                            surface,
+                            base_bisection=declared_cover(int(4 * m) - 2 * d),
+                            base_determinant=det,
+                        )
+                        assert stated.status is supplied.status, (genus, lattice, cd, d)
+                        assert stated.recipe in (None, supplied.recipe)
+                        if supplied.recipe is not None:
+                            assert replay_recipe(supplied.recipe, surface) == cd
+                            replayed += 1
+                        cases += 1
+    assert (cases, replayed) == (7964, 6016)

@@ -562,6 +562,13 @@ def test_ruled_bounds_windows(genus, four_m):
     assert b.e_max == 2 * b.d_max - four_m
 
 
+@settings(max_examples=200, deadline=None)
+@given(genus=st.integers(2, 10_000), four_m=st.integers(0, 10**6))
+def test_ruled_bounds_never_empty_from_genus_two(genus, four_m):
+    # ceil(2m - g/2) <= ceil(2m) - 1 <= floor(2m) once g >= 2
+    assert not ruled_invariant_bounds(genus, Fraction(four_m, 4)).empty
+
+
 def test_ruled_surface_data():
     # the fold along a minimising determinant class: the class, a section
     # realising it, and the window of the folded ruled surface
