@@ -91,7 +91,8 @@ def existence_verdict(
     base_bisection: Bisection | None = None,
     base_determinant: LineBundleOnX | None = None,
 ) -> Verdict:
-    """Decide whether a holomorphic rank-2 bundle with Chern data cd exists.
+    """Decide whether a holomorphic rank-2 bundle with Chern data cd exists,
+    by the rule in the module docstring.
 
     Only for genus >= 2 and 0 <= Delta < m are the bisection degrees read:
     those of base_bisection, whose determinant line bundle must be given,
@@ -140,7 +141,7 @@ def existence_verdict(
             f"bisection degree {d} is outside the admissible window "
             f"[{bounds.d_min}, {bounds.d_max}]"
         )
-    lo, hi = (bounds.d_min, bounds.d_max) if d is None else (d, d)
+    lo, hi = window if d is None else (d, d)
     t_lo, t_hi = m - Fraction(hi, 2), m - Fraction(lo, 2)
     if delta < t_lo:
         return verdict(Existence.NOT_EXISTS, d_interval=window)
