@@ -17,10 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
     "script, args",
     [
         ("existence_sweep.py", ("--genus", "2", "--tau", "3", "--gram", "4", "--hom", "1", "--c2=-1:1")),
-        ("existence_sweep.py", ("--genus", "2", "--tau", "3", "--gram", "4", "--hom", "1", "--d", "1", "--c2=-3:1")),
         ("quotient_profile.py", ("--tau", "2j", "--samples", "20")),
         ("reply_digest.py", ("--workload", "lattice-ladder", "--seeds", "1")),
         ("quotient_profile.py", ("--tau", "1.003", "--samples", "20")),
+        ("existence_sweep.py", ("--genus", "2", "--tau", "3", "--gram", "4", "--hom", "1", "--d", "1", "--c2=-3:1")),
     ],
 )
 def test_script_runs(script, args):
