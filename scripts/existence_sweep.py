@@ -95,8 +95,10 @@ def main() -> None:
     print(f"# genus={args.genus} tau={args.tau} gram={args.gram!r} c1={(args.torsion, hom)} d={args.d}")
     print(f"{'c2':>4} {'delta':>8} {'m':>6} {'status':>10} {'filtrable':>9}  recipe")
     for c2 in args.c2:
-        cd = ChernData(c1, c2)
-        v = existence_verdict(cd, surface, d=args.d, seed=args.seed)
+        try:
+            v = existence_verdict(ChernData(c1, c2), surface, d=args.d, seed=args.seed)
+        except ValueError as exc:  # e.g. a --d outside the admissible window
+            ap.error(str(exc))
         filt = "-" if v.filtrable is None else str(v.filtrable)
         extra = recipe_summary(v)
         if v.threshold_interval is not None:

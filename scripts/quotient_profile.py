@@ -5,7 +5,8 @@ Samples random points of C*/<tau>, measures how far the computed
 coordinate drifts under the two exact symmetries (inversion and
 multiplication by the periodicity factor), and spot-checks that generic
 values have exactly two preimage classes while the three non-identity
-two-torsion values have one.
+two-torsion values have one, and how far that one lies from the class
+it came from.
 
 Example:
     python3 scripts/quotient_profile.py --tau 2j --samples 500
@@ -86,7 +87,11 @@ def main() -> None:
     print(f"generic preimage classes over 5 values: {generic} (expected 10)")
     for t in torsion:
         roots = x_preimages(quotient_x_at(t.rep, curve, tol), curve, tol)
-        print(f"two-torsion rep {t.rep:.6g}: {len(roots)} preimage class(es)")
+        dist = min((class_distance(r, t) for r in roots), default=math.inf)
+        print(
+            f"two-torsion rep {t.rep:.6g}: {len(roots)} preimage class(es), "
+            f"class distance to the expected class {dist:.3e}"
+        )
 
 
 if __name__ == "__main__":

@@ -409,7 +409,7 @@ def _verify_cover(
     raises SpectralVerificationError.
     """
     avoid = tuple(p for p, _ in cover.jump_fibres)
-    jump_tol = Tolerance(10.0 * tol.eps)
+    jump_eps = 10.0 * tol.eps
     worst = 0.0
     for b in sample_base_points(surface, samples, seed=seed, avoid=avoid):
         restriction = restrict_to_fibre(bundle, b, surface, tol)
@@ -423,7 +423,7 @@ def _verify_cover(
         for v in values:
             residual = min(_twist_residual(v, a) for a in alphas)
             worst = max(worst, residual)
-            if not residual <= jump_tol.eps:
+            if not residual <= jump_eps:
                 raise SpectralVerificationError(
                     "no cover class produces a cohomology jump at fibre "
                     f"{b!r} (best residual {residual:.3e})"

@@ -86,8 +86,8 @@ from .tate import (
     DEFAULT_TOL,
     TatePoint,
     Tolerance,
+    class_distance,
     distance_to_identity,
-    points_equal,
     quotient_x_at,
 )
 
@@ -363,7 +363,7 @@ def _check_involution(surface: SurfaceData, tol: Tolerance, rng: random.Random) 
         if twice.hom != section.hom:
             return False, "hom part not restored"
         rounding = _INVOLUTION_ULPS * sys.float_info.epsilon * abs(section.constant.rep)
-        if not points_equal(twice.constant, section.constant, Tolerance(max(radius, rounding))):
+        if not class_distance(twice.constant, section.constant) <= max(radius, rounding):
             return False, "constant part not restored"
     return True, f"{trials} random sections"
 

@@ -32,10 +32,14 @@ of terms comes from a tail bound scaled by |k|^2, so Tolerance.eps bounds
 the truncation error of x itself: about five terms at the default eps,
 and fewer than 150 for any eps > 0.
 
-Inversion (x_preimages) inverts the leading term of the frame's series
-in closed form and polishes the start by Newton iteration.  A value
-within the branch-test window of several branch values resolves to the
-nearest two-torsion class alone.
+Inversion (x_preimages) first compares the value with the three branch
+values: x at the nonzero half periods 1/2, tau_r/2 and (1 + tau_r)/2 of
+the frame, where U and V are -1 and -p, s and s, -s and -s (s =
+exp(pi i tau_r)), so one loop over the powers of p sums all three and
+the constant C beside them.  A value within the branch-test window of
+several branch values resolves to the nearest two-torsion class alone.
+Any other value is found by inverting the leading term of the frame's
+series in closed form and polishing the start by Newton iteration.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not self.eps > 0.0:
+        if not 0.0 < self.eps < math.inf:
             raise ValueError("tolerance eps must be positive")
 
 
@@ -223,15 +227,18 @@ def _term(plus: complex, minus: complex, pn: complex, want_derivative: bool):
     return fp + fm, pn / (dc * dc), 0j
 
 
+def _term_count(frame: PeriodFrame, tol: Tolerance) -> int:
+    """Terms after which the tail of x drops below tol.eps."""
+    return max(1, math.floor((frame.log_tail - math.log(tol.eps)) / frame.decay) + 1)
+
+
 def _frame_sums(plus: complex, minus: complex, curve: CurveParam, tol: Tolerance, want_derivative: bool):
     """Sums over n >= 0 of f(p^n plus) + f(p^n minus), of f(p^(n+1)) and of
     the slope, truncated where the tail of x drops below tol.eps."""
-    frame = curve.frame
-    p = frame.nome
-    terms = max(1, math.floor((frame.log_tail - math.log(tol.eps)) / frame.decay) + 1)
+    p = curve.frame.nome
     value = const = slope = 0j
     pn = p
-    for _ in range(terms):
+    for _ in range(_term_count(curve.frame, tol)):
         v, c, s = _term(plus, minus, pn, want_derivative)
         value += v
         const += c
@@ -269,6 +276,53 @@ def _x_series(u: complex, curve: CurveParam, tol: Tolerance, want_derivative: bo
     return x
 
 
+def _period_parity(z: complex, frame: PeriodFrame) -> int:
+    """Which half period z / 2 is, for a period z = m a + n b: (m mod 2) + 2 (n mod 2)."""
+    r = z / frame.a
+    n = round(r.imag / frame.tau_r.imag)
+    return round(r.real - n * frame.tau_r.real) % 2 + 2 * (n % 2)
+
+
+def _branch_values(curve: CurveParam, tol: Tolerance):
+    """x at the classes -1, sqrt(tau), -sqrt(tau), and the constant C, so
+    that x = C + k^2 (f(U) + f(V) + ...) at each of them.
+
+    The three are the nonzero half periods of the reduced frame, where
+    U and V are known in closed form: U = -1, V = -p at t = 1/2; U = V = s
+    at t = tau_r/2 and U = V = -s at t = (1 + tau_r)/2, with s = exp(pi i
+    tau_r).  One pass over the powers of p, with the term count of
+    _frame_sums, gives all three sums and sum_{n >= 1} f(p^n) for C.  A
+    class is matched to its half period by the parity of the coordinates
+    of 2 pi i and log(tau) in the basis (a, b).
+    """
+    frame = curve.frame
+    p = frame.nome
+    s = cmath.exp(1j * math.pi * frame.tau_r)
+    pn = 1.0 + 0j
+    f_minus = -0.25  # f(-p^n), starting at f(-1)
+    half_a = half_b = half_ab = const = 0j
+    for _ in range(_term_count(frame, tol)):
+        e = s * pn
+        d = 1.0 - e
+        half_b += e / (d * d)  # f(s p^n)
+        d = 1.0 + e
+        half_ab -= e / (d * d)  # f(-s p^n)
+        pn *= p
+        d = 1.0 + pn
+        f_next = -pn / (d * d)
+        half_a += f_minus + f_next  # f(-p^n) + f(-p^(n+1))
+        f_minus = f_next
+        d = 1.0 - pn
+        const += pn / (d * d)  # f(p^(n+1))
+    kk = frame.k * frame.k
+    const_c = kk * (1.0 / 12.0 - 2.0 * const) - 1.0 / 12.0
+    # indexed by the parity (m mod 2) + 2 (n mod 2) of the half period
+    at_half = (None, const_c + kk * half_a, const_c + 2.0 * kk * half_b, const_c + 2.0 * kk * half_ab)
+    minus_one = _period_parity(_TWO_PI_I, frame)
+    sqrt_tau = _period_parity(cmath.log(curve.tau), frame)
+    return (at_half[minus_one], at_half[sqrt_tau], at_half[minus_one ^ sqrt_tau]), const_c
+
+
 def quotient_x(alpha: TatePoint, tol: Tolerance = DEFAULT_TOL) -> complex:
     """x-coordinate of the inversion quotient; infinity exactly at the identity class."""
     if distance_to_identity(alpha) <= tol.eps:
@@ -297,15 +351,21 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
     exactly at the four branch values: the images of the two-torsion
     classes, with infinity (the identity class) among them.
 
-    Branch values first.  A value within 4 eps (1 + |value|) of a branch
-    value resolves to that two-torsion class directly: near a double root
-    x is locally quadratic, and residual-based root finding cannot tell
-    one class from two there.  When several branch values match (on real
+    Branch values first.  x(-1), x(sqrt(tau)) and x(-sqrt(tau)) are summed
+    in one loop at the exact half periods of the reduced frame, each class
+    matched to its half period by the parity of the coordinates of 2 pi i
+    and log(tau) in the basis (a, b); no point is built for a class that
+    is not returned.  A class within eps of the identity is not a
+    candidate; when eps is so coarse that none is left, only Newton
+    answers.  A value within 4 eps (1 + |value|) of a branch value
+    resolves to that two-torsion class directly: near a double root x is
+    locally quadratic, and residual-based root finding cannot tell one
+    class from two there.  When several branch values match (on real
     tau <= 2, x(-1) and x(-sqrt(tau)) agree to within about 1e-8), only
-    the class whose x is nearest is returned, so the answer is never two
-    two-torsion classes.  Such a value is not resolvable at this
-    tolerance, yet the nearest class maps to it within the tolerance;
-    no error is raised for it.
+    the class whose x is nearest is returned, the first of -1, sqrt(tau),
+    -sqrt(tau) on a tie, so the answer is never two two-torsion classes.
+    Such a value is not resolvable at this tolerance, yet the nearest
+    class maps to it within the tolerance; no error is raised for it.
 
     Elsewhere the root comes from the reduced frame (see the module
     docstring).  Summed over the periods of tau_r, f(U) is a cosecant
@@ -332,20 +392,21 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
         return []
 
     # the identity's value is the pole, never a finite target; -1 comes next
+    values, const_c = _branch_values(curve, tol)
+    s = cmath.sqrt(curve.tau)
     branch = [
-        (t, _x_series(t.rep, curve, tol))
-        for t in two_torsion(curve)
-        if distance_to_identity(t) > tol.eps
+        (rep, x)
+        for rep, x in zip((-1.0 + 0.0j, s, -s), values)
+        if _class_distance(rep, 1.0 + 0.0j, curve.tau) > tol.eps
     ]
-    nearest, x_nearest = min(branch, key=lambda b: abs(b[1] - value))
-    if abs(x_nearest - value) <= 4.0 * tol.eps * (1.0 + abs(value)):
-        return [nearest]
+    if branch:  # a coarse eps can put every class inside the identity's radius
+        rep, x_nearest = min(branch, key=lambda b: abs(b[1] - value))
+        if abs(x_nearest - value) <= 4.0 * tol.eps * (1.0 + abs(value)):
+            return [TatePoint(rep, curve)]
 
     frame = curve.frame
     tau_r = frame.tau_r
-    kk = frame.k * frame.k
-    _, const, _ = _frame_sums(0j, 0j, curve, tol, False)  # sum_{n >= 1} f(p^n)
-    gap_c = value - (kk * (1.0 / 12.0 - 2.0 * const) - 1.0 / 12.0)
+    gap_c = value - const_c
     if gap_c:
         t0 = _reduce(cmath.asin((math.pi / frame.a) / cmath.sqrt(gap_c)) / math.pi, tau_r)
     else:  # the m = 0 and m = -1 terms cancel near t = tau_r/2 + 1/4

@@ -519,6 +519,15 @@ def test_bad_options_are_schema_errors(tmp_path, capsys, options, flags):
         assert body["exit_code"] == EX_SCHEMA and body["error"].startswith("options."), command
 
 
+def test_the_largest_finite_tol_is_answered(tmp_path, capsys):
+    # radii derived from tol (ten and a hundred times it) overflow to
+    # infinity there, and a Tolerance rejects a non-finite eps
+    for name, command in (("check-g1-enum", "check"), ("spectral-cover-irreducible", "spectral-cover")):
+        doc = json.loads((GOLDEN / f"{name}.request.json").read_text(encoding="utf-8"))
+        code, body = run_cli(tmp_path, capsys, command, doc, "--tol", repr(sys.float_info.max))
+        assert code == EX_OK, body
+
+
 COMMANDS = ("exists", "recipe", "spectral-cover", "intersect", "genus", "check")
 
 # one request every command answers with exit 0: a rank-2 genus-1 surface,

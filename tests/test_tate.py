@@ -197,6 +197,12 @@ def test_tolerance_validation():
         Tolerance(eps=0.0)
 
 
+def test_tolerance_rejects_a_non_finite_eps():
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance eps must be positive"):
+            Tolerance(eps)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     re=st.floats(-30, 30, allow_nan=False),
@@ -338,6 +344,16 @@ def test_x_preimages_of_a_huge_finite_value_is_a_list(tau):
     assert isinstance(x_preimages(1e300, CurveParam(tau)), list)
 
 
+def test_x_preimages_with_every_class_inside_the_identity_radius_is_a_list():
+    # eps = 3 puts -1 and both square roots of tau = 3 within eps of the
+    # identity, so no branch value is tested and Newton alone answers
+    curve, tol = TAU3, Tolerance(3.0)
+    found = x_preimages(0.3, curve, tol)
+    assert isinstance(found, list) and 1 <= len(found) <= 2
+    for f in found:
+        assert abs(quotient_x_at(f.rep, curve, tol) - 0.3) <= 3e-3 * 1.3
+
+
 # ------------------------------------------------------------- preimages
 
 
@@ -456,6 +472,80 @@ def test_x_preimages_series_work_is_bounded(tau, monkeypatch):
         calls.clear()
         assert len(x_preimages(value, curve)) == 2
         assert len(calls) <= 40
+
+
+def _count_preimage_work(monkeypatch) -> dict:
+    """Count series, frame-sum and two_torsion calls and TatePoint constructions."""
+    counts = dict.fromkeys(("_x_series", "_frame_sums", "two_torsion", "TatePoint"), 0)
+    for name in ("_x_series", "_frame_sums", "two_torsion"):
+        def counted(*a, _f=getattr(tate, name), _name=name, **k):
+            counts[_name] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(tate, name, counted)
+    post_init = TatePoint.__post_init__
+
+    def counted_post_init(self):
+        counts["TatePoint"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(TatePoint, "__post_init__", counted_post_init)
+    return counts
+
+
+@pytest.mark.parametrize("tau", [3.0, 2j, 1.5])
+def test_x_preimages_of_a_generic_value_builds_no_two_torsion(tau, monkeypatch):
+    # the branch values and C come from one pass at the exact half periods:
+    # no two-torsion points and no frame sum outside a series evaluation
+    curve = CurveParam(tau)
+    values = [
+        quotient_x(TatePoint(abs(tau) ** r * cmath.exp(1j * a), curve))
+        for r, a in ((0.3, 0.7), (0.6, 0.25), (0.45, -0.4))
+    ]
+    counts = _count_preimage_work(monkeypatch)
+    for value in values:
+        counts.update(dict.fromkeys(counts, 0))
+        assert len(x_preimages(value, curve)) == 2
+        assert counts["two_torsion"] == 0
+        assert counts["_frame_sums"] == counts["_x_series"]
+        assert counts["TatePoint"] <= 2
+
+
+@pytest.mark.parametrize("tau", [3.0, 2j, 1.5])
+def test_x_preimages_of_a_branch_value_sums_no_series(tau, monkeypatch):
+    # a point is built only for the class that is returned
+    curve = CurveParam(tau)
+    values = [quotient_x(t) for t in two_torsion(curve)[1:]]
+    counts = _count_preimage_work(monkeypatch)
+    for value in values:
+        counts.update(dict.fromkeys(counts, 0))
+        assert len(x_preimages(value, curve)) == 1
+        assert counts["_x_series"] == 0
+        assert counts["TatePoint"] == 1
+
+
+@pytest.mark.parametrize(
+    "tau", PREIMAGE_TAUS + [600.0, 1e10, -1.001, 1.02 * cmath.exp(0.5j)]
+)
+def test_branch_values_match_the_oracle_and_invert_to_their_class(tau):
+    # tau = 100 and 600 lie on either side of exp(2 pi) ~ 535, where the
+    # reduced frame swaps and -1 moves from the half period b/2 to a/2
+    curve, tol = CurveParam(tau), Tolerance(1e-14)
+    values, _ = tate._branch_values(curve, tol)
+    if abs(tau) < 1.01:
+        s = cmath.sqrt(tau)
+        want = [mp_dual_x(z, tau) for z in (-1.0, s, -s)]
+    else:
+        want = mp_branch_values(tau)
+    classes = two_torsion(curve)[1:]
+    for i, (value, w) in enumerate(zip(values, want)):
+        assert abs(value - w) <= 1e-12 * (1.0 + abs(w))
+        # an earlier class whose branch value is the same float wins the tie;
+        # the oracle cannot tell those two values apart either
+        first = min(j for j in range(3) if values[j] == value)
+        assert abs(want[first] - w) <= 1e-12 * (1.0 + abs(w))
+        found = x_preimages(value, curve, tol)
+        assert len(found) == 1
+        assert class_distance(found[0], classes[first]) <= 1e-12
 
 
 @pytest.mark.parametrize(
