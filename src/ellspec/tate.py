@@ -320,6 +320,7 @@ def _branch_values(curve: CurveParam, tol: Tolerance):
     at_half = (None, const_c + kk * half_a, const_c + 2.0 * kk * half_b, const_c + 2.0 * kk * half_ab)
     minus_one = _period_parity(_TWO_PI_I, frame)
     sqrt_tau = _period_parity(cmath.log(curve.tau), frame)
+    # -sqrt(tau) sits at pi i + log(tau) / 2, whose parity is the sum mod 2
     return (at_half[minus_one], at_half[sqrt_tau], at_half[minus_one ^ sqrt_tau]), const_c
 
 
