@@ -22,7 +22,6 @@ from .bundles import (
     chern_data,
     chern_of_extension,
     elementary_modification,
-    restrict_to_fibre,
     spectral_accounting,
     spectral_cover,
     trivial_line_bundle,
@@ -42,7 +41,6 @@ from .jacobian import (
     SectionOfJ,
     branch_point_count,
     branch_points_numeric,
-    cover_fibre_values,
     genus_and_branching,
     graph_self_intersection,
     involution_on_section,
@@ -53,7 +51,6 @@ from .jacobian import (
     sample_base_points,
     section_for_class,
     section_pairing,
-    section_value,
     sections_equal,
     zero_section,
 )

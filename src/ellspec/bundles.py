@@ -7,8 +7,16 @@ fibres.  Each presentation determines Chern data exactly; restriction to
 a smooth fibre determines a split, non-split, or unstable isomorphism
 type whose determinant is the fibre value of the determinant bundle.
 Whether a spectral push fits its surface (constant determinant over a
-rational base, invariant bisection) is decided by check_spectral_push,
-once per call; fibre evaluation compares nothing.
+rational base, invariant bisection) is decided by check_spectral_push:
+by spectral_cover once per request, before any fibre, and by
+restrict_to_fibre once per call; fibre evaluation compares nothing.
+
+Fibres are evaluated from a plan (_FibrePlan) that resolves a
+presentation once per request: its chain, zero cycle and non-split marks
+as base numbers, and the constant representative and power exponent of
+each section.  A fibre then costs complex arithmetic on canonical
+annulus representatives alone; restrict_to_fibre is the plan at one
+fibre, and spectral-cover verification runs it at every sampled fibre.
 
 The spectral cover of a presentation records, per fibre, the classes
 whose twist makes first cohomology jump: these are the inverses of the
@@ -20,24 +28,27 @@ of that dual section by construction.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .jacobian import (
     Bisection,
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
+    _base_number,
+    _cover_evaluator,
+    _sample_base_numbers,
+    _section_evaluator,
     branch_points_numeric,
-    cover_fibre_values,
     graph_self_intersection,
     involution_on_section,
     irreducible_bisection,
     is_invariant_bisection,
     reducible_bisection,
-    sample_base_points,
     section_pairing,
-    section_value,
     zero_section,
 )
 from .surface import (
@@ -45,6 +56,7 @@ from .surface import (
     HomLattice,
     NSClass,
     SurfaceData,
+    _same_base_number,
     base_point,
     distinct_base_points,
     eight_discriminant,
@@ -55,14 +67,12 @@ from .surface import (
 )
 from .tate import (
     DEFAULT_TOL,
+    CurveParam,
     TatePoint,
     Tolerance,
     _canonical_rep,
     _class_distance,
-    _require_same_curve,
-    class_distance,
     group_inv,
-    points_equal,
 )
 
 
@@ -236,10 +246,71 @@ def _multiple_fibre_at(surface: SurfaceData, b, tol: Tolerance) -> bool:
     return any(same_base_point(surface, b, p, tol) for p, _ in surface.multiple_fibres)
 
 
-def _marked_nonsplit(bundle: ExtensionBundle, b, surface: SurfaceData, tol: Tolerance) -> bool:
-    if bundle.nonsplit_everywhere:
-        return True
-    return any(same_base_point(surface, b, p, tol) for p in bundle.nonsplit_at)
+class _FibrePlan:
+    """The restriction of a presentation to smooth fibres, on base numbers.
+
+    One plan serves every fibre of a call.  What a fibre reads from the
+    presentation is resolved once: the modified fibres of a chain, the
+    zero cycle and the non-split marks as base numbers, and the evaluator
+    of the root's two values (jacobian._section_evaluator and
+    _cover_evaluator).  Each part is resolved where a fibre first needs
+    it, so errors come in the order of a fibre-by-fibre walk; after that a
+    fibre computes with complex numbers only.
+    """
+
+    def __init__(self, bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -> None:
+        fibres = []
+        while isinstance(bundle, ElemModBundle):
+            fibres.append(bundle.fibre)
+            bundle = bundle.parent
+        self.root = bundle
+        self.surface = surface
+        self.tol = tol
+        self._fibres = fibres
+
+    @cached_property
+    def modified(self) -> list[complex]:
+        return [base_point(self.surface, f) for f in self._fibres]
+
+    @cached_property
+    def cycle(self) -> list[tuple[complex, int]]:
+        return [(base_point(self.surface, p), n) for p, n in self.root.zero_cycle]
+
+    @cached_property
+    def marks(self) -> list[complex]:
+        return [base_point(self.surface, p) for p in self.root.nonsplit_at]
+
+    @cached_property
+    def evaluate(self) -> Callable[[complex], tuple[complex, complex]]:
+        root, surface = self.root, self.surface
+        if isinstance(root, ExtensionBundle):
+            sub = _section_evaluator(root.sub.section, surface)
+            quotient = _section_evaluator(root.quotient, surface)
+            return lambda x: (sub(x), quotient(x))
+        return _cover_evaluator(root.cover, root.determinant.section, surface)
+
+    def restrict(self, x) -> int | tuple[complex, complex, bool]:
+        """The restriction at the base number x: the sub-degree of an
+        unstable restriction, else the two value representatives and
+        whether they glue to the non-split type (see restrict_to_fibre)."""
+        surface, tol = self.surface, self.tol
+        if any(_same_base_number(surface, x, p, tol) for p, _ in surface.multiple_fibres):
+            raise ValueError("restriction to a multiple fibre is unsupported")
+        if any(_same_base_number(surface, x, f, tol) for f in self.modified):
+            return 1
+        root = self.root
+        tau = surface.fibre.tau
+        if isinstance(root, ExtensionBundle):
+            k = sum(n for p, n in self.cycle if _same_base_number(surface, x, p, tol))
+            if k >= 1:
+                return k
+            v1, v2 = self.evaluate(x)
+            glued = _class_distance(v1, v2, tau) <= tol.eps and (
+                root.nonsplit_everywhere or any(_same_base_number(surface, x, p, tol) for p in self.marks)
+            )
+            return v1, v2, glued
+        v1, v2 = self.evaluate(x)
+        return v1, v2, _class_distance(v1, v2, tau) <= max(tol.eps, tol.eps**0.5)
 
 
 def restrict_to_fibre(
@@ -247,34 +318,27 @@ def restrict_to_fibre(
 ) -> FibreRestriction:
     """Isomorphism type of the restriction to the fibre over b.
 
-    Smooth non-multiple fibres only, checked once.  A chain of
-    modifications is walked down in one pass: the first modified fibre
-    at b makes the restriction unstable, and otherwise the root
-    presentation decides.  An extension reads its two values off the sub
-    and the stored quotient section.  Coincidence of the two values at a
-    branch point of an irreducible cover is detected at square-root
-    tolerance, matching the sensitivity of a double root.
+    Smooth non-multiple fibres only.  A chain of modifications is walked
+    down in one pass: the first modified fibre at b makes the restriction
+    unstable, and otherwise the root presentation decides.  An extension
+    reads its two values off the sub and the stored quotient section.
+    Coincidence of the two values at a branch point of an irreducible
+    cover is detected at square-root tolerance, matching the sensitivity
+    of a double root.  This is _FibrePlan at one fibre; a spectral push is
+    checked against its surface after the evaluation, so that errors at b
+    come first.
     """
-    if _multiple_fibre_at(surface, b, tol):
-        raise ValueError("restriction to a multiple fibre is unsupported")
-    while isinstance(bundle, ElemModBundle):
-        if same_base_point(surface, b, bundle.fibre, tol):
-            return UnstableRestriction(1)
-        bundle = bundle.parent
-    if isinstance(bundle, ExtensionBundle):
-        k = sum(length for p, length in bundle.zero_cycle if same_base_point(surface, b, p, tol))
-        if k >= 1:
-            return UnstableRestriction(k)
-        v1 = section_value(bundle.sub.section, b, surface)
-        v2 = section_value(bundle.quotient, b, surface)
-        if points_equal(v1, v2, tol) and _marked_nonsplit(bundle, b, surface, tol):
-            return NonSplitRestriction(v1)
-        return SplitRestriction(v1, v2)
-    v1, v2 = cover_fibre_values(bundle.cover, b, bundle.determinant.section, surface, tol)
-    check_spectral_push(bundle, surface, tol)  # after evaluation, so errors at b come first
-    if class_distance(v1, v2) <= max(tol.eps, tol.eps**0.5):
-        return NonSplitRestriction(v1)
-    return SplitRestriction(v1, v2)
+    plan = _FibrePlan(bundle, surface, tol)
+    restriction = plan.restrict(_base_number(surface, b))
+    if isinstance(restriction, int):
+        return UnstableRestriction(restriction)
+    if isinstance(plan.root, SpectralPushBundle):
+        check_spectral_push(plan.root, surface, tol)
+    v1, v2, glued = restriction
+    first = TatePoint(v1, surface.fibre)
+    if glued:
+        return NonSplitRestriction(first)
+    return SplitRestriction(first, TatePoint(v2, surface.fibre))
 
 
 @dataclass(frozen=True)
@@ -369,8 +433,9 @@ def spectral_cover(
     determinant, and that dual section rides along for invariance
     checks.  Jump fibres collect the zero cycle and every modified
     fibre.  With verify_samples > 0 the cover is cross-checked against
-    restrict_to_fibre at sampled fibres (see _verify_cover); multiple
-    fibres are never sampled and stay untracked.
+    the fibre restrictions at sampled fibres, from one plan of the
+    presentation (see _verify_cover); multiple fibres are never sampled
+    and stay untracked.
     """
     bis, jumps, dual = _cover_parts(bundle, surface, tol)
     cover = SpectralCover(bis, jumps, dual)
@@ -380,14 +445,14 @@ def spectral_cover(
     return cover
 
 
-def _twist_residual(v: TatePoint, a: TatePoint) -> float:
-    """Class distance from the twist v a to the identity, on representatives."""
-    _require_same_curve(v, a)
-    tau = v.curve.tau
-    twist = v.rep * a.rep
+def _twist_residual(v: complex, a: complex, curve: CurveParam) -> float:
+    """Class distance from the twist v a to the identity, for canonical
+    representatives v and a of points of the curve."""
+    tau = curve.tau
+    twist = v * a
     if not cmath.isfinite(twist):  # |v a| nears |tau|^2, past the float range once |tau| > 1.3e154
-        twist = v.rep / tau * a.rep
-    return _class_distance(_canonical_rep(twist, v.curve), 1.0 + 0.0j, tau)
+        twist = v / tau * a
+    return _class_distance(_canonical_rep(twist, curve), 1.0 + 0.0j, tau)
 
 
 def _verify_cover(
@@ -402,28 +467,34 @@ def _verify_cover(
 
     At each sampled fibre, every restriction value v must have a cover
     class a whose twist v a is the identity class, i.e. makes first
-    cohomology jump, within ten times tol.eps.  The twist is compared as
-    a canonical annulus representative, with no point object built for
-    it: its residual is the class distance of that representative to 1.
-    A residual that is not within the jump tolerance (NaN included)
-    raises SpectralVerificationError.
+    cohomology jump, within ten times tol.eps.  The request is planned
+    once: one _FibrePlan gives the restriction at every fibre, and the
+    cover's evaluator, resolved at the first fibre that is not unstable,
+    gives its two classes.  Base points, values and twists stay canonical
+    annulus representatives; a twist's residual is the class distance of
+    its representative to 1, and no point object is built.  A residual
+    that is not within the jump tolerance (NaN included) raises
+    SpectralVerificationError.
     """
+    plan = _FibrePlan(bundle, surface, tol)
+    alphas = None
+    fibre = surface.fibre
     avoid = tuple(p for p, _ in cover.jump_fibres)
     jump_eps = 10.0 * tol.eps
     worst = 0.0
-    for b in sample_base_points(surface, samples, seed=seed, avoid=avoid):
-        restriction = restrict_to_fibre(bundle, b, surface, tol)
-        if isinstance(restriction, UnstableRestriction):
+    for x in _sample_base_numbers(surface, samples, seed, avoid):
+        restriction = plan.restrict(x)
+        if isinstance(restriction, int):
             continue
-        if isinstance(restriction, NonSplitRestriction):
-            values = (restriction.value, restriction.value)
-        else:
-            values = (restriction.first, restriction.second)
-        alphas = cover_fibre_values(cover.bisection, b, cover.dual_determinant, surface, tol)
-        for v in values:
-            residual = min(_twist_residual(v, a) for a in alphas)
+        v1, v2, glued = restriction
+        if alphas is None:
+            alphas = _cover_evaluator(cover.bisection, cover.dual_determinant, surface)
+        a1, a2 = alphas(x)
+        for v in (v1, v1) if glued else (v1, v2):
+            residual = min(_twist_residual(v, a1, fibre), _twist_residual(v, a2, fibre))
             worst = max(worst, residual)
             if not residual <= jump_eps:
+                b = TatePoint(x, surface.base.tate) if surface.base.genus == 1 else x
                 raise SpectralVerificationError(
                     "no cover class produces a cohomology jump at fibre "
                     f"{b!r} (best residual {residual:.3e})"

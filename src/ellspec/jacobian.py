@@ -16,6 +16,7 @@ import cmath
 import math
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -25,7 +26,8 @@ from .tate import (
     INF,
     TatePoint,
     Tolerance,
-    class_distance,
+    _class_distance,
+    _point_rep,
     identity,
     is_infinite,
     points_equal,
@@ -60,19 +62,37 @@ def _power_exponent(surface: SurfaceData, hom: tuple[int, ...]) -> int:
     return sum(v * n for v, n in zip(hom, surface.hom_exponents))
 
 
-def section_value(section: SectionOfJ, b, surface: SurfaceData) -> TatePoint:
-    """Evaluate a section at a base point (rational or Tate base only)."""
+def _section_evaluator(section: SectionOfJ, surface: SurfaceData) -> Callable[[complex], complex]:
+    """A section's value as a function of the base number, resolved once.
+
+    The base number is the annulus representative of the base point on a
+    genus-1 base and the point as given on a rational one; the value is
+    the canonical representative of the section there.  Raises the
+    ValueError of section_value for a section the base cannot evaluate.
+    """
     g = surface.base.genus
     if g == 0:
         if any(section.hom):
             raise ValueError("over a rational base every section is constant")
-        return section.constant
+        const = section.constant.rep
+        return lambda x: const
     if g == 1:
-        rep = base_point(surface, b)
+        const = section.constant.rep
         exp = _power_exponent(surface, section.hom)
-        value = section.constant.rep * (rep**exp if exp else 1.0)
-        return TatePoint(value, surface.fibre)
+        fibre = surface.fibre
+        return lambda x: _point_rep(const * (x**exp if exp else 1.0), fibre)
     raise ValueError("abstract bases (g >= 2) have no point arithmetic")
+
+
+def _base_number(surface: SurfaceData, b):
+    """The base number of b for the evaluators (see _section_evaluator)."""
+    return base_point(surface, b) if surface.base.genus == 1 else b
+
+
+def section_value(section: SectionOfJ, b, surface: SurfaceData) -> TatePoint:
+    """Evaluate a section at a base point (rational or Tate base only)."""
+    x = _base_number(surface, b)
+    return TatePoint(_section_evaluator(section, surface)(x), surface.fibre)
 
 
 def sections_equal(s1: SectionOfJ, s2: SectionOfJ, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -195,6 +215,41 @@ def irreducible_bisection(cover: DoubleCoverData) -> Bisection:
     return Bisection(cover=cover)
 
 
+def _cover_evaluator(
+    bis: Bisection, delta: SectionOfJ, surface: SurfaceData
+) -> Callable[[complex], tuple[complex, complex]]:
+    """The two fibre values of an invariant bisection as a function of the
+    base number, resolved once (see _section_evaluator and
+    cover_fibre_values); the values are canonical representatives."""
+    if bis.is_reducible:
+        first, second = (_section_evaluator(s, surface) for s in bis.components)
+        return lambda x: (first(x), second(x))
+    cover = bis.cover
+    if cover.trace is None:
+        raise ValueError("declared cover carries no trace map to evaluate")
+    if surface.base.genus != 0:
+        raise ValueError("trace maps are concrete only over a rational base")
+    fibre = surface.fibre
+
+    def values(b) -> tuple[complex, complex]:
+        t = cover.trace(complex(b))
+        if is_infinite(t):
+            raise ValueError(f"trace map has a pole at {b!r}")
+        if cover.norm is not None:
+            d = cover.norm(complex(b))
+        else:  # resolved here, so that a pole at b is reported first
+            d = _section_evaluator(delta, surface)(b)
+        disc = t * t - 4.0 * d
+        s = cmath.sqrt(disc)
+        r1 = (t + s) / 2.0 if abs(t + s) >= abs(t - s) else (t - s) / 2.0
+        if r1 == 0:
+            raise ValueError("degenerate quadratic relation (zero root)")
+        r2 = d / r1
+        return _point_rep(r1, fibre), _point_rep(r2, fibre)
+
+    return values
+
+
 def cover_fibre_values(
     bis: Bisection,
     b,
@@ -208,46 +263,29 @@ def cover_fibre_values(
     given norm map is a nonzero finite constant, used as it stands, and
     tol is not read.
     """
-    if bis.is_reducible:
-        s1, s2 = bis.components
-        return section_value(s1, b, surface), section_value(s2, b, surface)
-    cover = bis.cover
-    if cover.trace is None:
-        raise ValueError("declared cover carries no trace map to evaluate")
-    if surface.base.genus != 0:
-        raise ValueError("trace maps are concrete only over a rational base")
-    t = cover.trace(complex(b))
-    if is_infinite(t):
-        raise ValueError(f"trace map has a pole at {b!r}")
-    if cover.norm is not None:
-        d = cover.norm(complex(b))
-    else:
-        d = section_value(delta, b, surface).rep
-    disc = t * t - 4.0 * d
-    s = cmath.sqrt(disc)
-    r1 = (t + s) / 2.0 if abs(t + s) >= abs(t - s) else (t - s) / 2.0
-    if r1 == 0:
-        raise ValueError("degenerate quadratic relation (zero root)")
-    r2 = d / r1
-    return TatePoint(r1, surface.fibre), TatePoint(r2, surface.fibre)
+    x = _base_number(surface, b)
+    v1, v2 = _cover_evaluator(bis, delta, surface)(x)
+    return TatePoint(v1, surface.fibre), TatePoint(v2, surface.fibre)
 
 
 _CLEARANCE = 1e-3
 
 
-def sample_base_points(
+def _sample_base_numbers(
     surface: SurfaceData,
     count: int,
     seed: int = 0,
     avoid: tuple[complex, ...] = (),
-) -> list[complex | TatePoint]:
-    """Seeded generic base points, at least _CLEARANCE from marked points."""
+) -> list[complex]:
+    """sample_base_points as base numbers: annulus representatives on a
+    genus-1 base, with no point object built."""
     rng = random.Random(seed)
     g = surface.base.genus
     forbidden = [complex(p) for p in avoid] + [complex(p) for p, _ in surface.multiple_fibres]
     if g == 1:
-        forbidden_points = [TatePoint(f, surface.base.tate) for f in forbidden]
-    out: list[complex | TatePoint] = []
+        tate = surface.base.tate
+        forbidden = [_point_rep(f, tate) for f in forbidden]
+    out: list[complex] = []
     trials = 0
     while len(out) < count:
         trials += 1
@@ -257,18 +295,30 @@ def sample_base_points(
             b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
             if any(abs(b - f) < _CLEARANCE for f in forbidden):
                 continue
-            out.append(b)
         elif g == 1:
-            at = abs(surface.base.tate.tau)
-            r = at ** rng.uniform(0.0, 1.0)
+            r = abs(tate.tau) ** rng.uniform(0.0, 1.0)
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            pt = TatePoint(r * cmath.exp(1j * theta), surface.base.tate)
-            if any(class_distance(pt, f) < _CLEARANCE for f in forbidden_points):
+            b = _point_rep(r * cmath.exp(1j * theta), tate)
+            if any(_class_distance(b, f, tate.tau) < _CLEARANCE for f in forbidden):
                 continue
-            out.append(pt)
         else:
             raise ValueError("abstract bases (g >= 2) have no point arithmetic")
+        out.append(b)
     return out
+
+
+def sample_base_points(
+    surface: SurfaceData,
+    count: int,
+    seed: int = 0,
+    avoid: tuple[complex, ...] = (),
+) -> list[complex | TatePoint]:
+    """Seeded generic base points, at least _CLEARANCE from marked points:
+    complex numbers on a rational base, points of the Tate base on genus 1."""
+    numbers = _sample_base_numbers(surface, count, seed, avoid)
+    if surface.base.genus == 1:
+        return [TatePoint(x, surface.base.tate) for x in numbers]
+    return numbers
 
 
 def is_invariant_bisection(
@@ -344,7 +394,11 @@ def _poly_roots(coeffs: list[complex]) -> list[complex]:
     a Cauchy bound on the root moduli.  Each approximation stops once
     |p(z)| is within the rounding error of Horner's rule,
     eps * sum |a_k||z|^k, or once its correction falls below eps*|z|; at
-    most _ABERTH_STEPS sweeps run.
+    most _ABERTH_STEPS sweeps run.  A step that leaves the float range
+    (near a root whose neighbours multiply to a subnormal number, p(z) is
+    subnormal and the bound has underflowed to 0) also stops the root, at
+    its last finite value.  That value is kept only in the normal range:
+    a root stopped so below sys.float_info.min raises ValueError.
     """
     zeros = 0
     while coeffs[zeros] == 0:
@@ -358,6 +412,7 @@ def _poly_roots(coeffs: list[complex]) -> list[complex]:
     radius = max((n * m / moduli[-1]) ** (1.0 / (n - k)) for k, m in enumerate(moduli[:-1]))
     roots = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
     done = [False] * n
+    stopped_by_range = [False] * n
     for _ in range(_ABERTH_STEPS):
         if all(done):
             break
@@ -375,9 +430,16 @@ def _poly_roots(coeffs: list[complex]) -> list[complex]:
                 continue
             repel = sum(1.0 / (zk - zj) for j, zj in enumerate(roots) if j != k)
             step = 1.0 / (dp / p - repel)
-            roots[k] = zk - step
-            done[k] = abs(step) <= eps * abs(roots[k])
-    if not all(map(cmath.isfinite, roots)):
+            z = zk - step
+            if not cmath.isfinite(z):
+                done[k] = stopped_by_range[k] = True
+                continue
+            roots[k] = z
+            done[k] = abs(step) <= eps * abs(z)
+    tiny = sys.float_info.min
+    if not all(map(cmath.isfinite, roots)) or any(
+        stop and 0 < abs(z) < tiny for z, stop in zip(roots, stopped_by_range)
+    ):
         raise ValueError("polynomial roots out of floating-point range")
     return roots + [0j] * zeros
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
-from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance, is_infinite
+from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance, _point_rep, is_infinite
 
 
 def as_fraction(x) -> Fraction:
@@ -155,18 +155,21 @@ def base_point(surface: SurfaceData | None, b) -> complex:
             raise ValueError("base point lies on the wrong curve")
         return b.rep
     if genus_one:
-        return TatePoint(complex(b), surface.base.tate).rep
+        return _point_rep(b, surface.base.tate)
     return complex(b)
 
 
 def same_base_point(surface: SurfaceData | None, a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether two base points agree within tol.eps: as classes on a genus-1
-    base, as complex numbers on any other or with no surface at hand, where
-    every infinite number is the one point at infinity."""
-    a, b = base_point(surface, a), base_point(surface, b)
+    """Whether two base points agree within tol.eps (see _same_base_number)."""
+    return _same_base_number(surface, base_point(surface, a), base_point(surface, b), tol)
+
+
+def _same_base_number(surface: SurfaceData | None, a: complex, b: complex, tol: Tolerance) -> bool:
+    """same_base_point on numbers that base_point already gave: classes of
+    annulus representatives on a genus-1 base, complex numbers on any other
+    or with no surface at hand, where every infinite number is the one
+    point at infinity.  No point object is built."""
     if surface is not None and surface.base.genus == 1:
-        # class distance of the two annulus representatives, without
-        # building a TatePoint for each comparison on the sampling path
         return _class_distance(a, b, surface.base.tate.tau) <= tol.eps
     return abs(a - b) <= tol.eps or (is_infinite(a) and is_infinite(b))
 

@@ -133,10 +133,20 @@ class TatePoint:
     curve: CurveParam
 
     def __post_init__(self) -> None:
-        z = complex(self.rep)
-        if z == 0 or not cmath.isfinite(z):
-            raise ValueError("points of C*/<tau> come from nonzero finite complex numbers")
-        object.__setattr__(self, "rep", _canonical_rep(z, self.curve))
+        object.__setattr__(self, "rep", _point_rep(self.rep, self.curve))
+
+
+def _point_rep(z, curve: CurveParam) -> complex:
+    """The canonical representative of the point that z stands for.
+
+    The one normaliser of point values: TatePoint keeps its result, and
+    code that needs only the number (fibre values under verification)
+    calls it directly.  NaN, infinite parts and zero raise ValueError.
+    """
+    z = complex(z)
+    if z == 0 or not cmath.isfinite(z):
+        raise ValueError("points of C*/<tau> come from nonzero finite complex numbers")
+    return _canonical_rep(z, curve)
 
 
 def _canonical_rep(z: complex, curve: CurveParam) -> complex:

@@ -9,9 +9,12 @@ curves.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from ellspec.bundles import (
     ElemModBundle,
@@ -40,9 +43,11 @@ from ellspec.jacobian import (
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
+    cover_fibre_values,
     involution_on_section,
     irreducible_bisection,
     reducible_bisection,
+    sample_base_points,
     section_for_class,
     sections_equal,
     zero_section,
@@ -54,8 +59,9 @@ from ellspec.surface import (
     ChernData,
     NSClass,
     SurfaceData,
+    base_point,
 )
-from ellspec.tate import CurveParam, TatePoint, Tolerance, identity, points_equal
+from ellspec.tate import CurveParam, TatePoint, Tolerance, distance_to_identity, identity, points_equal
 
 TAU4 = CurveParam(4.0)
 TAU3 = CurveParam(3.0)
@@ -445,13 +451,19 @@ def test_cover_verification_point_work_is_bounded(bundle, surface, most, monkeyp
     # where a point product per twist and an identity per distance made 12
     # to 21; the extension's quotient section is built with the bundle, not
     # per fibre, and a push's norm is checked against its determinant once
-    # per bundle, where a comparison per evaluated fibre made 5.02
+    # per bundle, where a comparison per evaluated fibre made 5.02; the
+    # fibre loop now works on canonical representatives from one plan of
+    # the presentation, so 200 sampled fibres build no more points than 50
     calls = []
     post_init = TatePoint.__post_init__
     monkeypatch.setattr(TatePoint, "__post_init__", lambda self: calls.append(1) or post_init(self))
-    cover = spectral_cover(bundle, surface, verify_samples=50)
-    assert cover.max_residual < 1e-8
-    assert len(calls) / 50 <= most
+    counts = []
+    for samples in (50, 200):
+        calls.clear()
+        assert spectral_cover(bundle, surface, verify_samples=samples).max_residual < 1e-8
+        counts.append(len(calls))
+    assert counts[0] / 50 <= most
+    assert counts[1] == counts[0]
 
 
 def test_cover_verification_applies_no_involution(monkeypatch):
@@ -480,6 +492,166 @@ def test_cover_verification_on_a_huge_multiplier(tau):
     det = LineBundleOnX(SectionOfJ(TatePoint(0.71 * tau * (1 - 0.2j), surface.fibre), ()))
     cover = spectral_cover(ExtensionBundle(sub, det), surface, verify_samples=50)
     assert cover.verification_samples == 50 and cover.max_residual < 1e-9
+
+
+# ------------------------------------- verification against fibre by fibre
+#
+# The reference verifier walks the sampled fibres with the public
+# per-fibre functions and compares each twist as a point, with the
+# arithmetic of the twist residual written out.  The planned verifier
+# must give the same residual, bit for bit, and the same error.
+
+
+def _reference_twist_residual(v: TatePoint, a: TatePoint) -> float:
+    tau = v.curve.tau
+    twist = v.rep * a.rep
+    if not cmath.isfinite(twist):
+        twist = v.rep / tau * a.rep
+    return distance_to_identity(TatePoint(twist, v.curve))
+
+
+def _reference_verify(bundle, surface, tol, samples, seed):
+    """(largest residual, unstable fibres, glued fibres), fibre by fibre."""
+    cover = spectral_cover(bundle, surface, tol)
+    avoid = tuple(p for p, _ in cover.jump_fibres)
+    worst, unstable, glued = 0.0, 0, 0
+    for b in sample_base_points(surface, samples, seed=seed, avoid=avoid):
+        r = restrict_to_fibre(bundle, b, surface, tol)
+        if isinstance(r, UnstableRestriction):
+            unstable += 1
+            continue
+        if isinstance(r, NonSplitRestriction):
+            glued += 1
+            values = (r.value, r.value)
+        else:
+            values = (r.first, r.second)
+        alphas = cover_fibre_values(cover.bisection, b, cover.dual_determinant, surface, tol)
+        for v in values:
+            residual = min(_reference_twist_residual(v, a) for a in alphas)
+            worst = max(worst, residual)
+            if not residual <= 10.0 * tol.eps:
+                raise SpectralVerificationError(
+                    f"no cover class produces a cohomology jump at fibre {b!r} (best residual {residual:.3e})"
+                )
+    return worst, unstable, glued
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (SpectralVerificationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+TAU21 = CurveParam(2.0 + 1.0j)
+G0_SURFACES = (S0, S03, S0U, SMF, SurfaceData(BaseCurve(0), CurveParam(2.5 + 1.0j)))
+G1_SURFACES = (
+    S1U,
+    SurfaceData(BaseCurve(1, tate=TAU21), TAU21, lattice=UNIT_LATTICE, hom_exponents=(2,)),
+    SurfaceData(
+        BaseCurve(1, tate=TAU3), TAU3, multiple_fibres=((1.3 + 0.5j, 2),), lattice=UNIT_LATTICE, hom_exponents=(1,)
+    ),
+    SurfaceData(BaseCurve(1, tate=TAU3), TAU3, lattice=UNIT_LATTICE),  # no power maps for hom parts
+)
+
+
+def _annulus(draw, curve: CurveParam) -> complex:
+    return abs(curve.tau) ** draw(st.floats(0.0, 0.999)) * cmath.exp(1j * draw(st.floats(-3.2, 3.2)))
+
+
+def _base(draw, surface: SurfaceData) -> complex:
+    if surface.base.genus == 0:
+        return complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    tate = surface.base.tate
+    return _annulus(draw, tate) * tate.tau ** draw(st.integers(-1, 1))
+
+
+def _distinct(points: list[complex]) -> list[complex]:
+    out: list[complex] = []
+    for p in points:
+        if all(abs(p - q) > 1e-6 for q in out):
+            out.append(p)
+    return out
+
+
+def _section(draw, surface: SurfaceData) -> SectionOfJ:
+    # over a rational base a nonzero hom part is an error, drawn rarely
+    hom_range = (-2, 2) if surface.base.genus == 1 else draw(st.sampled_from([(0, 0)] * 7 + [(-1, 1)]))
+    hom = tuple(draw(st.integers(*hom_range)) for _ in range(surface.lattice.rank))
+    return SectionOfJ(TatePoint(_annulus(draw, surface.fibre), surface.fibre), hom)
+
+
+def _extension(draw, surface: SurfaceData) -> ExtensionBundle:
+    sub = _section(draw, surface)
+    if draw(st.booleans()):  # determinant = sub^2: both values coincide and marks glue them
+        det = SectionOfJ(TatePoint(sub.constant.rep**2, surface.fibre), tuple(2 * h for h in sub.hom))
+    else:
+        det = _section(draw, surface)
+    cycle = _distinct([_base(draw, surface) for _ in range(draw(st.integers(0, 2)))])
+    return ExtensionBundle(
+        LineBundleOnX(sub),
+        LineBundleOnX(det),
+        zero_cycle=tuple((p, draw(st.integers(1, 2))) for p in cycle),
+        nonsplit_at=tuple(_base(draw, surface) for _ in range(draw(st.integers(0, 2)))),
+        nonsplit_everywhere=draw(st.booleans()),
+    )
+
+
+def _push(draw, surface: SurfaceData) -> SpectralPushBundle:
+    num = [complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))) for _ in range(draw(st.integers(1, 3)))]
+    num.append(cmath.rect(draw(st.floats(0.5, 1.5)), draw(st.floats(-3.2, 3.2))))
+    det = TatePoint(_annulus(draw, surface.fibre), surface.fibre)
+    norm = None
+    if draw(st.booleans()):  # a given norm, in the determinant's class
+        norm = RationalMap((det.rep * surface.fibre.tau ** draw(st.integers(-1, 1)),))
+    cover = irreducible_bisection(DoubleCoverData(RationalMap(tuple(num)), norm=norm))
+    return SpectralPushBundle(cover, LineBundleOnX(SectionOfJ(det, (0,) * surface.lattice.rank)))
+
+
+@st.composite
+def verification_cases(draw):
+    kind = draw(st.sampled_from(["genus-0 extension", "genus-1 extension", "genus-0 push"]))
+    surface = draw(st.sampled_from(G1_SURFACES if kind == "genus-1 extension" else G0_SURFACES))
+    bundle = _push(draw, surface) if kind == "genus-0 push" else _extension(draw, surface)
+    for _ in range(draw(st.integers(0, 2))):
+        bundle = ElemModBundle(bundle, _base(draw, surface), draw(st.integers(1, 3)))
+    return bundle, surface
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=verification_cases(),
+    eps=st.sampled_from([1e-9, 0.05]),
+    samples=st.integers(1, 40),
+    seed=st.integers(0, 999),
+)
+def test_verification_matches_the_fibre_by_fibre_reference(case, eps, samples, seed):
+    # eps = 0.05 puts sampled fibres on chain, zero-cycle, mark and
+    # multiple fibres, and glues push values near their branch points
+    bundle, surface = case
+    tol = Tolerance(eps)
+    got = _outcome(lambda: spectral_cover(bundle, surface, tol, verify_samples=samples, seed=seed).max_residual)
+    want = _outcome(lambda: _reference_verify(bundle, surface, tol, samples, seed)[0])
+    event("raised" if isinstance(want, tuple) else "verified")
+    assert got == want
+
+
+@pytest.mark.parametrize("surface", [S0, S1U], ids=["genus-0", "genus-1"])
+def test_verification_at_a_coarse_tolerance_skips_unstable_and_glues(surface):
+    # a zero-cycle point and a chain fibre 0.01 from the first two sampled
+    # fibres: outside the sampling clearance, inside the 0.05 radius, so
+    # those two are unstable and skipped; every other fibre is glued,
+    # since the extension is marked non-split everywhere and its two
+    # values agree (determinant = sub^2)
+    sub = SectionOfJ(TatePoint(1.7 + 0.6j, surface.fibre), (1,) * surface.lattice.rank)
+    det = SectionOfJ(TatePoint(sub.constant.rep**2, surface.fibre), (2,) * surface.lattice.rank)
+    p, q = (base_point(surface, b) + 0.01 for b in sample_base_points(surface, 2, seed=3))
+    root = ExtensionBundle(LineBundleOnX(sub), LineBundleOnX(det), zero_cycle=((p, 1),), nonsplit_everywhere=True)
+    bundle = ElemModBundle(root, q, 2)
+    tol = Tolerance(0.05)
+    residual, unstable, glued = _reference_verify(bundle, surface, tol, 50, 3)
+    assert unstable >= 2 and glued == 50 - unstable
+    assert spectral_cover(bundle, surface, tol, verify_samples=50, seed=3).max_residual == residual
 
 
 def test_cover_base_intersections_requires_reducible():

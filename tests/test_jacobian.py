@@ -493,6 +493,19 @@ def test_roots_out_of_float_range_raise():
         _poly_roots([0j, -2.225073858507e-311j, 1.0])
 
 
+@pytest.mark.parametrize("lead", [1.0, -2.0, 0.5j, 3.0 + 1.0j])
+def test_roots_whose_product_is_subnormal(lead):
+    # both roots are normal floats but their product, the constant
+    # coefficient, is subnormal: at the tiny root p(z) is subnormal, the
+    # rounding bound underflows to 0 and the Aberth step leaves the float
+    # range, so the root stops at its last finite value
+    tiny, other = -2.2250738585072014e-308j, 0.000527759468981431 + 0.0004538868892961492j
+    found = _poly_roots(_from_roots([tiny, other], lead))
+    assert len(found) == 2
+    assert _distance(found, other) <= 1e-12 * abs(other)
+    assert _distance(found, tiny) <= 1e-9 * abs(tiny)
+
+
 def _square(a):
     return [
         sum(a[i] * a[k - i] for i in range(len(a)) if 0 <= k - i < len(a))
