@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -51,6 +50,7 @@ from .jacobian import (
     section_pairing,
     zero_section,
 )
+from .records import Record
 from .surface import (
     ChernData,
     HomLattice,
@@ -76,14 +76,19 @@ from .tate import (
 )
 
 
-@dataclass(frozen=True)
-class LineBundleOnX:
+class LineBundleOnX(Record):
     """Line bundle on the surface: a section of the Jacobian plus twists by
     pulled-back base divisors and by multiple fibres."""
 
+    __slots__ = _fields = ("section", "base_twist", "fibre_twists")
     section: SectionOfJ
-    base_twist: int = 0
-    fibre_twists: tuple[int, ...] = ()
+    base_twist: int
+    fibre_twists: tuple[int, ...]
+
+    def __init__(self, section: SectionOfJ, base_twist: int = 0, fibre_twists: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "base_twist", base_twist)
+        object.__setattr__(self, "fibre_twists", fibre_twists)
 
     def chern_class(self, torsion_rank: int) -> NSClass:
         twists = self.fibre_twists + (0,) * (torsion_rank - 1 - len(self.fibre_twists))
@@ -96,27 +101,36 @@ def trivial_line_bundle(surface: SurfaceData) -> LineBundleOnX:
     return LineBundleOnX(zero_section(surface))
 
 
-@dataclass(frozen=True)
-class SplitRestriction:
+class SplitRestriction(Record):
+    __slots__ = _fields = ("first", "second")
     first: TatePoint
     second: TatePoint
 
+    def __init__(self, first: TatePoint, second: TatePoint) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
-@dataclass(frozen=True)
-class NonSplitRestriction:
+
+class NonSplitRestriction(Record):
+    __slots__ = _fields = ("value",)
     value: TatePoint
 
+    def __init__(self, value: TatePoint) -> None:
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class UnstableRestriction:
+
+class UnstableRestriction(Record):
+    __slots__ = _fields = ("sub_degree",)
     sub_degree: int
+
+    def __init__(self, sub_degree: int) -> None:
+        object.__setattr__(self, "sub_degree", sub_degree)
 
 
 FibreRestriction = SplitRestriction | NonSplitRestriction | UnstableRestriction
 
 
-@dataclass(frozen=True)
-class ExtensionBundle:
+class ExtensionBundle(Record, uncompared=("quotient",), hidden=("quotient",)):
     """Extension of delta (x) sub^-1 (x) I_Z by sub.
 
     zero_cycle lists (point, length) with positive lengths over distinct
@@ -129,49 +143,68 @@ class ExtensionBundle:
     and the spectral cover.
     """
 
+    __slots__ = _fields = (
+        "sub", "determinant", "zero_cycle", "nonsplit_at", "nonsplit_everywhere", "quotient"
+    )
     sub: LineBundleOnX
     determinant: LineBundleOnX
-    zero_cycle: tuple[tuple[complex, int], ...] = ()
-    nonsplit_at: tuple[complex, ...] = ()
-    nonsplit_everywhere: bool = False
-    quotient: SectionOfJ = field(init=False, repr=False, compare=False)
+    zero_cycle: tuple[tuple[complex, int], ...]
+    nonsplit_at: tuple[complex, ...]
+    nonsplit_everywhere: bool
+    quotient: SectionOfJ
 
-    def __post_init__(self) -> None:
-        if not distinct_base_points(None, (p for p, _ in self.zero_cycle)):
+    def __init__(
+        self,
+        sub: LineBundleOnX,
+        determinant: LineBundleOnX,
+        zero_cycle: tuple[tuple[complex, int], ...] = (),
+        nonsplit_at: tuple[complex, ...] = (),
+        nonsplit_everywhere: bool = False,
+    ) -> None:
+        if not distinct_base_points(None, (p for p, _ in zero_cycle)):
             raise ValueError("zero-cycle points must be distinct")
-        if any(length <= 0 for _, length in self.zero_cycle):
+        if any(length <= 0 for _, length in zero_cycle):
             raise ValueError("zero-cycle lengths are positive")
-        quotient = involution_on_section(self.sub.section, self.determinant.section)
-        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "zero_cycle", zero_cycle)
+        object.__setattr__(self, "nonsplit_at", nonsplit_at)
+        object.__setattr__(self, "nonsplit_everywhere", nonsplit_everywhere)
+        object.__setattr__(self, "quotient", involution_on_section(sub.section, determinant.section))
 
     @property
     def cycle_length(self) -> int:
         return sum(length for _, length in self.zero_cycle)
 
 
-@dataclass(frozen=True)
-class SpectralPushBundle:
+class SpectralPushBundle(Record):
     """Direct image of a line bundle on an irreducible invariant bisection."""
 
+    __slots__ = _fields = ("cover", "determinant")
     cover: Bisection
     determinant: LineBundleOnX
 
-    def __post_init__(self) -> None:
-        if self.cover.is_reducible:
+    def __init__(self, cover: Bisection, determinant: LineBundleOnX) -> None:
+        if cover.is_reducible:
             raise ValueError("spectral push bundles need an irreducible bisection")
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "determinant", determinant)
 
 
-@dataclass(frozen=True)
-class ElemModBundle:
+class ElemModBundle(Record):
     """steps successive elementary modifications of parent along the fibre."""
 
-    parent: "RankTwoBundle"
+    __slots__ = _fields = ("parent", "fibre", "steps")
+    parent: RankTwoBundle
     fibre: complex
     steps: int
 
-    def __post_init__(self) -> None:
-        if self.steps <= 0:
+    def __init__(self, parent: RankTwoBundle, fibre: complex, steps: int) -> None:
+        if steps <= 0:
             raise ValueError("modification step count must be positive")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "fibre", fibre)
+        object.__setattr__(self, "steps", steps)
 
 
 RankTwoBundle = ExtensionBundle | SpectralPushBundle | ElemModBundle
@@ -341,17 +374,33 @@ def restrict_to_fibre(
     return SplitRestriction(first, TatePoint(v2, surface.fibre))
 
 
-@dataclass(frozen=True)
-class SpectralCover:
+class SpectralCover(Record):
     """Spectral data of a bundle: the bisection of cohomology-jump classes,
     the jump fibres with multiplicity, and the dual determinant section
     whose involution preserves the bisection."""
 
+    __slots__ = _fields = (
+        "bisection", "jump_fibres", "dual_determinant", "verification_samples", "max_residual"
+    )
     bisection: Bisection
     jump_fibres: tuple[tuple[complex, int], ...]
     dual_determinant: SectionOfJ
-    verification_samples: int = 0
-    max_residual: float = 0.0
+    verification_samples: int
+    max_residual: float
+
+    def __init__(
+        self,
+        bisection: Bisection,
+        jump_fibres: tuple[tuple[complex, int], ...],
+        dual_determinant: SectionOfJ,
+        verification_samples: int = 0,
+        max_residual: float = 0.0,
+    ) -> None:
+        object.__setattr__(self, "bisection", bisection)
+        object.__setattr__(self, "jump_fibres", jump_fibres)
+        object.__setattr__(self, "dual_determinant", dual_determinant)
+        object.__setattr__(self, "verification_samples", verification_samples)
+        object.__setattr__(self, "max_residual", max_residual)
 
     @property
     def jump_total(self) -> int:

@@ -5,7 +5,8 @@ input, and flags spelled out in full, each with a value that does not
 start with '-' (_read_argv).  Any other command line, --help and every
 malformed one included, goes to argparse, so its errors and exit codes
 are argparse's own, mapped as below.  Both readers work from one flag
-table, _FLAGS.
+table, _FLAGS.  argparse is imported only for a command line that
+_read_argv declines, so a common request does not pay for loading it.
 
 Subcommands read a JSON request (file path or '-' for stdin) and write a
 JSON response.  A request carries the surface description plus the
@@ -35,7 +36,6 @@ stdlib's C encoder serves only unindented output.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import functools
 import itertools
@@ -45,10 +45,10 @@ import os
 import random
 import stat
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable
 
 from .bundles import (
     ElemModBundle,
@@ -60,6 +60,7 @@ from .bundles import (
 )
 from .existence import Existence, Verdict, existence_verdict
 from .jacobian import SectionOfJ, genus_and_branching, involution_on_section
+from .records import Record
 from .schemas import (
     SCHEMA_VERSION,
     SchemaError,
@@ -91,6 +92,9 @@ from .tate import (
     quotient_x_at,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 MAX_RECIPE_STEPS = 10_000  # transcript entries a recipe reply may hold
 MAX_VERIFY_SAMPLES = 10_000  # fibres a spectral-cover verification may sample
 MAX_ENUM_RADIUS = 200  # cube radius of the brute-force lattice-minimum check
@@ -108,16 +112,30 @@ _STATUS_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class Options:
-    tol: Tolerance = DEFAULT_TOL
-    seed: int = 0
-    verify: int = 50
-    d: int | None = None
-    enum_radius: int | None = None
+class Options(Record):
+    __slots__ = _fields = ("tol", "seed", "verify", "d", "enum_radius")
+    tol: Tolerance
+    seed: int
+    verify: int
+    d: int | None
+    enum_radius: int | None
+
+    def __init__(
+        self,
+        tol: Tolerance = DEFAULT_TOL,
+        seed: int = 0,
+        verify: int = 50,
+        d: int | None = None,
+        enum_radius: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "verify", verify)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "enum_radius", enum_radius)
 
 
-def _merge_options(args: argparse.Namespace, doc: dict) -> Options:
+def _merge_options(args: SimpleNamespace, doc: dict) -> Options:
     embedded = doc.get("options", {})
     if not isinstance(embedded, dict):
         raise SchemaError("options: expected an object")
@@ -188,7 +206,7 @@ def _read_input(path: str) -> Any:
     return _parse_json(raw, "input")
 
 
-def _request_chern(doc: dict, surface: SurfaceData, args: argparse.Namespace) -> ChernData:
+def _request_chern(doc: dict, surface: SurfaceData, args: SimpleNamespace) -> ChernData:
     chern_doc = doc.get("chern")
     if args.c1 is not None or args.c2 is not None:
         chern_doc = dict(chern_doc) if isinstance(chern_doc, dict) else {}
@@ -219,7 +237,7 @@ def _cross_check_minimum(c1: NSClass, surface: SurfaceData, radius: int | None) 
 
 
 def _request_verdict(
-    doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData, radius: int | None
+    doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData, radius: int | None
 ) -> Verdict:
     """The verdict of an exists or recipe request, after the lattice-minimum
     cross-check over the given cube radius, if any."""
@@ -231,12 +249,12 @@ def _request_verdict(
     return existence_verdict(cd, surface, d=d, tol=opts.tol, seed=opts.seed)
 
 
-def _cmd_exists(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+def _cmd_exists(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
     verdict = _request_verdict(doc, args, opts, surface, opts.enum_radius)
     return encode_verdict(verdict), _STATUS_CODES[verdict.status]
 
 
-def _cmd_recipe(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
     verdict = _request_verdict(doc, args, opts, surface, None)
     code = _STATUS_CODES[verdict.status]
     if verdict.status is not Existence.EXISTS:
@@ -271,7 +289,7 @@ def _cmd_recipe(doc: dict, args: argparse.Namespace, opts: Options, surface: Sur
 
 
 def _cmd_spectral_cover(
-    doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData
+    doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData
 ) -> tuple[dict, int]:
     bundle = decode_bundle(doc.get("bundle"), surface)
     root = bundle
@@ -290,7 +308,7 @@ def _cmd_spectral_cover(
 
 
 def _cmd_intersect(
-    doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData
+    doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData
 ) -> tuple[dict, int]:
     classes = doc.get("classes")
     if not isinstance(classes, list) or len(classes) != 2:
@@ -310,7 +328,7 @@ def _cmd_intersect(
     )
 
 
-def _cmd_genus(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+def _cmd_genus(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
     cd = _request_chern(doc, surface, args)
     genus, branch = genus_and_branching(cd, surface.base.genus, surface.lattice)
     return (
@@ -423,7 +441,7 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
 )
 
 
-def _cmd_check(doc: dict, args: argparse.Namespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+def _cmd_check(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
     rng = random.Random(opts.seed)
     results = []
     all_passed = True
@@ -463,7 +481,7 @@ _COMMANDS = {
 }
 
 
-def _run_one(handler, doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
+def _run_one(handler, doc: Any, args: SimpleNamespace) -> tuple[dict, int]:
     """One request through the preamble every command shares (version,
     options, surface) and then its handler, failures mapped to exit codes."""
     try:
@@ -483,15 +501,6 @@ def _run_one(handler, doc: Any, args: argparse.Namespace) -> tuple[dict, int]:
         )
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad command line as a malformed
-    request (exit 64) rather than with argparse's exit 2, which here means
-    undecided."""
-
-    def error(self, message: str):
-        raise SchemaError(f"{self.prog}: {message}")
-
-
 # Every flag of every subcommand: its type, applied to the value as argparse
 # applies it, or None for a switch that takes no value; and its help text.
 # build_parser and _read_argv both read this table.
@@ -509,7 +518,7 @@ _FLAGS: dict[str, tuple[Callable[[str], Any] | None, str]] = {
 
 
 def _dest(flag: str) -> str:
-    """The Namespace attribute argparse stores a flag under."""
+    """The namespace attribute argparse stores a flag under."""
     return flag[2:].replace("-", "_")
 
 
@@ -518,6 +527,16 @@ _DEFAULTS = {_dest(flag): False if kind is None else None for flag, (kind, _) in
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser that reports a bad command line as a malformed
+        request (exit 64) rather than with argparse's exit 2, which here
+        means undecided."""
+
+        def error(self, message: str):
+            raise SchemaError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="ellspec",
         description="Rank-2 bundles on non-Kähler elliptic surfaces: existence "
@@ -542,7 +561,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """What parse_args makes of the common command line, read without it.
 
     That line is a command, at most one input, and flags from _FLAGS spelled
@@ -574,7 +593,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             return None
         else:
             values["input"], seen_input = token, True
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -583,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_argv(argv)
         if args is None:
-            args = _shared_parser().parse_args(argv)
+            args = _shared_parser().parse_args(argv, namespace=SimpleNamespace())
         doc = _read_input(args.input)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

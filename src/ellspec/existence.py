@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import (
@@ -36,6 +35,7 @@ from .jacobian import (
     sample_base_points,
     section_for_class,
 )
+from .records import Record
 from .surface import (
     ChernData,
     NSClass,
@@ -53,15 +53,23 @@ class Existence(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(Record):
     """Replayable construction: a base bundle at discriminant base_delta,
     then modification_steps elementary modifications at generic_fibre."""
 
+    __slots__ = _fields = ("base", "base_delta", "generic_fibre", "modification_steps")
     base: RankTwoBundle
     base_delta: Fraction
     generic_fibre: complex
     modification_steps: int
+
+    def __init__(
+        self, base: RankTwoBundle, base_delta: Fraction, generic_fibre: complex, modification_steps: int
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base_delta", base_delta)
+        object.__setattr__(self, "generic_fibre", generic_fibre)
+        object.__setattr__(self, "modification_steps", modification_steps)
 
     def realize(self) -> RankTwoBundle:
         if self.modification_steps == 0:
@@ -69,16 +77,39 @@ class Recipe:
         return ElemModBundle(self.base, self.generic_fibre, self.modification_steps)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = _fields = (
+        "status", "delta", "lattice_minimum", "filtrable",
+        "threshold_interval", "d_interval", "recipe", "note",
+    )
     status: Existence
     delta: Fraction
     lattice_minimum: Fraction
-    filtrable: bool | None = None
-    threshold_interval: tuple[Fraction, Fraction] | None = None
-    d_interval: tuple[int, int] | None = None
-    recipe: Recipe | None = None
-    note: str = ""
+    filtrable: bool | None
+    threshold_interval: tuple[Fraction, Fraction] | None
+    d_interval: tuple[int, int] | None
+    recipe: Recipe | None
+    note: str
+
+    def __init__(
+        self,
+        status: Existence,
+        delta: Fraction,
+        lattice_minimum: Fraction,
+        filtrable: bool | None = None,
+        threshold_interval: tuple[Fraction, Fraction] | None = None,
+        d_interval: tuple[int, int] | None = None,
+        recipe: Recipe | None = None,
+        note: str = "",
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "lattice_minimum", lattice_minimum)
+        object.__setattr__(self, "filtrable", filtrable)
+        object.__setattr__(self, "threshold_interval", threshold_interval)
+        object.__setattr__(self, "d_interval", d_interval)
+        object.__setattr__(self, "recipe", recipe)
+        object.__setattr__(self, "note", note)
 
 
 def existence_verdict(

@@ -17,10 +17,10 @@ import math
 import random
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
+from .records import Record
 from .tate import (
     DEFAULT_TOL,
     INF,
@@ -35,12 +35,16 @@ from .tate import (
 from .surface import ChernData, HomLattice, NSClass, SurfaceData, base_point, discriminant, self_intersection
 
 
-@dataclass(frozen=True)
-class SectionOfJ:
+class SectionOfJ(Record):
     """Section of the Jacobian: constant part in T* plus a hom vector."""
 
+    __slots__ = _fields = ("constant", "hom")
     constant: TatePoint
     hom: tuple[int, ...]
+
+    def __init__(self, constant: TatePoint, hom: tuple[int, ...]) -> None:
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "hom", hom)
 
 
 def zero_section(surface: SurfaceData) -> SectionOfJ:
@@ -119,16 +123,16 @@ def involution_on_section(section: SectionOfJ, delta: SectionOfJ) -> SectionOfJ:
     return SectionOfJ(const, hom)
 
 
-@dataclass(frozen=True)
-class RationalMap:
+class RationalMap(Record):
     """Rational function of the base coordinate; coefficients low to high."""
 
+    __slots__ = _fields = ("num", "den")
     num: tuple[complex, ...]
-    den: tuple[complex, ...] = (1.0 + 0.0j,)
+    den: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        num = _trim(self.num)
-        den = _trim(self.den)
+    def __init__(self, num: tuple[complex, ...], den: tuple[complex, ...] = (1.0 + 0.0j,)) -> None:
+        num = _trim(num)
+        den = _trim(den)
         if not den:
             raise ValueError("zero denominator")
         object.__setattr__(self, "num", num)
@@ -168,8 +172,7 @@ def _horner(coeffs: tuple[complex, ...], b: complex) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class DoubleCoverData:
+class DoubleCoverData(Record):
     """Irreducible bisection data: fibre values over b are the roots of
     l^2 - trace(b) l + norm(b) = 0.
 
@@ -182,25 +185,49 @@ class DoubleCoverData:
 
     The coefficient maps are concrete only over a rational base; for
     g >= 1 the cover is declared through its branch points and
-    self-intersection.
+    self-intersection, an integer: an int or an integral Fraction is stored
+    as an int, and anything else raises ValueError.
     """
 
-    trace: RationalMap | None = None
-    branch_points: tuple[complex, ...] = ()
-    declared_self_intersection: Fraction | None = None
-    norm: RationalMap | None = None
+    __slots__ = _fields = ("trace", "branch_points", "declared_self_intersection", "norm")
+    trace: RationalMap | None
+    branch_points: tuple[complex, ...]
+    declared_self_intersection: int | None
+    norm: RationalMap | None
+
+    def __init__(
+        self,
+        trace: RationalMap | None = None,
+        branch_points: tuple[complex, ...] = (),
+        declared_self_intersection: int | Fraction | None = None,
+        norm: RationalMap | None = None,
+    ) -> None:
+        declared = declared_self_intersection
+        if declared is not None:
+            if type(declared) is Fraction and declared.denominator == 1:
+                declared = declared.numerator
+            elif type(declared) is not int:
+                raise ValueError(f"declared self-intersection must be an integer, got {declared!r}")
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "branch_points", branch_points)
+        object.__setattr__(self, "declared_self_intersection", declared)
+        object.__setattr__(self, "norm", norm)
 
 
-@dataclass(frozen=True)
-class Bisection:
+class Bisection(Record):
     """Either a pair of sections or an irreducible double cover."""
 
-    components: tuple[SectionOfJ, SectionOfJ] | None = None
-    cover: DoubleCoverData | None = None
+    __slots__ = _fields = ("components", "cover")
+    components: tuple[SectionOfJ, SectionOfJ] | None
+    cover: DoubleCoverData | None
 
-    def __post_init__(self) -> None:
-        if (self.components is None) == (self.cover is None):
+    def __init__(
+        self, components: tuple[SectionOfJ, SectionOfJ] | None = None, cover: DoubleCoverData | None = None
+    ) -> None:
+        if (components is None) == (cover is None):
             raise ValueError("a bisection is either reducible or irreducible, not both")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "cover", cover)
 
     @property
     def is_reducible(self) -> bool:
@@ -493,15 +520,21 @@ def branch_point_count(cover: DoubleCoverData, delta: SectionOfJ, surface: Surfa
     return len(finite) + at_infinity
 
 
-@dataclass(frozen=True)
-class RuledBounds:
+class RuledBounds(Record):
     """Integer window for the maximal sub-line-bundle degree d of the folded
     ruled surface, and the matching window for its invariant e = 2d - 4m."""
 
+    __slots__ = _fields = ("d_min", "d_max", "e_min", "e_max")
     d_min: int
     d_max: int
     e_min: int
     e_max: int
+
+    def __init__(self, d_min: int, d_max: int, e_min: int, e_max: int) -> None:
+        object.__setattr__(self, "d_min", d_min)
+        object.__setattr__(self, "d_max", d_max)
+        object.__setattr__(self, "e_min", e_min)
+        object.__setattr__(self, "e_max", e_max)
 
     @property
     def empty(self) -> bool:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
+from .records import Record
 from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance, _point_rep, is_infinite
 
 
@@ -44,8 +44,7 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot read {x!r} as an exact rational")
 
 
-@dataclass(frozen=True, init=False)
-class HomLattice:
+class HomLattice(Record, uncompared=("rank",)):
     """Rank <= 2 lattice with a positive-semidefinite degree form.
 
     Built from the Gram matrix of the polarisation B, so that
@@ -59,7 +58,8 @@ class HomLattice:
     hashing; gram is rebuilt from it as Fractions.
     """
 
-    rank: int = field(compare=False)
+    __slots__ = _fields = ("rank", "form")
+    rank: int
     form: tuple[int, ...]
 
     def __init__(self, rank: int, gram) -> None:
@@ -125,21 +125,23 @@ UNIT_LATTICE = HomLattice(1, ((1,),))
 ZERO_LATTICE = HomLattice(0, ())
 
 
-@dataclass(frozen=True)
-class BaseCurve:
+class BaseCurve(Record):
     """Base of the fibration: rational (g=0), a concrete Tate model (g=1),
     or abstract (g >= 2, no point arithmetic)."""
 
+    __slots__ = _fields = ("genus", "tate")
     genus: int
-    tate: CurveParam | None = None
+    tate: CurveParam | None
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+    def __init__(self, genus: int, tate: CurveParam | None = None) -> None:
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
-        if self.genus == 1 and self.tate is None:
+        if genus == 1 and tate is None:
             raise ValueError("a genus-1 base needs a concrete multiplier (Tate model)")
-        if self.genus != 1 and self.tate is not None:
+        if genus != 1 and tate is not None:
             raise ValueError("only a genus-1 base carries a Tate model")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "tate", tate)
 
 
 def base_point(surface: SurfaceData | None, b) -> complex:
@@ -179,8 +181,7 @@ def distinct_base_points(surface: SurfaceData | None, points) -> bool:
     return not any(same_base_point(surface, p, q) for p, q in itertools.combinations(points, 2))
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(Record):
     """An elliptic quotient surface over the base, with fibre C*/<tau>.
 
     multiple_fibres lists (base point, multiplicity >= 2) pairs over
@@ -190,52 +191,70 @@ class SurfaceData:
     power maps z -> z^n on a genus-1 base whose multiplier equals tau.
     """
 
+    __slots__ = _fields = ("base", "fibre", "multiple_fibres", "theta_degree", "lattice", "hom_exponents")
     base: BaseCurve
     fibre: CurveParam
-    multiple_fibres: tuple[tuple[complex, int], ...] = ()
-    theta_degree: int | None = None
-    lattice: HomLattice = field(default=ZERO_LATTICE)
-    hom_exponents: tuple[int, ...] | None = None
+    multiple_fibres: tuple[tuple[complex, int], ...]
+    theta_degree: int | None
+    lattice: HomLattice
+    hom_exponents: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        base: BaseCurve,
+        fibre: CurveParam,
+        multiple_fibres: tuple[tuple[complex, int], ...] = (),
+        theta_degree: int | None = None,
+        lattice: HomLattice = ZERO_LATTICE,
+        hom_exponents: tuple[int, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "base", base)  # base_point reads it
         try:
-            fibres = tuple((base_point(self, b), mult) for b, mult in self.multiple_fibres)
+            fibres = tuple((base_point(self, b), mult) for b, mult in multiple_fibres)
         except ValueError as exc:
             raise ValueError(f"multiple fibre point: {exc}") from exc
-        object.__setattr__(self, "multiple_fibres", fibres)
         if not distinct_base_points(self, (b for b, _ in fibres)):
             raise ValueError("multiple fibres must sit over distinct base points")
-        for _, mult in self.multiple_fibres:
+        for _, mult in fibres:
             if mult < 2:
                 raise ValueError("multiple-fibre multiplicities are at least 2")
-        if self.theta_degree is not None:
-            if self.theta_degree <= 0:
+        if theta_degree is not None:
+            if theta_degree <= 0:
                 raise ValueError("theta degree must be positive when present")
-            if self.multiple_fibres:
+            if fibres:
                 raise ValueError("theta degree applies only without multiple fibres")
-        if self.hom_exponents is not None:
-            if len(self.hom_exponents) != self.lattice.rank:
+        if hom_exponents is not None:
+            if len(hom_exponents) != lattice.rank:
                 raise ValueError("one power-map exponent per lattice generator")
-            if any(self.hom_exponents):
-                if self.base.genus != 1:
+            if any(hom_exponents):
+                if base.genus != 1:
                     raise ValueError("power-map generators need a genus-1 base")
-                if self.base.tate != self.fibre:
+                if base.tate != fibre:
                     raise ValueError(
                         "power maps z -> z^n are defined only when the base multiplier equals tau"
                     )
+        object.__setattr__(self, "fibre", fibre)
+        object.__setattr__(self, "multiple_fibres", fibres)
+        object.__setattr__(self, "theta_degree", theta_degree)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "hom_exponents", hom_exponents)
 
     @property
     def torsion_rank(self) -> int:
         return 1 + len(self.multiple_fibres)
 
 
-@dataclass(frozen=True)
-class NSClass:
+class NSClass(Record):
     """Class in NS(X): torsion coordinates (fibre, then one per multiple fibre)
     and coordinates in the hom lattice."""
 
+    __slots__ = _fields = ("torsion", "hom")
     torsion: tuple[int, ...]
     hom: tuple[int, ...]
+
+    def __init__(self, torsion: tuple[int, ...], hom: tuple[int, ...]) -> None:
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "hom", hom)
 
     def __add__(self, other: "NSClass") -> "NSClass":
         _same_shape(self, other)
@@ -267,10 +286,14 @@ def _same_shape(a: NSClass, b: NSClass) -> None:
         raise ValueError("NS classes have mismatched coordinate shapes")
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
+    __slots__ = _fields = ("c1", "c2")
     c1: NSClass
     c2: int
+
+    def __init__(self, c1: NSClass, c2: int) -> None:
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
 
 def self_intersection(c: NSClass, lattice: HomLattice) -> int:

@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+from .records import Record
 
 INF = complex(math.inf, 0.0)
 _TWO_PI_I = 2j * math.pi
@@ -69,15 +70,22 @@ class PeriodFrame(NamedTuple):
     log_tail: float  # log(1.1 |k|^2): log of the bound on x's tail after zero terms
 
 
-@dataclass(frozen=True)
-class CurveParam:
-    """Multiplier of the curve C*/<tau>; requires |tau| > 1."""
+class CurveParam(Record):
+    """Multiplier of the curve C*/<tau>; requires |tau| > 1.
 
+    log_abs_tau, log|tau|, is kept beside it for the annulus reduction in
+    _canonical_rep; it is not a field.
+    """
+
+    _fields = ("tau",)
     tau: complex
+    log_abs_tau: float
 
-    def __post_init__(self) -> None:
-        if not abs(complex(self.tau)) > 1.0:
-            raise ValueError(f"curve multiplier must satisfy |tau| > 1, got {self.tau!r}")
+    def __init__(self, tau: complex) -> None:
+        if not abs(complex(tau)) > 1.0:
+            raise ValueError(f"curve multiplier must satisfy |tau| > 1, got {tau!r}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "log_abs_tau", math.log(abs(tau)))
 
     @property
     def q(self) -> complex:
@@ -106,22 +114,22 @@ class CurveParam:
         return PeriodFrame(a, tau_r, cmath.exp(_TWO_PI_I * tau_r), k, 2.0 * math.pi * tau_r.imag, log_tail)
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(Record):
     """Numeric tolerance: an absolute comparison radius."""
 
-    eps: float = 1e-9
+    __slots__ = _fields = ("eps",)
+    eps: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < math.inf:
+    def __init__(self, eps: float = 1e-9) -> None:
+        if not 0.0 < eps < math.inf:
             raise ValueError("tolerance eps must be positive")
+        object.__setattr__(self, "eps", eps)
 
 
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class TatePoint:
+class TatePoint(Record):
     """A point of C*/<tau>, stored by its canonical annulus representative.
 
     Construction normalises any nonzero finite complex number into the
@@ -129,11 +137,13 @@ class TatePoint:
     with no logarithm taken.  NaN and infinite parts are rejected.
     """
 
+    __slots__ = _fields = ("rep", "curve")
     rep: complex
     curve: CurveParam
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rep", _point_rep(self.rep, self.curve))
+    def __init__(self, rep: complex, curve: CurveParam) -> None:
+        object.__setattr__(self, "rep", _point_rep(rep, curve))
+        object.__setattr__(self, "curve", curve)
 
 
 def _point_rep(z, curve: CurveParam) -> complex:
@@ -161,7 +171,7 @@ def _canonical_rep(z: complex, curve: CurveParam) -> complex:
     except OverflowError:  # finite parts whose modulus exceeds the float range
         log_az = math.log(abs(0.5 * z)) + math.log(2.0)
     # initial guess from logs, then fix float fences at the annulus boundary
-    k = -math.floor(log_az / math.log(at))
+    k = -math.floor(log_az / curve.log_abs_tau)
     if k:
         try:
             z = z * tau**k

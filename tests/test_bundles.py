@@ -10,6 +10,7 @@ curves.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from ellspec.bundles import (
     trivial_line_bundle,
 )
 import ellspec.bundles as bundles_module
+import ellspec.tate as tate_module
 from ellspec.jacobian import (
     DoubleCoverData,
     RationalMap,
@@ -455,8 +457,8 @@ def test_cover_verification_point_work_is_bounded(bundle, surface, most, monkeyp
     # fibre loop now works on canonical representatives from one plan of
     # the presentation, so 200 sampled fibres build no more points than 50
     calls = []
-    post_init = TatePoint.__post_init__
-    monkeypatch.setattr(TatePoint, "__post_init__", lambda self: calls.append(1) or post_init(self))
+    init = TatePoint.__init__
+    monkeypatch.setattr(TatePoint, "__init__", lambda self, *a: calls.append(1) or init(self, *a))
     counts = []
     for samples in (50, 200):
         calls.clear()
@@ -464,6 +466,33 @@ def test_cover_verification_point_work_is_bounded(bundle, surface, most, monkeyp
         counts.append(len(calls))
     assert counts[0] / 50 <= most
     assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("tau", [3.0, 1.2 + 0.9j, 40j, 1.05])
+def test_cover_verification_takes_log_tau_once_per_curve(tau, monkeypatch):
+    # an annulus reduction off the fast path takes the log of |z| alone and
+    # reads log|tau| off the curve, which takes it once, when built; taking
+    # it on every such reduction doubled the logs of a verification
+    logs, reductions = [], []
+    log, reduce = math.log, tate_module._canonical_rep
+
+    def counted_reduce(z, curve):
+        reductions.append(not 1.0 <= abs(z) < abs(curve.tau))
+        return reduce(z, curve)
+
+    monkeypatch.setattr(math, "log", lambda x, *base: logs.append(x) or log(x, *base))
+    for module in (tate_module, bundles_module):
+        monkeypatch.setattr(module, "_canonical_rep", counted_reduce)
+    fibre = CurveParam(tau)
+    surface = SurfaceData(BaseCurve(1, tate=fibre), fibre, lattice=UNIT_LATTICE, hom_exponents=(1,))
+    bundle = ExtensionBundle(
+        LineBundleOnX(section_for_class(surface, NSClass((0,), (1,)), 1.5 + 0.5j)),
+        trivial_line_bundle(surface),
+        zero_cycle=((1.7 + 0.4j, 1),),
+    )
+    assert spectral_cover(bundle, surface, verify_samples=50).verification_samples == 50
+    assert sum(reductions) > 40
+    assert len(logs) == sum(reductions) + 1
 
 
 def test_cover_verification_applies_no_involution(monkeypatch):

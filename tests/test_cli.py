@@ -37,6 +37,7 @@ from ellspec.cli import (
     _shared_parser,
     main,
 )
+from ellspec.jacobian import DoubleCoverData, irreducible_bisection
 from ellspec.schemas import (
     decode_bisection,
     decode_recipe,
@@ -283,6 +284,19 @@ def test_spectral_cover_irreducible_roundtrip(tmp_path, capsys):
     assert points_equal(dual.constant, TatePoint(0.5, CurveParam(4.0)))
     assert encode_section(dual) == body["dual_determinant"]
     assert encode_bisection(decode_bisection(body["bisection"], S0)) == body["bisection"]
+
+
+def test_declared_cover_from_a_fraction_is_written_as_an_integer():
+    # an integral Fraction is stored as an int, which the reply writer takes
+    bisection = irreducible_bisection(DoubleCoverData(declared_self_intersection=Fraction(3)))
+    text = emitted(encode_bisection(bisection))
+    assert text == json.dumps({"irreducible": {"declared_self_intersection": 3}}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("declared", [Fraction(3, 2), 3.0, True, "3"])
+def test_declared_self_intersection_must_be_an_integer(declared):
+    with pytest.raises(ValueError):
+        DoubleCoverData(declared_self_intersection=declared)
 
 
 def golden_push(norm=None, hom=None) -> dict:
@@ -821,6 +835,21 @@ def test_package_imports_without_numpy():
         "-c", 'import ellspec, ellspec.cli, sys; assert "numpy" not in sys.modules'
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_no_dataclasses_inspect_or_argparse():
+    # a cold request loads only what it uses: records are built without
+    # dataclasses (which pulls in inspect), and argparse waits for a
+    # command line that _read_argv declines, such as --help
+    proc = _fresh_python(
+        "-c",
+        "import sys; before = set(sys.modules); import ellspec.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'argparse'} & (set(sys.modules) - before)))",
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    proc = _fresh_python("-c", "from ellspec.cli import main; main(['exists', '--help'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ellspec exists")
 
 
 def test_main_reuses_parser_without_leaking_arguments(tmp_path, capsys):

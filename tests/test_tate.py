@@ -482,13 +482,13 @@ def _count_preimage_work(monkeypatch) -> dict:
             counts[_name] += 1
             return _f(*a, **k)
         monkeypatch.setattr(tate, name, counted)
-    post_init = TatePoint.__post_init__
+    init = TatePoint.__init__
 
-    def counted_post_init(self):
+    def counted_init(self, *args):
         counts["TatePoint"] += 1
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(TatePoint, "__post_init__", counted_post_init)
+    monkeypatch.setattr(TatePoint, "__init__", counted_init)
     return counts
 
 
