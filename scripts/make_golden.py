@@ -136,6 +136,24 @@ CASES: list[tuple[str, list[str], object]] = [
         },
     ),
     (
+        # sub and quotient coincide (1.5 squared is delta), so every
+        # sampled fibre glues to the non-split type
+        "spectral-cover-g0-nonsplit-everywhere-verify",
+        ["spectral-cover", "--verify", "50", "--seed", "2"],
+        {
+            "schema": 1,
+            "surface": G0,
+            "bundle": {
+                "extension": {
+                    "D": {"section": {"constant": [1.5, 0.0], "hom": []}},
+                    "delta": {"section": {"constant": [2.25, 0.0], "hom": []}},
+                    "Z": [[[0.5, 0.0], 1]],
+                    "nonsplit_everywhere": True,
+                }
+            },
+        },
+    ),
+    (
         "intersect-g1",
         ["intersect"],
         {"schema": 1, "surface": G1, "classes": [{"torsion": [0], "hom": [1]}, {"torsion": [0], "hom": [1]}]},
