@@ -6,10 +6,11 @@ bisection, or as a chain of elementary modifications along smooth
 fibres.  Each presentation determines Chern data exactly; restriction to
 a smooth fibre determines a split, non-split, or unstable isomorphism
 type whose determinant is the fibre value of the determinant bundle.
-Whether a spectral push fits its surface (constant determinant over a
-rational base, invariant bisection) is decided by check_spectral_push:
-by spectral_cover once per request, before any fibre, and by
-restrict_to_fibre once per call; fibre evaluation compares nothing.
+Whether a spectral push fits its surface (constant determinant and a
+trace map over a rational base, invariant bisection) is decided by
+check_spectral_push: by spectral_cover once per request, before any
+fibre, and by restrict_to_fibre once per call; fibre evaluation compares
+nothing.
 
 Fibres are evaluated from a plan (_FibrePlan) that resolves a
 presentation once per request: its chain, zero cycle and non-split marks
@@ -17,6 +18,9 @@ as base numbers, and the constant representative and power exponent of
 each section.  A fibre then costs complex arithmetic on canonical
 annulus representatives alone; restrict_to_fibre is the plan at one
 fibre, and spectral-cover verification runs it at every sampled fibre.
+Verification scores each distinct (value, cover classes) triple once per
+request, so a bundle whose values repeat from fibre to fibre (every
+extension over a rational base) is scored once, not once per fibre.
 
 The spectral cover of a presentation records, per fibre, the classes
 whose twist makes first cohomology jump: these are the inverses of the
@@ -230,11 +234,15 @@ def chern_of_extension(bundle: ExtensionBundle, lattice: HomLattice, torsion_ran
 
 def check_spectral_push(push: SpectralPushBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> None:
     """Raise ValueError unless the push fits the surface: over a rational
-    base the determinant is constant, and is_invariant_bisection holds (a
-    given norm map is a constant in the class of the determinant's value).
-    Callers pass the root of a modification chain."""
-    if surface.base.genus == 0 and any(push.determinant.section.hom):
-        raise ValueError("over a rational base the determinant section is constant")
+    base the determinant is constant and the cover has a trace map, and
+    is_invariant_bisection holds (a given norm map is a constant in the
+    class of the determinant's value).  Callers pass the root of a
+    modification chain."""
+    if surface.base.genus == 0:
+        if any(push.determinant.section.hom):
+            raise ValueError("over a rational base the determinant section is constant")
+        if push.cover.cover.trace is None:
+            raise ValueError("over a rational base the bisection needs a trace map, not a declared cover")
     if not is_invariant_bisection(push.cover, push.determinant.section, surface, tol):
         raise ValueError("bisection is not invariant under the involution")
 
@@ -327,16 +335,21 @@ class _FibrePlan:
         unstable restriction, else the two value representatives and
         whether they glue to the non-split type (see restrict_to_fibre)."""
         surface, tol = self.surface, self.tol
-        if any(_same_base_number(surface, x, p, tol) for p, _ in surface.multiple_fibres):
+        # the scans below run at every fibre and their lists are usually empty
+        multiple = surface.multiple_fibres
+        if multiple and any(_same_base_number(surface, x, p, tol) for p, _ in multiple):
             raise ValueError("restriction to a multiple fibre is unsupported")
-        if any(_same_base_number(surface, x, f, tol) for f in self.modified):
+        modified = self.modified
+        if modified and any(_same_base_number(surface, x, f, tol) for f in modified):
             return 1
         root = self.root
         tau = surface.fibre.tau
         if isinstance(root, ExtensionBundle):
-            k = sum(n for p, n in self.cycle if _same_base_number(surface, x, p, tol))
-            if k >= 1:
-                return k
+            cycle = self.cycle
+            if cycle:
+                k = sum(n for p, n in cycle if _same_base_number(surface, x, p, tol))
+                if k >= 1:
+                    return k
             v1, v2 = self.evaluate(x)
             glued = _class_distance(v1, v2, tau) <= tol.eps and (
                 root.nonsplit_everywhere or any(_same_base_number(surface, x, p, tol) for p in self.marks)
@@ -524,6 +537,12 @@ def _verify_cover(
     its representative to 1, and no point object is built.  A residual
     that is not within the jump tolerance (NaN included) raises
     SpectralVerificationError.
+
+    Each distinct (value, cover classes) triple is scored once per
+    request: the score is a pure function of the three numbers and the
+    curve, so a repeat (every fibre of a genus-0 extension) reads the
+    float a recomputation would give.  Equal keys differ at most in the
+    sign of a zero part, which no operation of the score lets through.
     """
     plan = _FibrePlan(bundle, surface, tol)
     alphas = None
@@ -531,6 +550,7 @@ def _verify_cover(
     avoid = tuple(p for p, _ in cover.jump_fibres)
     jump_eps = 10.0 * tol.eps
     worst = 0.0
+    scores: dict[tuple[complex, complex, complex], float] = {}
     for x in _sample_base_numbers(surface, samples, seed, avoid):
         restriction = plan.restrict(x)
         if isinstance(restriction, int):
@@ -540,7 +560,10 @@ def _verify_cover(
             alphas = _cover_evaluator(cover.bisection, cover.dual_determinant, surface)
         a1, a2 = alphas(x)
         for v in (v1, v1) if glued else (v1, v2):
-            residual = min(_twist_residual(v, a1, fibre), _twist_residual(v, a2, fibre))
+            key = (v, a1, a2)
+            residual = scores.get(key)
+            if residual is None:
+                residual = scores[key] = min(_twist_residual(v, a1, fibre), _twist_residual(v, a2, fibre))
             worst = max(worst, residual)
             if not residual <= jump_eps:
                 b = TatePoint(x, surface.base.tate) if surface.base.genus == 1 else x

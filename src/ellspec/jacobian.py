@@ -320,13 +320,13 @@ def _sample_base_numbers(
             raise RuntimeError("could not sample enough generic base points")
         if g == 0:
             b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            if any(abs(b - f) < _CLEARANCE for f in forbidden):
+            if forbidden and any(abs(b - f) < _CLEARANCE for f in forbidden):
                 continue
         elif g == 1:
             r = abs(tate.tau) ** rng.uniform(0.0, 1.0)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             b = _point_rep(r * cmath.exp(1j * theta), tate)
-            if any(_class_distance(b, f, tate.tau) < _CLEARANCE for f in forbidden):
+            if forbidden and any(_class_distance(b, f, tate.tau) < _CLEARANCE for f in forbidden):
                 continue
         else:
             raise ValueError("abstract bases (g >= 2) have no point arithmetic")

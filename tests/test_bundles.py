@@ -226,6 +226,23 @@ def test_chern_of_rational_push_with_hom_determinant_is_rejected():
     assert chern_data(constant, S0U) == ChernData(NSClass((0,), (0,)), 1)
 
 
+def test_rational_push_on_a_declared_cover_is_rejected():
+    # over a rational base the fibre values of a cover are read off its
+    # trace map, which a declared cover lacks; such a push once passed this
+    # check, and its verification failed at the first fibre instead
+    det = LineBundleOnX(SectionOfJ(TatePoint(1.5 + 0.2j, S03.fibre), ()))
+    bundle = SpectralPushBundle(irreducible_bisection(DoubleCoverData(declared_self_intersection=2)), det)
+    chain = ElemModBundle(bundle, 0.4 + 0.3j, 1)
+    for compute in (
+        lambda: check_spectral_push(bundle, S03),
+        lambda: chern_data(chain, S03),
+        lambda: spectral_cover(bundle, S03),
+        lambda: spectral_cover(chain, S03, verify_samples=50),
+    ):
+        with pytest.raises(ValueError, match="over a rational base the bisection needs a trace map"):
+            compute()
+
+
 def test_discriminant_checks_build_no_fraction(monkeypatch):
     # the ledger and the extension identity are checked on 8 Delta, in integers
     bundle = ExtensionBundle(
@@ -510,6 +527,66 @@ def test_cover_verification_applies_no_involution(monkeypatch):
     chern_data(bundle, S0)
     assert cover.verification_samples == 50
     assert calls == []
+
+
+def _count_twist_residuals(monkeypatch) -> list:
+    calls = []
+    residual = bundles_module._twist_residual
+    monkeypatch.setattr(bundles_module, "_twist_residual", lambda *a: calls.append(1) or residual(*a))
+    return calls
+
+
+G0_EXTENSION = ExtensionBundle(
+    LineBundleOnX(SectionOfJ(TatePoint(2.5, S0.fibre), ())), trivial_line_bundle(S0), zero_cycle=((0.5, 1),)
+)
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [G0_EXTENSION, ElemModBundle(ElemModBundle(G0_EXTENSION, 0.4 + 0.3j, 1), -0.6 + 0.2j, 2)],
+    ids=["extension", "elem-mod-chain"],
+)
+def test_cover_verification_scores_repeated_values_once(bundle, monkeypatch):
+    # over a rational base an extension's two values and the cover's two
+    # classes are the same at every fibre, so each value is scored once
+    # against both classes, whatever the sample count; scoring every fibre
+    # made 4 twist residuals per fibre
+    calls = _count_twist_residuals(monkeypatch)
+    counts = []
+    for samples in (50, 200):
+        calls.clear()
+        assert spectral_cover(bundle, S0, verify_samples=samples).max_residual < 1e-8
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4
+
+
+def test_cover_verification_scores_every_distinct_value(monkeypatch):
+    # on a genus-1 base a power-map section moves from fibre to fibre, so
+    # no score is shared: both values meet both classes at every fibre
+    calls = _count_twist_residuals(monkeypatch)
+    counts = []
+    for samples in (50, 200):
+        calls.clear()
+        assert spectral_cover(G1_EXTENSION, S1U, verify_samples=samples).max_residual < 1e-8
+        counts.append(len(calls))
+    assert counts == [4 * 50, 4 * 200]
+
+
+def test_cover_verification_of_a_wrong_cover_fails_at_the_first_fibre(monkeypatch):
+    # the cover of another extension: the first sampled fibre fails, with
+    # the residual of the fibre-by-fibre reference in its message
+    calls = _count_twist_residuals(monkeypatch)
+    bundle = ExtensionBundle(LineBundleOnX(SectionOfJ(TatePoint(2.5, S0.fibre), ())), trivial_line_bundle(S0))
+    other = ExtensionBundle(LineBundleOnX(SectionOfJ(TatePoint(1.7, S0.fibre), ())), trivial_line_bundle(S0))
+    wrong = spectral_cover(other, S0)
+    b = sample_base_points(S0, 50)[0]
+    v = restrict_to_fibre(bundle, b, S0).first
+    alphas = cover_fibre_values(wrong.bisection, b, wrong.dual_determinant, S0)
+    best = min(_reference_twist_residual(v, a) for a in alphas)
+    with pytest.raises(SpectralVerificationError) as info:
+        _verify_cover(bundle, wrong, S0, Tolerance(), 50, 0)
+    assert str(info.value) == f"no cover class produces a cohomology jump at fibre {b!r} (best residual {best:.3e})"
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("tau", [1e160, 1e300])

@@ -342,6 +342,29 @@ def test_push_that_does_not_fit_its_surface_is_a_schema_error(tmp_path, capsys, 
     assert body == {"schema": 1, "error": error, "exit_code": EX_SCHEMA}
 
 
+@pytest.mark.parametrize("flags", [(), ("--verify", "50")], ids=["cover", "verified-cover"])
+def test_rational_push_on_a_declared_cover_is_a_schema_error(tmp_path, capsys, flags):
+    # a declared cover has no trace map to evaluate over a rational base;
+    # verifying it once failed at the first fibre and exited 70
+    doc = {
+        "schema": 1,
+        "surface": {"genus": 0, "tau": [3, 0], "lattice": {"rank": 0, "gram": []}},
+        "bundle": {
+            "spectral_push": {
+                "bisection": {"irreducible": {}},
+                "delta": {"section": {"constant": [1.5, 0.2], "hom": []}},
+            }
+        },
+    }
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc, *flags)
+    assert code == EX_SCHEMA
+    assert body == {
+        "schema": 1,
+        "error": "bundle: over a rational base the bisection needs a trace map, not a declared cover",
+        "exit_code": EX_SCHEMA,
+    }
+
+
 def test_push_with_a_given_norm_verifies(tmp_path, capsys):
     # the norm 4.5 = 3 * 1.5 lies in the determinant's class off its
     # representative; the dual cover divides by the norm the push carries

@@ -36,6 +36,7 @@ def run_script(script: str, args) -> subprocess.CompletedProcess:
         ("existence_sweep.py", ("--genus", "2", "--tau", "3", "--gram", "4", "--hom", "1", "--d", "1", "--c2=-3:1")),
         ("quotient_profile.py", ("--tau", "-2", "--samples", "20")),
         ("quotient_profile.py", ("--tau", "1e10", "--samples", "20")),
+        ("reply_digest.py", ("--workload", "cover-verify", "--seeds", "1")),
     ],
 )
 def test_script_runs(script, args):
