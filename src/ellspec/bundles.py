@@ -18,9 +18,10 @@ as base numbers, and the constant representative and power exponent of
 each section.  A fibre then costs complex arithmetic on canonical
 annulus representatives alone; restrict_to_fibre is the plan at one
 fibre, and spectral-cover verification runs it at every sampled fibre.
-Verification scores each distinct (value, cover classes) triple once per
-request, so a bundle whose values repeat from fibre to fibre (every
-extension over a rational base) is scored once, not once per fibre.
+Verification reuses a fibre's residuals while the next fibres repeat its
+values and cover classes, so a bundle whose values and classes stay put
+(every extension over a rational base) is scored once per request, not
+once per fibre.
 
 The spectral cover of a presentation records, per fibre, the classes
 whose twist makes first cohomology jump: these are the inverses of the
@@ -454,7 +455,7 @@ def _cover_parts(
     if isinstance(bundle, SpectralPushBundle):
         check_spectral_push(bundle, surface, tol)
         cover = bundle.cover.cover
-        if cover.trace is not None and surface.base.genus == 0:
+        if surface.base.genus == 0:  # check_spectral_push saw a trace map
             # the product of the fibre values: the given (constant) norm,
             # else the determinant's representative
             n = cover.norm(0j) if cover.norm is not None else bundle.determinant.section.constant.rep
@@ -538,11 +539,13 @@ def _verify_cover(
     that is not within the jump tolerance (NaN included) raises
     SpectralVerificationError.
 
-    Each distinct (value, cover classes) triple is scored once per
-    request: the score is a pure function of the three numbers and the
-    curve, so a repeat (every fibre of a genus-0 extension) reads the
-    float a recomputation would give.  Equal keys differ at most in the
-    sign of a zero part, which no operation of the score lets through.
+    A fibre whose values and cover classes equal those of the last scored
+    fibre (every fibre of an extension over a rational base) reuses that
+    fibre's residuals.  A residual is a pure function of the numbers and
+    the curve, and equal numbers differ at most in the sign of a zero
+    part, which no operation of the residual lets through; so a reused
+    residual is the float a recomputation would give.  Values that move
+    from fibre to fibre pay one tuple comparison per fibre.
     """
     plan = _FibrePlan(bundle, surface, tol)
     alphas = None
@@ -550,7 +553,7 @@ def _verify_cover(
     avoid = tuple(p for p, _ in cover.jump_fibres)
     jump_eps = 10.0 * tol.eps
     worst = 0.0
-    scores: dict[tuple[complex, complex, complex], float] = {}
+    scored = None  # the values and cover classes that residuals belong to
     for x in _sample_base_numbers(surface, samples, seed, avoid):
         restriction = plan.restrict(x)
         if isinstance(restriction, int):
@@ -559,11 +562,11 @@ def _verify_cover(
         if alphas is None:
             alphas = _cover_evaluator(cover.bisection, cover.dual_determinant, surface)
         a1, a2 = alphas(x)
-        for v in (v1, v1) if glued else (v1, v2):
-            key = (v, a1, a2)
-            residual = scores.get(key)
-            if residual is None:
-                residual = scores[key] = min(_twist_residual(v, a1, fibre), _twist_residual(v, a2, fibre))
+        values = (v1, v1) if glued else (v1, v2)
+        if (values, a1, a2) != scored:
+            scored = values, a1, a2
+            residuals = [min(_twist_residual(v, a1, fibre), _twist_residual(v, a2, fibre)) for v in values]
+        for residual in residuals:
             worst = max(worst, residual)
             if not residual <= jump_eps:
                 b = TatePoint(x, surface.base.tate) if surface.base.genus == 1 else x
