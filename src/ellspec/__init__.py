@@ -9,15 +9,11 @@ construction recipes.
 from .bundles import (
     ElemModBundle,
     ExtensionBundle,
-    FibreRestriction,
     LineBundleOnX,
-    NonSplitRestriction,
     RankTwoBundle,
     SpectralCover,
     SpectralPushBundle,
     SpectralVerificationError,
-    SplitRestriction,
-    UnstableRestriction,
     apply_modification_ledger,
     chern_data,
     chern_of_extension,
@@ -48,7 +44,6 @@ from .jacobian import (
     is_invariant_bisection,
     reducible_bisection,
     ruled_invariant_bounds,
-    sample_base_points,
     section_for_class,
     section_pairing,
     sections_equal,

@@ -8,16 +8,15 @@ a smooth fibre determines a split, non-split, or unstable isomorphism
 type whose determinant is the fibre value of the determinant bundle.
 Whether a spectral push fits its surface (constant determinant and a
 trace map over a rational base, invariant bisection) is decided by
-check_spectral_push: by spectral_cover once per request, before any
-fibre, and by restrict_to_fibre once per call; fibre evaluation compares
-nothing.
+check_spectral_push, which spectral_cover runs once per request before
+any fibre; fibre evaluation compares nothing.
 
 Fibres are evaluated from a plan (_FibrePlan) that resolves a
 presentation once per request: its chain, zero cycle and non-split marks
 as base numbers, and the constant representative and power exponent of
 each section.  A fibre then costs complex arithmetic on canonical
-annulus representatives alone; restrict_to_fibre is the plan at one
-fibre, and spectral-cover verification runs it at every sampled fibre.
+annulus representatives alone; spectral-cover verification runs the
+plan at every sampled fibre.
 Verification reuses a fibre's residuals while the next fibres repeat its
 values and cover classes, so a bundle whose values and classes stay put
 (every extension over a rational base) is scored once per request, not
@@ -42,7 +41,6 @@ from .jacobian import (
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
-    _base_number,
     _cover_evaluator,
     _sample_base_numbers,
     _section_evaluator,
@@ -104,35 +102,6 @@ class LineBundleOnX(Record):
 
 def trivial_line_bundle(surface: SurfaceData) -> LineBundleOnX:
     return LineBundleOnX(zero_section(surface))
-
-
-class SplitRestriction(Record):
-    __slots__ = _fields = ("first", "second")
-    first: TatePoint
-    second: TatePoint
-
-    def __init__(self, first: TatePoint, second: TatePoint) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-
-class NonSplitRestriction(Record):
-    __slots__ = _fields = ("value",)
-    value: TatePoint
-
-    def __init__(self, value: TatePoint) -> None:
-        object.__setattr__(self, "value", value)
-
-
-class UnstableRestriction(Record):
-    __slots__ = _fields = ("sub_degree",)
-    sub_degree: int
-
-    def __init__(self, sub_degree: int) -> None:
-        object.__setattr__(self, "sub_degree", sub_degree)
-
-
-FibreRestriction = SplitRestriction | NonSplitRestriction | UnstableRestriction
 
 
 class ExtensionBundle(Record, uncompared=("quotient",), hidden=("quotient",)):
@@ -284,10 +253,6 @@ def apply_modification_ledger(cd: ChernData, steps: int, lattice: HomLattice) ->
     return out
 
 
-def _multiple_fibre_at(surface: SurfaceData, b, tol: Tolerance) -> bool:
-    return any(same_base_point(surface, b, p, tol) for p, _ in surface.multiple_fibres)
-
-
 class _FibrePlan:
     """The restriction of a presentation to smooth fibres, on base numbers.
 
@@ -332,9 +297,18 @@ class _FibrePlan:
         return _cover_evaluator(root.cover, root.determinant.section, surface)
 
     def restrict(self, x) -> int | tuple[complex, complex, bool]:
-        """The restriction at the base number x: the sub-degree of an
-        unstable restriction, else the two value representatives and
-        whether they glue to the non-split type (see restrict_to_fibre)."""
+        """The restriction to the smooth fibre over the base number x: the
+        sub-degree if it is unstable, else the two value representatives
+        and whether they glue to the non-split type.
+
+        A chain is walked down in one pass: a modified fibre at x is
+        unstable, and elsewhere the root decides; a multiple fibre raises
+        ValueError.  An extension is unstable on its zero cycle and glues
+        its sub and quotient values where they coincide on a marked fibre.
+        A cover's values glue at square-root tolerance, the sensitivity of
+        a double root at a branch point.  The caller checks a spectral push
+        against its surface first (check_spectral_push).
+        """
         surface, tol = self.surface, self.tol
         # the scans below run at every fibre and their lists are usually empty
         multiple = surface.multiple_fibres
@@ -358,34 +332,6 @@ class _FibrePlan:
             return v1, v2, glued
         v1, v2 = self.evaluate(x)
         return v1, v2, _class_distance(v1, v2, tau) <= max(tol.eps, tol.eps**0.5)
-
-
-def restrict_to_fibre(
-    bundle: RankTwoBundle, b, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL
-) -> FibreRestriction:
-    """Isomorphism type of the restriction to the fibre over b.
-
-    Smooth non-multiple fibres only.  A chain of modifications is walked
-    down in one pass: the first modified fibre at b makes the restriction
-    unstable, and otherwise the root presentation decides.  An extension
-    reads its two values off the sub and the stored quotient section.
-    Coincidence of the two values at a branch point of an irreducible
-    cover is detected at square-root tolerance, matching the sensitivity
-    of a double root.  This is _FibrePlan at one fibre; a spectral push is
-    checked against its surface after the evaluation, so that errors at b
-    come first.
-    """
-    plan = _FibrePlan(bundle, surface, tol)
-    restriction = plan.restrict(_base_number(surface, b))
-    if isinstance(restriction, int):
-        return UnstableRestriction(restriction)
-    if isinstance(plan.root, SpectralPushBundle):
-        check_spectral_push(plan.root, surface, tol)
-    v1, v2, glued = restriction
-    first = TatePoint(v1, surface.fibre)
-    if glued:
-        return NonSplitRestriction(first)
-    return SplitRestriction(first, TatePoint(v2, surface.fibre))
 
 
 class SpectralCover(Record):
@@ -562,7 +508,7 @@ def _verify_cover(
         if alphas is None:
             alphas = _cover_evaluator(cover.bisection, cover.dual_determinant, surface)
         a1, a2 = alphas(x)
-        values = (v1, v1) if glued else (v1, v2)
+        values = (v1,) if glued else (v1, v2)
         if (values, a1, a2) != scored:
             scored = values, a1, a2
             residuals = [min(_twist_residual(v, a1, fibre), _twist_residual(v, a2, fibre)) for v in values]
@@ -611,7 +557,7 @@ def elementary_modification(
     if steps < 0:
         raise ValueError("modification step count must be positive")
     bc = base_point(surface, b)
-    if _multiple_fibre_at(surface, bc, tol):
+    if any(same_base_point(surface, bc, p, tol) for p, _ in surface.multiple_fibres):
         raise ValueError("cannot modify along a multiple fibre")
     root = bundle
     while isinstance(root, ElemModBundle):

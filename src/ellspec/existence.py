@@ -30,9 +30,9 @@ from .bundles import (
 )
 from .jacobian import (
     Bisection,
+    _sample_base_numbers,
     graph_self_intersection,
     ruled_invariant_bounds,
-    sample_base_points,
     section_for_class,
 )
 from .records import Record
@@ -40,7 +40,6 @@ from .surface import (
     ChernData,
     NSClass,
     SurfaceData,
-    base_point,
     discriminant,
     filtrable_bound,
 )
@@ -250,7 +249,7 @@ def _generic_fibre(surface: SurfaceData, seed: int) -> complex:
         # abstract base: a formal marker point, deterministic under the seed
         rng = random.Random(seed)
         return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-    return base_point(surface, sample_base_points(surface, 1, seed=seed)[0])
+    return _sample_base_numbers(surface, 1, seed)[0]
 
 
 def _replayed(recipe: Recipe, cd: ChernData, surface: SurfaceData, tol: Tolerance) -> Recipe:

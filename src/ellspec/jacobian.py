@@ -24,6 +24,7 @@ from .records import Record
 from .tate import (
     DEFAULT_TOL,
     INF,
+    CurveParam,
     TatePoint,
     Tolerance,
     _class_distance,
@@ -32,7 +33,7 @@ from .tate import (
     is_infinite,
     points_equal,
 )
-from .surface import ChernData, HomLattice, NSClass, SurfaceData, base_point, discriminant, self_intersection
+from .surface import ChernData, HomLattice, NSClass, SurfaceData, discriminant, self_intersection
 
 
 class SectionOfJ(Record):
@@ -71,8 +72,9 @@ def _section_evaluator(section: SectionOfJ, surface: SurfaceData) -> Callable[[c
 
     The base number is the annulus representative of the base point on a
     genus-1 base and the point as given on a rational one; the value is
-    the canonical representative of the section there.  Raises the
-    ValueError of section_value for a section the base cannot evaluate.
+    the canonical representative of the section there.  Raises ValueError
+    for a section the base cannot evaluate: a hom part over a rational
+    base or without power maps, or any section of an abstract base.
     """
     g = surface.base.genus
     if g == 0:
@@ -84,19 +86,22 @@ def _section_evaluator(section: SectionOfJ, surface: SurfaceData) -> Callable[[c
         const = section.constant.rep
         exp = _power_exponent(surface, section.hom)
         fibre = surface.fibre
-        return lambda x: _point_rep(const * (x**exp if exp else 1.0), fibre)
+        return lambda x: _point_rep(const * (_power(x, exp, fibre) if exp else 1.0), fibre)
     raise ValueError("abstract bases (g >= 2) have no point arithmetic")
 
 
-def _base_number(surface: SurfaceData, b):
-    """The base number of b for the evaluators (see _section_evaluator)."""
-    return base_point(surface, b) if surface.base.genus == 1 else b
-
-
-def section_value(section: SectionOfJ, b, surface: SurfaceData) -> TatePoint:
-    """Evaluate a section at a base point (rational or Tate base only)."""
-    x = _base_number(surface, b)
-    return TatePoint(_section_evaluator(section, surface)(x), surface.fibre)
+def _power(x: complex, exp: int, fibre: CurveParam) -> complex:
+    """x**exp for nonzero x, or where that leaves the float range, a point
+    of its class: exp log x reduced modulo log tau into real part
+    [0, log|tau|), which loses about exp times the rounding of log x."""
+    try:
+        p = x**exp
+    except OverflowError:
+        p = 0j
+    if p != 0 and cmath.isfinite(p):
+        return p
+    w = exp * cmath.log(x)
+    return cmath.exp(w - math.floor(w.real / fibre.log_abs_tau) * cmath.log(fibre.tau))
 
 
 def sections_equal(s1: SectionOfJ, s2: SectionOfJ, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -246,8 +251,12 @@ def _cover_evaluator(
     bis: Bisection, delta: SectionOfJ, surface: SurfaceData
 ) -> Callable[[complex], tuple[complex, complex]]:
     """The two fibre values of an invariant bisection as a function of the
-    base number, resolved once (see _section_evaluator and
-    cover_fibre_values); the values are canonical representatives."""
+    base number, resolved once (see _section_evaluator); the values are
+    canonical representatives.
+
+    The caller guarantees invariance (bundles.check_spectral_push), so a
+    given norm map is a nonzero finite constant, used as it stands.
+    """
     if bis.is_reducible:
         first, second = (_section_evaluator(s, surface) for s in bis.components)
         return lambda x: (first(x), second(x))
@@ -277,24 +286,6 @@ def _cover_evaluator(
     return values
 
 
-def cover_fibre_values(
-    bis: Bisection,
-    b,
-    delta: SectionOfJ,
-    surface: SurfaceData,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[TatePoint, TatePoint]:
-    """The two fibre values of an invariant bisection over b.
-
-    The caller guarantees invariance (bundles.check_spectral_push), so a
-    given norm map is a nonzero finite constant, used as it stands, and
-    tol is not read.
-    """
-    x = _base_number(surface, b)
-    v1, v2 = _cover_evaluator(bis, delta, surface)(x)
-    return TatePoint(v1, surface.fibre), TatePoint(v2, surface.fibre)
-
-
 _CLEARANCE = 1e-3
 
 
@@ -304,8 +295,9 @@ def _sample_base_numbers(
     seed: int = 0,
     avoid: tuple[complex, ...] = (),
 ) -> list[complex]:
-    """sample_base_points as base numbers: annulus representatives on a
-    genus-1 base, with no point object built."""
+    """Seeded generic base numbers, at least _CLEARANCE from the avoided
+    points and the multiple fibres: complex numbers on a rational base,
+    annulus representatives on genus 1, with no point object built."""
     rng = random.Random(seed)
     g = surface.base.genus
     forbidden = [complex(p) for p in avoid] + [complex(p) for p, _ in surface.multiple_fibres]
@@ -332,20 +324,6 @@ def _sample_base_numbers(
             raise ValueError("abstract bases (g >= 2) have no point arithmetic")
         out.append(b)
     return out
-
-
-def sample_base_points(
-    surface: SurfaceData,
-    count: int,
-    seed: int = 0,
-    avoid: tuple[complex, ...] = (),
-) -> list[complex | TatePoint]:
-    """Seeded generic base points, at least _CLEARANCE from marked points:
-    complex numbers on a rational base, points of the Tate base on genus 1."""
-    numbers = _sample_base_numbers(surface, count, seed, avoid)
-    if surface.base.genus == 1:
-        return [TatePoint(x, surface.base.tate) for x in numbers]
-    return numbers
 
 
 def is_invariant_bisection(

@@ -21,12 +21,10 @@ from ellspec.bundles import (
     ElemModBundle,
     ExtensionBundle,
     LineBundleOnX,
-    NonSplitRestriction,
     SpectralCover,
     SpectralPushBundle,
     SpectralVerificationError,
-    SplitRestriction,
-    UnstableRestriction,
+    _FibrePlan,
     _verify_cover,
     apply_modification_ledger,
     check_spectral_push,
@@ -34,7 +32,6 @@ from ellspec.bundles import (
     chern_of_extension,
     cover_base_intersections,
     elementary_modification,
-    restrict_to_fibre,
     spectral_accounting,
     spectral_cover,
     trivial_line_bundle,
@@ -45,11 +42,11 @@ from ellspec.jacobian import (
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
-    cover_fibre_values,
+    _cover_evaluator,
+    _sample_base_numbers,
     involution_on_section,
     irreducible_bisection,
     reducible_bisection,
-    sample_base_points,
     section_for_class,
     sections_equal,
     zero_section,
@@ -63,7 +60,7 @@ from ellspec.surface import (
     SurfaceData,
     base_point,
 )
-from ellspec.tate import CurveParam, TatePoint, Tolerance, distance_to_identity, identity, points_equal
+from ellspec.tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, distance_to_identity, identity, points_equal
 
 TAU4 = CurveParam(4.0)
 TAU3 = CurveParam(3.0)
@@ -86,6 +83,20 @@ def trivial_extension(surface: SurfaceData, **kw) -> ExtensionBundle:
 def push_bundle(trace: RationalMap, det_value: complex = 1.0) -> SpectralPushBundle:
     cover = irreducible_bisection(DoubleCoverData(trace=trace))
     return SpectralPushBundle(cover, LineBundleOnX(SectionOfJ(TatePoint(det_value, S0.fibre), ())))
+
+
+def restrict(bundle, b, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL):
+    """The restriction over the base point b: the sub-degree of an unstable
+    restriction, else (v1, v2, glued)."""
+    return _FibrePlan(bundle, surface, tol).restrict(base_point(surface, b))
+
+
+def splits(restriction) -> bool:
+    return isinstance(restriction, tuple) and not restriction[2]
+
+
+def glues(restriction) -> bool:
+    return isinstance(restriction, tuple) and restriction[2]
 
 
 # ------------------------------------------------------------- structures
@@ -203,8 +214,6 @@ def test_every_use_of_a_mismatched_norm_push_is_rejected():
     chain = ElemModBundle(bundle, 0.4 + 0.3j, 1)
     for compute in (
         lambda: check_spectral_push(bundle, S03),
-        lambda: restrict_to_fibre(bundle, 0.7 - 0.2j, S03),
-        lambda: restrict_to_fibre(chain, 0.7 - 0.2j, S03),
         lambda: spectral_cover(chain, S03),
     ):
         with pytest.raises(ValueError, match="bisection is not invariant under the involution"):
@@ -221,7 +230,7 @@ def test_chern_of_rational_push_with_hom_determinant_is_rejected():
         with pytest.raises(ValueError, match="over a rational base the determinant section is constant"):
             compute()
     with pytest.raises(ValueError, match="over a rational base every section is constant"):
-        restrict_to_fibre(bundle, 0.4, S0U)
+        restrict(bundle, 0.4, S0U)
     constant = SpectralPushBundle(bundle.cover, LineBundleOnX(SectionOfJ(TatePoint(1.5, TAU4), (0,))))
     assert chern_data(constant, S0U) == ChernData(NSClass((0,), (0,)), 1)
 
@@ -282,25 +291,22 @@ def test_modification_ledger():
 
 
 def test_restrict_trivial_extension_splits():
-    r = restrict_to_fibre(trivial_extension(S0), 0.4, S0)
-    assert isinstance(r, SplitRestriction)
-    assert points_equal(r.first, identity(TAU4))
-    assert points_equal(r.second, identity(TAU4))
+    # both values are the identity, whose canonical representative is 1
+    assert restrict(trivial_extension(S0), 0.4, S0) == (1, 1, False)
 
 
 def test_restrict_marked_fibre_glues():
     bundle = trivial_extension(S0, nonsplit_at=(0.5,))
-    at = restrict_to_fibre(bundle, 0.5, S0)
-    assert isinstance(at, NonSplitRestriction)
-    assert points_equal(at.value, identity(TAU4))
-    away = restrict_to_fibre(bundle, 1.0, S0)
-    assert isinstance(away, SplitRestriction)
+    at = restrict(bundle, 0.5, S0)
+    assert glues(at)
+    assert points_equal(TatePoint(at[0], TAU4), identity(TAU4))
+    assert splits(restrict(bundle, 1.0, S0))
 
 
 def test_restrict_everywhere_marked():
     bundle = trivial_extension(S0, nonsplit_everywhere=True)
     for b in (0.1, -0.7 + 0.2j, 2.0):
-        assert isinstance(restrict_to_fibre(bundle, b, S0), NonSplitRestriction)
+        assert glues(restrict(bundle, b, S0))
 
 
 def test_restrict_equal_values_unmarked_default_split():
@@ -308,50 +314,45 @@ def test_restrict_equal_values_unmarked_default_split():
     sub = LineBundleOnX(SectionOfJ(TatePoint(-1.0, S0.fibre), ()))
     det = trivial_line_bundle(S0)
     bundle = ExtensionBundle(sub, det)
-    r = restrict_to_fibre(bundle, 0.3, S0)
-    assert isinstance(r, SplitRestriction)
-    assert points_equal(r.first, r.second)
+    r = restrict(bundle, 0.3, S0)
+    assert splits(r)
+    assert points_equal(TatePoint(r[0], TAU4), TatePoint(r[1], TAU4))
 
 
 def test_restrict_zero_cycle_unstable():
     bundle = trivial_extension(S0, zero_cycle=((0.5, 2),))
-    r = restrict_to_fibre(bundle, 0.5, S0)
-    assert r == UnstableRestriction(2)
-    assert isinstance(restrict_to_fibre(bundle, 0.6, S0), SplitRestriction)
+    assert restrict(bundle, 0.5, S0) == 2
+    assert splits(restrict(bundle, 0.6, S0))
 
 
 def test_restrict_spectral_push_branch_point():
     bundle = push_bundle(RationalMap((0.0, 0.0, 1.0)))  # branch at b^4 = 4
     root2 = 2.0**0.5
-    at = restrict_to_fibre(bundle, root2, S0)
-    assert isinstance(at, NonSplitRestriction)
-    away = restrict_to_fibre(bundle, 0.0, S0)
-    assert isinstance(away, SplitRestriction)
+    assert glues(restrict(bundle, root2, S0))
+    assert splits(restrict(bundle, 0.0, S0))
     # the wrap across the annulus seam scales the gap by |tau|, so the
     # probe must sit well inside the sqrt(eps) coincidence window
-    near = restrict_to_fibre(bundle, root2 + 1e-12, S0)
-    assert isinstance(near, NonSplitRestriction)
-    off = restrict_to_fibre(bundle, root2 + 1e-5, S0)
-    assert isinstance(off, SplitRestriction)
+    assert glues(restrict(bundle, root2 + 1e-12, S0))
+    assert splits(restrict(bundle, root2 + 1e-5, S0))
 
 
 def test_restrict_elem_mod():
     bundle = ElemModBundle(trivial_extension(S0), 0.3, 1)
-    assert restrict_to_fibre(bundle, 0.3, S0) == UnstableRestriction(1)
-    assert isinstance(restrict_to_fibre(bundle, 0.8, S0), SplitRestriction)
+    assert restrict(bundle, 0.3, S0) == 1
+    assert splits(restrict(bundle, 0.8, S0))
     # a chain two levels deep over a spectral push: each modified fibre is
     # unstable, and elsewhere the push decides
     chain = ElemModBundle(ElemModBundle(push_bundle(RationalMap((0.3, 0.2, 1.0)), 1.5), 0.3, 1), 0.8, 2)
-    assert restrict_to_fibre(chain, 0.3, S0) == UnstableRestriction(1)
-    assert restrict_to_fibre(chain, 0.8, S0) == UnstableRestriction(1)
-    assert isinstance(restrict_to_fibre(chain, -0.5, S0), SplitRestriction)
+    assert restrict(chain, 0.3, S0) == 1
+    assert restrict(chain, 0.8, S0) == 1
+    assert splits(restrict(chain, -0.5, S0))
     with pytest.raises(ValueError, match="multiple fibre"):
-        restrict_to_fibre(ElemModBundle(trivial_extension(SMF), 0.3, 1), 1.5, SMF)
+        restrict(ElemModBundle(trivial_extension(SMF), 0.3, 1), 1.5, SMF)
 
 
 def test_restrict_multiple_fibre_rejected():
     with pytest.raises(ValueError):
-        restrict_to_fibre(trivial_extension(SMF), 1.5, SMF)
+        restrict(trivial_extension(SMF), 1.5, SMF)
 
 
 # --------------------------------------------------------- spectral cover
@@ -413,7 +414,7 @@ def test_genus_one_points_of_one_class_are_one_point():
     # a zero cycle given by two representatives of one class counts once there
     bundle = trivial_extension(S1U, zero_cycle=((pt, 1), (shifted, 1)))
     assert chern_data(bundle, S1U).c2 == 2
-    assert restrict_to_fibre(bundle, TatePoint(pt, TAU3), S1U) == UnstableRestriction(2)
+    assert restrict(bundle, TatePoint(pt, TAU3), S1U) == 2
     (jump,) = spectral_cover(bundle, S1U).jump_fibres
     assert jump[1] == 2
 
@@ -541,23 +542,38 @@ G0_EXTENSION = ExtensionBundle(
 )
 
 
-@pytest.mark.parametrize(
-    "bundle",
-    [G0_EXTENSION, ElemModBundle(ElemModBundle(G0_EXTENSION, 0.4 + 0.3j, 1), -0.6 + 0.2j, 2)],
-    ids=["extension", "elem-mod-chain"],
+# sub 1.5 and determinant 2.25 give a quotient equal to the sub, so every
+# fibre of this extension is glued and has one value
+G0_GLUED = ExtensionBundle(
+    LineBundleOnX(SectionOfJ(TatePoint(1.5, S0.fibre), ())),
+    LineBundleOnX(SectionOfJ(TatePoint(2.25, S0.fibre), ())),
+    zero_cycle=((0.5, 1),),
+    nonsplit_everywhere=True,
 )
-def test_cover_verification_scores_repeated_values_once(bundle, monkeypatch):
-    # over a rational base an extension's two values and the cover's two
+
+
+@pytest.mark.parametrize(
+    "bundle, scores",
+    [
+        (G0_EXTENSION, 4),
+        (ElemModBundle(ElemModBundle(G0_EXTENSION, 0.4 + 0.3j, 1), -0.6 + 0.2j, 2), 4),
+        (G0_GLUED, 2),
+    ],
+    ids=["extension", "elem-mod-chain", "glued"],
+)
+def test_cover_verification_scores_repeated_values_once(bundle, scores, monkeypatch):
+    # over a rational base an extension's values and the cover's two
     # classes are the same at every fibre, so each value is scored once
     # against both classes, whatever the sample count; scoring every fibre
-    # made 4 twist residuals per fibre
+    # made 4 twist residuals per fibre, and walking a glued fibre's one
+    # value twice made 4 where 2 give the same residual
     calls = _count_twist_residuals(monkeypatch)
     counts = []
     for samples in (50, 200):
         calls.clear()
         assert spectral_cover(bundle, S0, verify_samples=samples).max_residual < 1e-8
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 4
+    assert counts == [scores, scores]
 
 
 def test_cover_verification_scores_every_distinct_value(monkeypatch):
@@ -578,10 +594,10 @@ def test_cover_verification_of_a_wrong_cover_fails_at_the_first_fibre():
     bundle = ExtensionBundle(LineBundleOnX(SectionOfJ(TatePoint(2.5, S0.fibre), ())), trivial_line_bundle(S0))
     other = ExtensionBundle(LineBundleOnX(SectionOfJ(TatePoint(1.7, S0.fibre), ())), trivial_line_bundle(S0))
     wrong = spectral_cover(other, S0)
-    b = sample_base_points(S0, 50)[0]
-    v = restrict_to_fibre(bundle, b, S0).first
-    alphas = cover_fibre_values(wrong.bisection, b, wrong.dual_determinant, S0)
-    best = min(_reference_twist_residual(v, a) for a in alphas)
+    b = _sample_base_numbers(S0, 50)[0]
+    v = TatePoint(restrict(bundle, b, S0)[0], S0.fibre)
+    alphas = _cover_evaluator(wrong.bisection, wrong.dual_determinant, S0)(b)
+    best = min(_reference_twist_residual(v, TatePoint(a, S0.fibre)) for a in alphas)
     with pytest.raises(SpectralVerificationError) as info:
         _verify_cover(bundle, wrong, S0, Tolerance(), 50, 0)
     assert str(info.value) == f"no cover class produces a cohomology jump at fibre {b!r} (best residual {best:.3e})"
@@ -600,10 +616,10 @@ def test_cover_verification_on_a_huge_multiplier(tau):
 
 # ------------------------------------- verification against fibre by fibre
 #
-# The reference verifier walks the sampled fibres with the public
-# per-fibre functions and compares each twist as a point, with the
-# arithmetic of the twist residual written out.  The planned verifier
-# must give the same residual, bit for bit, and the same error.
+# The reference verifier walks the sampled fibres with a fresh plan and a
+# fresh cover evaluator at each one, and compares each twist as a point,
+# with the arithmetic of the twist residual written out.  The planned
+# verifier must give the same residual, bit for bit, and the same error.
 
 
 def _reference_twist_residual(v: TatePoint, a: TatePoint) -> float:
@@ -619,21 +635,24 @@ def _reference_verify(bundle, surface, tol, samples, seed):
     cover = spectral_cover(bundle, surface, tol)
     avoid = tuple(p for p, _ in cover.jump_fibres)
     worst, unstable, glued = 0.0, 0, 0
-    for b in sample_base_points(surface, samples, seed=seed, avoid=avoid):
-        r = restrict_to_fibre(bundle, b, surface, tol)
-        if isinstance(r, UnstableRestriction):
+    fibre = surface.fibre
+    for x in _sample_base_numbers(surface, samples, seed, avoid):
+        r = restrict(bundle, x, surface, tol)
+        if isinstance(r, int):
             unstable += 1
             continue
-        if isinstance(r, NonSplitRestriction):
+        v1, v2, nonsplit = r
+        if nonsplit:
             glued += 1
-            values = (r.value, r.value)
+            values = (TatePoint(v1, fibre),) * 2
         else:
-            values = (r.first, r.second)
-        alphas = cover_fibre_values(cover.bisection, b, cover.dual_determinant, surface, tol)
+            values = (TatePoint(v1, fibre), TatePoint(v2, fibre))
+        alphas = [TatePoint(a, fibre) for a in _cover_evaluator(cover.bisection, cover.dual_determinant, surface)(x)]
         for v in values:
             residual = min(_reference_twist_residual(v, a) for a in alphas)
             worst = max(worst, residual)
             if not residual <= 10.0 * tol.eps:
+                b = TatePoint(x, surface.base.tate) if surface.base.genus == 1 else x
                 raise SpectralVerificationError(
                     f"no cover class produces a cohomology jump at fibre {b!r} (best residual {residual:.3e})"
                 )
@@ -749,7 +768,7 @@ def test_verification_at_a_coarse_tolerance_skips_unstable_and_glues(surface):
     # values agree (determinant = sub^2)
     sub = SectionOfJ(TatePoint(1.7 + 0.6j, surface.fibre), (1,) * surface.lattice.rank)
     det = SectionOfJ(TatePoint(sub.constant.rep**2, surface.fibre), (2,) * surface.lattice.rank)
-    p, q = (base_point(surface, b) + 0.01 for b in sample_base_points(surface, 2, seed=3))
+    p, q = (x + 0.01 for x in _sample_base_numbers(surface, 2, 3))
     root = ExtensionBundle(LineBundleOnX(sub), LineBundleOnX(det), zero_cycle=((p, 1),), nonsplit_everywhere=True)
     bundle = ElemModBundle(root, q, 2)
     tol = Tolerance(0.05)

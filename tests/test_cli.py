@@ -733,6 +733,17 @@ def test_extreme_finite_points_are_answered(tmp_path, capsys, doc):
     assert body["verification"]["samples"] == 50
 
 
+@pytest.mark.parametrize("hom", [1000, -1000000])
+def test_huge_hom_exponents_are_answered(tmp_path, capsys, hom):
+    # the power of a sampled base point leaves the float range; its class is
+    # reached through exp log x, where forming x**exp first exited 70
+    doc = json.loads((GOLDEN / "spectral-cover-g1-elem-mod-verify.request.json").read_text(encoding="utf-8"))
+    doc["bundle"]["elem_mod"]["parent"]["extension"]["D"]["section"]["hom"] = [hom]
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert code == EX_OK, body
+    assert body["verification"]["samples"] == 50
+
+
 def test_point_at_infinity_is_one_point(tmp_path, capsys):
     code, body = run_cli(tmp_path, capsys, "spectral-cover", extension_request(Z=[["inf", 1], ["inf", 1]]))
     assert code == EX_SCHEMA and body["error"] == "bundle: zero-cycle points must be distinct"

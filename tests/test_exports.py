@@ -1,12 +1,14 @@
-"""Every name the package exports is read by code outside its own definition.
+"""Every name the package defines is read by code outside its own definition.
 
-The exported names are the ones src/ellspec/__init__.py imports.  Each
-must be read by code in another module of the package, a script, the
-benchmark, or the acceptance tests: loaded as a name or an attribute,
-outside the def, class or assignment that defines it, or imported by a
-file outside the package.  A word in a docstring or a comment does not
-count.  Unit tests do not count either: a name that only its own tests
-call has no consumer.
+The names checked are the ones src/ellspec/__init__.py imports and every
+module-level def, class and assignment of the other package modules,
+private ones included.  Each must be read by code in a module of the
+package, a script, the benchmark, or the acceptance tests: loaded as a
+name or an attribute, outside the def, class or assignment that defines
+it, or imported by a file outside the package.  Being imported by
+__init__.py does not count, nor does a word in a docstring or a comment.
+Unit tests do not count either: a name that only its own tests call has
+no consumer.
 """
 
 from __future__ import annotations
@@ -26,6 +28,25 @@ def exported_names() -> set[str]:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def module_level_names() -> set[str]:
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+# Kept for the planned `ellspec replay` command (ROADMAP item 4), which
+# decodes the verdict of a stored reply; until then only tests read it.
+AWAITING_CONSUMER = {"decode_verdict"}
 
 
 def consumer_files() -> list[Path]:
@@ -81,3 +102,7 @@ def unreferenced(names: set[str]) -> set[str]:
 
 def test_every_export_is_referenced():
     assert sorted(unreferenced(exported_names())) == []
+
+
+def test_every_module_level_definition_is_referenced():
+    assert sorted(unreferenced(module_level_names())) == sorted(AWAITING_CONSUMER)

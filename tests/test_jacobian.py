@@ -19,14 +19,16 @@ from hypothesis import strategies as st
 
 from ellspec import jacobian
 from ellspec.jacobian import (
+    _cover_evaluator,
     _poly_roots,
+    _sample_base_numbers,
+    _section_evaluator,
     Bisection,
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
     branch_point_count,
     branch_points_numeric,
-    cover_fibre_values,
     genus_and_branching,
     graph_self_intersection,
     involution_on_section,
@@ -34,10 +36,8 @@ from ellspec.jacobian import (
     is_invariant_bisection,
     reducible_bisection,
     ruled_invariant_bounds,
-    sample_base_points,
     section_for_class,
     section_pairing,
-    section_value,
     sections_equal,
     zero_section,
 )
@@ -102,40 +102,62 @@ def coincidence_classes(n: int, tau: complex) -> list[TatePoint]:
 # ------------------------------------------------------------ evaluation
 
 
+def section_point(section: SectionOfJ, b, surface: SurfaceData) -> TatePoint:
+    """The section's value over the base point b, as a point of the fibre."""
+    x = b.rep if isinstance(b, TatePoint) else b
+    return TatePoint(_section_evaluator(section, surface)(x), surface.fibre)
+
+
 def test_section_value_constant_g0():
     s = SectionOfJ(TatePoint(-2.0, S0.fibre), ())
-    v = section_value(s, 0.7 + 0.1j, S0)
+    v = section_point(s, 0.7 + 0.1j, S0)
     assert points_equal(v, TatePoint(-2.0 + 0j, TAU4))
 
 
 def test_section_value_power_map_g1():
     s = section_for_class(S1, NSClass((0,), (1,)))
     b = TatePoint(1.4 + 0.2j, TAU3)
-    v = section_value(s, b, S1)
+    v = section_point(s, b, S1)
     assert points_equal(v, TatePoint(b.rep**2, TAU3), Tolerance(1e-9))
+
+
+@pytest.mark.parametrize("exp", [1000, -1000000])
+def test_section_value_of_a_huge_power_stays_in_its_class(exp):
+    # x**exp leaves the float range, so exp log x is reduced modulo log tau;
+    # the value is the class of x**exp, computed in full by mpmath
+    tau = CurveParam(3.0 + 0.4j)
+    surface = SurfaceData(BaseCurve(1, tate=tau), tau, lattice=UNIT_LATTICE, hom_exponents=(exp,))
+    b = 2.9 + 0.2j
+    got = section_point(SectionOfJ(TatePoint(1.5, tau), (1,)), b, surface)
+    with mpmath.workdps(40):
+        w = exp * mpmath.log(mpmath.mpc(b))
+        log_tau = mpmath.log(mpmath.mpc(tau.tau))
+        want = 1.5 * mpmath.exp(w - mpmath.floor(w.real / log_tau.real) * log_tau)
+    assert class_distance(got, TatePoint(complex(want), tau)) < 1e-15 * abs(exp)
 
 
 def test_section_value_errors():
     with pytest.raises(ValueError):
-        section_value(SectionOfJ(identity(TAU4), (1,)), 0.0, S0U)
+        section_point(SectionOfJ(identity(TAU4), (1,)), 0.0, S0U)
     s_abs = SurfaceData(BaseCurve(2), TAU4, lattice=UNIT_LATTICE)
     with pytest.raises(ValueError):
-        section_value(zero_section(s_abs), 0.0, s_abs)
+        section_point(zero_section(s_abs), 0.0, s_abs)
     with pytest.raises(ValueError):
         # no concrete generators declared for the hom part
         bare = SurfaceData(BaseCurve(1, tate=TAU3), TAU3, lattice=UNIT_LATTICE)
-        section_value(SectionOfJ(identity(TAU3), (1,)), 1.0, bare)
+        section_point(SectionOfJ(identity(TAU3), (1,)), 1.0, bare)
 
 
 def test_sample_base_points():
-    pts = sample_base_points(S0, 5, seed=3, avoid=(0.5 + 0.5j,))
+    pts = _sample_base_numbers(S0, 5, seed=3, avoid=(0.5 + 0.5j,))
     assert len(pts) == 5
     assert all(abs(p - (0.5 + 0.5j)) > 1e-3 for p in pts)
-    assert pts == sample_base_points(S0, 5, seed=3, avoid=(0.5 + 0.5j,))
-    g1pts = sample_base_points(S1, 3, seed=1)
-    assert all(isinstance(p, TatePoint) for p in g1pts)
+    assert pts == _sample_base_numbers(S0, 5, seed=3, avoid=(0.5 + 0.5j,))
+    # annulus representatives on a genus-1 base
+    g1pts = _sample_base_numbers(S1, 3, seed=1)
+    assert all(1.0 <= abs(p) < abs(TAU3.tau) for p in g1pts)
     with pytest.raises(ValueError):
-        sample_base_points(SurfaceData(BaseCurve(2), TAU4), 1)
+        _sample_base_numbers(SurfaceData(BaseCurve(2), TAU4), 1)
 
 
 # ------------------------------------------------------- section pairing
@@ -165,7 +187,7 @@ def test_power_map_pairing_matches_coincidence_count():
     assert section_pairing(s, zero, S1.lattice) == len(classes)
     # each enumerated class really is a coincidence point
     for b in classes:
-        v = section_value(s, b, S1)
+        v = section_point(s, b, S1)
         assert distance_to_identity(v) < 1e-9
 
 
@@ -251,8 +273,8 @@ def test_cover_invariance_samples_no_fibre(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("invariance sampled a fibre")
 
-    monkeypatch.setattr(jacobian, "sample_base_points", never)
-    monkeypatch.setattr(jacobian, "cover_fibre_values", never)
+    monkeypatch.setattr(jacobian, "_sample_base_numbers", never)
+    monkeypatch.setattr(jacobian, "_cover_evaluator", never)
     delta = SectionOfJ(TatePoint(1.5, S0.fibre), ())
     for norm in (None, RationalMap((1.5,)), RationalMap((2.5,))):
         bis = irreducible_bisection(DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=norm))
@@ -324,22 +346,21 @@ def test_cover_fibre_values_product_is_determinant():
     cover = DoubleCoverData(trace=RationalMap((0.0, 1.0)))
     bis = irreducible_bisection(cover)
     delta = SectionOfJ(TatePoint(1.3 + 0.4j, S0.fibre), ())
+    values = _cover_evaluator(bis, delta, S0)
     for b in (0.3 + 0.2j, -1.1 + 0.8j, 2.0 - 0.5j):
-        v1, v2 = cover_fibre_values(bis, b, delta, S0)
-        prod = v1.rep * v2.rep
-        want = section_value(delta, b, S0)
+        v1, v2 = values(b)
+        prod = v1 * v2
+        want = section_point(delta, b, S0)
         assert points_equal(TatePoint(prod, TAU4), want, Tolerance(1e-9))
 
 
 def test_cover_fibre_values_errors():
     pole = DoubleCoverData(trace=RationalMap((1.0,), (0.0, 1.0)))
     with pytest.raises(ValueError):
-        cover_fibre_values(irreducible_bisection(pole), 0.0, SectionOfJ(TatePoint(1.0, S0.fibre), ()), S0)
+        _cover_evaluator(irreducible_bisection(pole), SectionOfJ(TatePoint(1.0, S0.fibre), ()), S0)(0.0)
     declared = DoubleCoverData(declared_self_intersection=Fraction(1))
     with pytest.raises(ValueError):
-        cover_fibre_values(
-            irreducible_bisection(declared), 0.0, SectionOfJ(TatePoint(1.0, S0.fibre), ()), S0
-        )
+        _cover_evaluator(irreducible_bisection(declared), SectionOfJ(TatePoint(1.0, S0.fibre), ()), S0)
 
 
 # --------------------------------------------------------- branch points

@@ -17,11 +17,8 @@ from ellspec.bundles import (
     ElemModBundle,
     ExtensionBundle,
     LineBundleOnX,
-    NonSplitRestriction,
     SpectralCover,
     SpectralPushBundle,
-    SplitRestriction,
-    UnstableRestriction,
 )
 from ellspec.cli import Options
 from ellspec.existence import Existence, Recipe, Verdict
@@ -89,9 +86,6 @@ CASES = {
     Bisection: lambda: dict(components=None, cover=_cover()),
     RuledBounds: lambda: dict(d_min=0, d_max=2, e_min=-2, e_max=0),
     LineBundleOnX: lambda: dict(section=_section(), base_twist=1, fibre_twists=(2,)),
-    SplitRestriction: lambda: dict(first=_point(), second=_point(2.5)),
-    NonSplitRestriction: lambda: dict(value=_point()),
-    UnstableRestriction: lambda: dict(sub_degree=2),
     ExtensionBundle: lambda: dict(
         sub=_line_bundle(),
         determinant=LineBundleOnX(section=SectionOfJ(constant=_point(2.5), hom=(0,))),
@@ -128,7 +122,7 @@ RECORDS = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name
 
 
 def test_every_record_class_has_a_case():
-    assert len(CASES) == 24
+    assert len(CASES) == 21
     assert all(issubclass(cls, Record) for cls in CASES)
 
 
