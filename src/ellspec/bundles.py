@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Callable
-from fractions import Fraction
 from functools import cached_property
 
 from .jacobian import (
@@ -225,12 +224,12 @@ def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEF
         check_spectral_push(bundle, surface, tol)
         c1 = bundle.determinant.chern_class(surface.torsion_rank)
         a2 = graph_self_intersection(bundle.cover, bundle.determinant.section, surface, tol)
-        delta = a2 / 4  # an eighth of the bisection self-intersection upstairs
-        c1sq = self_intersection(c1, surface.lattice)
-        c2 = 2 * delta + Fraction(c1sq, 4)
-        if c2.denominator != 1:
+        # Delta = a2/4, an eighth of the bisection self-intersection upstairs,
+        # so c2 = 2 Delta + c1^2/4 = (2 a2 + c1^2)/4
+        c2, rem = divmod(2 * a2 + self_intersection(c1, surface.lattice), 4)
+        if rem:
             raise ValueError("cover data is incompatible with integral second Chern class")
-        cd = ChernData(c1, int(c2))
+        cd = ChernData(c1, c2)
     else:
         parent = chern_data(bundle.parent, surface, tol)
         cd = apply_modification_ledger(parent, bundle.steps, surface.lattice)
@@ -493,6 +492,8 @@ def _verify_cover(
     residual is the float a recomputation would give.  Values that move
     from fibre to fibre pay one tuple comparison per fibre.
     """
+    if surface.base.genus >= 2:
+        raise ValueError("abstract bases (g >= 2) have no point arithmetic")
     plan = _FibrePlan(bundle, surface, tol)
     alphas = None
     fibre = surface.fibre

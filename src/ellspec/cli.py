@@ -37,7 +37,6 @@ stdlib's C encoder serves only unindented output.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import json
 import math
@@ -554,13 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser main() uses, built once per process: parse_args keeps no
-    state between calls, and building costs far more than parsing."""
-    return build_parser()
-
-
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """What parse_args makes of the common command line, read without it.
 
@@ -602,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_argv(argv)
         if args is None:
-            args = _shared_parser().parse_args(argv, namespace=SimpleNamespace())
+            args = build_parser().parse_args(argv, namespace=SimpleNamespace())
         doc = _read_input(args.input)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

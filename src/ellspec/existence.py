@@ -17,7 +17,6 @@ modifications.
 from __future__ import annotations
 
 import enum
-import random
 from fractions import Fraction
 
 from .bundles import (
@@ -132,16 +131,19 @@ def existence_verdict(
     g = surface.base.genus
     delta = discriminant(cd, surface.lattice)
     m, witness = filtrable_bound(cd.c1, surface.lattice)
-    filtrable = None if delta < 0 else delta >= m
+    # every comparison below is on the integers 8 Delta and 4m
+    eight_delta = 8 * delta.numerator // delta.denominator
+    four_m = 4 * m.numerator // m.denominator
+    filtrable = None if eight_delta < 0 else eight_delta >= 2 * four_m
 
     def verdict(status: Existence, **fields) -> Verdict:
         return Verdict(status, delta, m, filtrable, **fields)
 
-    if delta < 0:
+    if eight_delta < 0:
         return verdict(Existence.NOT_EXISTS)
-    if g <= 1 or delta >= m:
-        steps = 2 * (delta - m)
-        if steps.denominator != 1 or steps < 0:
+    if g <= 1 or filtrable:
+        steps, rem = divmod(eight_delta - 2 * four_m, 4)  # 2 (Delta - m)
+        if rem or steps < 0:
             # the quantized corner Delta < m of genus <= 1 lattices whose
             # form never meets the minimum parity: no reducible base fits
             return verdict(
@@ -150,7 +152,7 @@ def existence_verdict(
                 "threshold m; no reducible construction reaches it, so the verdict "
                 "carries no recipe (an irreducible bisection would be needed)",
             )
-        recipe = _reducible_recipe(cd, surface, m, witness, int(steps), seed)
+        recipe = _reducible_recipe(cd, surface, m, witness, steps, seed)
         return verdict(Existence.EXISTS, recipe=_replayed(recipe, cd, surface, tol))
     bounds = ruled_invariant_bounds(g, m)
     window = (bounds.d_min, bounds.d_max)
@@ -162,28 +164,29 @@ def existence_verdict(
         # minimal bisection, so the usable degree is d = 2m - a2/2 and the
         # existence threshold m - d/2 equals a2/4 — the bisection's own
         # base discriminant.
-        d_frac = 2 * m - Fraction(a2) / 2
-        if d_frac.denominator != 1:
+        d, odd = divmod(four_m - a2, 2)
+        if odd:
             raise ValueError("bisection self-intersection is incompatible with the lattice minimum")
-        d, window = int(d_frac), None
+        window = None
     if d is not None and not bounds.d_min <= d <= bounds.d_max:
         raise ValueError(
             f"bisection degree {d} is outside the admissible window "
             f"[{bounds.d_min}, {bounds.d_max}]"
         )
     lo, hi = window if d is None else (d, d)
-    t_lo, t_hi = m - Fraction(hi, 2), m - Fraction(lo, 2)
-    if delta < t_lo:
+    # 4 t = 4m - 2d for the thresholds t_lo (d = hi) and t_hi (d = lo)
+    four_t_lo, four_t_hi = four_m - 2 * hi, four_m - 2 * lo
+    if eight_delta < 2 * four_t_lo:
         return verdict(Existence.NOT_EXISTS, d_interval=window)
-    if delta < t_hi:
+    if eight_delta < 2 * four_t_hi:
         return verdict(
             Existence.UNKNOWN,
-            threshold_interval=(t_lo, t_hi),
+            threshold_interval=(Fraction(four_t_lo, 4), Fraction(four_t_hi, 4)),
             d_interval=window,
             note="answer depends on which bisection degrees the surface carries",
         )
     if base_bisection is not None:
-        recipe = _push_recipe(cd, surface, delta, t_hi, base_bisection, base_determinant, seed)
+        recipe = _push_recipe(cd, surface, eight_delta, four_t_hi, base_bisection, base_determinant, seed)
         return verdict(Existence.EXISTS, recipe=_replayed(recipe, cd, surface, tol))
     if d is None:
         note = "every admissible bisection degree suffices"
@@ -195,30 +198,31 @@ def existence_verdict(
 def _push_recipe(
     cd: ChernData,
     surface: SurfaceData,
-    delta: Fraction,
-    base_delta: Fraction,
+    eight_delta: int,
+    four_base_delta: int,
     bisection: Bisection,
     determinant: LineBundleOnX,
     seed: int,
 ) -> Recipe:
-    """The bisection's push at base_delta, then 2(Delta - base_delta) modifications."""
+    """The bisection's push at base_delta = four_base_delta/4, then
+    2(Delta - base_delta) modifications."""
     if determinant.chern_class(surface.torsion_rank).hom != cd.c1.hom:
         raise ValueError(
             "supplied determinant does not realize the requested first Chern class"
         )
-    steps = 2 * (delta - base_delta)
-    if steps.denominator != 1:
+    steps, rem = divmod(eight_delta - 2 * four_base_delta, 4)
+    if rem:
         raise ValueError("target discriminant is not reachable from the supplied bisection")
     # Only the determinant's section matters to the construction; its
     # twists are chosen here so the modification ledger lands exactly on
     # the requested class (each step lowers the leading torsion entry).
     det = LineBundleOnX(
         determinant.section,
-        cd.c1.torsion[0] + int(steps),
+        cd.c1.torsion[0] + steps,
         cd.c1.torsion[1:],
     )
     base = SpectralPushBundle(bisection, det)
-    return Recipe(base, base_delta, _generic_fibre(surface, seed), int(steps))
+    return Recipe(base, Fraction(four_base_delta, 4), _sample_base_numbers(surface, 1, seed)[0], steps)
 
 
 def _reducible_recipe(
@@ -230,7 +234,7 @@ def _reducible_recipe(
     seed: int,
 ) -> Recipe:
     """Base pair at the lattice minimum m, then steps = 2(Delta - m) modifications."""
-    fibre = _generic_fibre(surface, seed)
+    fibre = _sample_base_numbers(surface, 1, seed)[0]
     mu = NSClass(
         (0,) * len(cd.c1.torsion),
         tuple((c - w) // 2 for c, w in zip(cd.c1.hom, witness.hom)),
@@ -242,14 +246,6 @@ def _reducible_recipe(
     )
     base = ExtensionBundle(sub, det, nonsplit_at=(fibre,))
     return Recipe(base, m, fibre, steps)
-
-
-def _generic_fibre(surface: SurfaceData, seed: int) -> complex:
-    if surface.base.genus >= 2:
-        # abstract base: a formal marker point, deterministic under the seed
-        rng = random.Random(seed)
-        return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-    return _sample_base_numbers(surface, 1, seed)[0]
 
 
 def _replayed(recipe: Recipe, cd: ChernData, surface: SurfaceData, tol: Tolerance) -> Recipe:

@@ -33,7 +33,7 @@ from .tate import (
     is_infinite,
     points_equal,
 )
-from .surface import ChernData, HomLattice, NSClass, SurfaceData, discriminant, self_intersection
+from .surface import ChernData, HomLattice, NSClass, SurfaceData, eight_discriminant, self_intersection
 
 
 class SectionOfJ(Record):
@@ -86,22 +86,31 @@ def _section_evaluator(section: SectionOfJ, surface: SurfaceData) -> Callable[[c
         const = section.constant.rep
         exp = _power_exponent(surface, section.hom)
         fibre = surface.fibre
-        return lambda x: _point_rep(const * (_power(x, exp, fibre) if exp else 1.0), fibre)
+        return lambda x: _point_rep(_power(const, x, exp, fibre) if exp else const * 1.0, fibre)
     raise ValueError("abstract bases (g >= 2) have no point arithmetic")
 
 
-def _power(x: complex, exp: int, fibre: CurveParam) -> complex:
-    """x**exp for nonzero x, or where that leaves the float range, a point
-    of its class: exp log x reduced modulo log tau into real part
-    [0, log|tau|), which loses about exp times the rounding of log x."""
+_NORMAL_MIN = sys.float_info.min
+
+
+def _power(const: complex, x: complex, exp: int, fibre: CurveParam) -> complex:
+    """const * x**exp for a canonical representative const and nonzero x.
+
+    Where x**exp is zero, subnormal or not finite, or the product is not
+    finite, the few bits left would be read as a point.  The power is then
+    replaced by a point of its class, exp log x reduced modulo log tau into
+    real part [0, log|tau|), which loses about exp times the rounding of
+    log x.
+    """
     try:
         p = x**exp
-    except OverflowError:
-        p = 0j
-    if p != 0 and cmath.isfinite(p):
-        return p
+        q = const * p
+        if abs(p) >= _NORMAL_MIN and cmath.isfinite(q):
+            return q
+    except OverflowError:  # x**exp, or abs of a finite power, past the float range
+        pass
     w = exp * cmath.log(x)
-    return cmath.exp(w - math.floor(w.real / fibre.log_abs_tau) * cmath.log(fibre.tau))
+    return const * cmath.exp(w - math.floor(w.real / fibre.log_abs_tau) * cmath.log(fibre.tau))
 
 
 def sections_equal(s1: SectionOfJ, s2: SectionOfJ, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -296,13 +305,14 @@ def _sample_base_numbers(
     avoid: tuple[complex, ...] = (),
 ) -> list[complex]:
     """Seeded generic base numbers, at least _CLEARANCE from the avoided
-    points and the multiple fibres: complex numbers on a rational base,
-    annulus representatives on genus 1, with no point object built."""
+    points and the multiple fibres, with no point object built: annulus
+    representatives on genus 1, and on any other base complex numbers from
+    the square |Re|, |Im| <= 2, which on an abstract base (g >= 2) are
+    formal markers."""
     rng = random.Random(seed)
-    g = surface.base.genus
     forbidden = [complex(p) for p in avoid] + [complex(p) for p, _ in surface.multiple_fibres]
-    if g == 1:
-        tate = surface.base.tate
+    tate = surface.base.tate if surface.base.genus == 1 else None
+    if tate is not None:
         forbidden = [_point_rep(f, tate) for f in forbidden]
     out: list[complex] = []
     trials = 0
@@ -310,18 +320,16 @@ def _sample_base_numbers(
         trials += 1
         if trials > 100 * count + 100:
             raise RuntimeError("could not sample enough generic base points")
-        if g == 0:
+        if tate is None:
             b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
             if forbidden and any(abs(b - f) < _CLEARANCE for f in forbidden):
                 continue
-        elif g == 1:
+        else:
             r = abs(tate.tau) ** rng.uniform(0.0, 1.0)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             b = _point_rep(r * cmath.exp(1j * theta), tate)
             if forbidden and any(_class_distance(b, f, tate.tau) < _CLEARANCE for f in forbidden):
                 continue
-        else:
-            raise ValueError("abstract bases (g >= 2) have no point arithmetic")
         out.append(b)
     return out
 
@@ -366,7 +374,7 @@ def graph_self_intersection(
     delta: SectionOfJ,
     surface: SurfaceData,
     tol: Tolerance = DEFAULT_TOL,
-) -> Fraction:
+) -> int:
     """Self-intersection of the folded image of an invariant bisection.
 
     For a pair of sections this is their intersection number; for an
@@ -378,13 +386,13 @@ def graph_self_intersection(
         raise ValueError("bisection is not invariant under the involution")
     if bis.is_reducible:
         s1, s2 = bis.components
-        return Fraction(section_pairing(s1, s2, surface.lattice))
+        return section_pairing(s1, s2, surface.lattice)
     cover = bis.cover
     if cover.trace is not None and surface.base.genus == 0:
-        return Fraction(cover.trace.degree)
+        return cover.trace.degree
     if cover.declared_self_intersection is None:
         raise ValueError("declared cover carries no self-intersection data")
-    return Fraction(cover.declared_self_intersection)
+    return cover.declared_self_intersection
 
 
 _ABERTH_STEPS = 100
@@ -523,18 +531,18 @@ def ruled_invariant_bounds(genus: int, m: Fraction | int) -> RuledBounds:
     """Window max{0, 2m - g/2} <= d <= 2m, with e = 2d - 4m in [-g, 0].
 
     m must be a nonnegative quarter-integer; an empty window means no
-    surface realises this (genus, m) combination.
+    surface realises this (genus, m) combination.  The window is computed
+    from the integer 4m: ceil((4m - g)/2) <= d <= floor(4m/2).
     """
-    m = Fraction(m)
     if m < 0:
         raise ValueError("the filtrable bound m is nonnegative")
-    if (4 * m).denominator != 1:
+    if 4 % m.denominator:
         raise ValueError("4m must be an integer")
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    d_min = max(0, math.ceil(2 * m - Fraction(genus, 2)))
-    d_max = math.floor(2 * m)
-    four_m = int(4 * m)
+    four_m = 4 * m.numerator // m.denominator
+    d_min = max(0, -((genus - four_m) // 2))
+    d_max = four_m // 2
     return RuledBounds(d_min, d_max, 2 * d_min - four_m, 2 * d_max - four_m)
 
 
@@ -543,11 +551,10 @@ def genus_and_branching(cd: ChernData, genus: int, lattice: HomLattice) -> tuple
     irreducible spectral bisection; the two satisfy the Hurwitz relation
     for a double cover of the base.  Values are formal: a negative genus
     means no smooth cover exists."""
-    delta = discriminant(cd, lattice)
-    four_delta = 4 * delta
-    if four_delta.denominator != 1:
+    four_delta, odd = divmod(eight_discriminant(cd, lattice), 2)
+    if odd:
         raise ValueError("no smooth irreducible spectral cover with these invariants")
-    g_cover = int(four_delta) + 2 * genus - 1
+    g_cover = four_delta + 2 * genus - 1
     branch = 4 * cd.c2 - self_intersection(cd.c1, lattice)
     assert 2 * g_cover - 2 == 2 * (2 * genus - 2) + branch
     return g_cover, branch

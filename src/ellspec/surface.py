@@ -12,11 +12,14 @@ everything.  All bookkeeping is exact.  The Gram matrix of B has integer
 diagonal and half-integer off-diagonal entries, so a lattice is held as
 the integer binary form (A, B, C) = (g00, 2 g01, g11), with
 deg(x, y) = A x^2 + B x y + C y^2, and the form is its identity.  A Gram
-matrix of ints is checked in integers, with no Fraction built; degrees,
-pairings and the lattice minimum are computed from the form in integers
-only.  So is the discriminant Delta = (c2 - c1^2/4)/2 wherever it is only
-compared: eight_discriminant returns the integer 8 Delta = 4 c2 + 2 deg(c1),
-and discriminant is that integer over 8.
+matrix is checked on the numerators and denominators of its entries, and
+the form is built from the numerators, so a matrix of ints builds no
+Fraction; degrees, pairings and the lattice minimum are computed from the
+form in integers only.  So is the discriminant Delta = (c2 - c1^2/4)/2
+wherever it is only compared: eight_discriminant returns the integer
+8 Delta = 4 c2 + 2 deg(c1), and discriminant is that integer over 8.  A
+Fraction is built only for a value returned as one: Delta from
+discriminant and m from filtrable_bound.
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance
 
 
 def as_fraction(x) -> Fraction:
-    """Exact conversion; floats are accepted only when they are exact halves."""
+    """Exact conversion; floats are accepted only when they are exact halves.
+    A Fraction is returned as it is."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, float):
@@ -50,12 +56,12 @@ class HomLattice(Record, uncompared=("rank",)):
     Built from the Gram matrix of the polarisation B, so that
     deg(v) = v . gram . v: diagonal entries are integers (degrees of the
     generators) and off-diagonal entries are half-integers.  Entries may be
-    ints, Fractions, 'p/q' strings or floats that are exact halves; an int
-    is checked as it stands, so an all-integer matrix is read without
-    building a Fraction.  The lattice keeps the same data as the integer
-    binary form (A, B, C) = (g00, 2 g01, g11) in rank 2, (g00,) in rank 1
-    and () in rank 0.  form is the lattice's identity for equality and
-    hashing; gram is rebuilt from it as Fractions.
+    ints, Fractions, 'p/q' strings or floats that are exact halves; each is
+    checked through its numerator and denominator, so an int or a Fraction
+    is read as it stands and only a string or a float builds a Fraction.
+    The lattice keeps the integer binary form (A, B, C) = (g00, 2 g01, g11)
+    in rank 2, (g00,) in rank 1 and () in rank 0; form is the lattice's
+    identity for equality and hashing.
     """
 
     __slots__ = _fields = ("rank", "form")
@@ -65,8 +71,8 @@ class HomLattice(Record, uncompared=("rank",)):
     def __init__(self, rank: int, gram) -> None:
         if rank not in (0, 1, 2):
             raise ValueError("lattice rank must be 0, 1 or 2")
-        # an int and a Fraction compare, double and report a denominator
-        # alike, so the checks below read either; ints stay ints
+        # ints and Fractions both carry numerator and denominator and
+        # compare exactly with each other, so the checks below read either
         g = tuple(tuple(x if type(x) is int else as_fraction(x) for x in row) for row in gram)
         if len(g) != rank or any(len(row) != rank for row in g):
             raise ValueError("gram matrix shape does not match the rank")
@@ -76,25 +82,18 @@ class HomLattice(Record, uncompared=("rank",)):
             for j in range(rank):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-                if (2 * g[i][j]).denominator != 1:
+                if g[i][j].denominator > 2:
                     raise ValueError("gram entries must be half-integers")
         if rank == 2:
-            form = (int(g[0][0]), int(2 * g[0][1]), int(g[1][1]))
+            b = g[0][1]
+            form = (g[0][0].numerator, b.numerator * (2 // b.denominator), g[1][1].numerator)
         else:
-            form = tuple(int(g[i][i]) for i in range(rank))
+            form = tuple(g[i][i].numerator for i in range(rank))
         # positive semidefinite, exactly: A, C >= 0 and 4AC - B^2 >= 0
         if any(x < 0 for x in form[::2]) or (rank == 2 and 4 * form[0] * form[2] < form[1] ** 2):
             raise ValueError("degree form is indefinite")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "form", form)
-
-    @property
-    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The Gram matrix of B, as Fractions."""
-        if self.rank == 2:
-            a, b, c = self.form
-            return ((Fraction(a), Fraction(b, 2)), (Fraction(b, 2), Fraction(c)))
-        return tuple((Fraction(x),) for x in self.form)
 
     def _check_vec(self, v: tuple[int, ...]) -> None:
         if len(v) != self.rank:
@@ -113,12 +112,6 @@ class HomLattice(Record, uncompared=("rank",)):
 
     def degree(self, v: tuple[int, ...]) -> int:
         return self.bilinear(v, v) // 2
-
-    def determinant(self) -> Fraction:
-        if self.rank == 2:
-            a, b, c = self.form
-            return Fraction(4 * a * c - b * b, 4)
-        return Fraction(self.form[0]) if self.rank == 1 else Fraction(1)
 
 
 UNIT_LATTICE = HomLattice(1, ((1,),))

@@ -44,9 +44,11 @@ from ellspec.jacobian import (
     SectionOfJ,
     _cover_evaluator,
     _sample_base_numbers,
+    genus_and_branching,
     involution_on_section,
     irreducible_bisection,
     reducible_bisection,
+    ruled_invariant_bounds,
     section_for_class,
     sections_equal,
     zero_section,
@@ -253,21 +255,31 @@ def test_rational_push_on_a_declared_cover_is_rejected():
 
 
 def test_discriminant_checks_build_no_fraction(monkeypatch):
-    # the ledger and the extension identity are checked on 8 Delta, in integers
+    # the ledger, the extension identity, the Chern data of a push, the
+    # ruled window and the cover genus are computed on 8 Delta, 2 a2 and
+    # 4m, in integers
     bundle = ExtensionBundle(
         LineBundleOnX(SectionOfJ(TatePoint(1.5 + 0.5j, TAU3), (1,)), base_twist=1),
         LineBundleOnX(SectionOfJ(TatePoint(2.0 - 0.3j, TAU3), (-1,))),
         zero_cycle=((1.7 + 0.4j, 2),),
     )
+    push = push_bundle(RationalMap((0.0, 0.0, 1.0)))  # genus-0 trace push, a2 = 2
+    m = Fraction(5, 4)
     calls = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *a, **k: calls.append(1) or new(*a, **k)))
     cd = chern_of_extension(bundle, UNIT_LATTICE, 1)
     out = apply_modification_ledger(cd, 5, UNIT_LATTICE)
     back = apply_modification_ledger(out, -5, UNIT_LATTICE)
+    pushed = chern_data(push, S0)
+    bounds = ruled_invariant_bounds(3, m)
+    cover = genus_and_branching(cd, 2, UNIT_LATTICE)
     assert calls == []
     assert cd == back == ChernData(NSClass((0,), (-1,)), 6)  # 8 Delta = 26 = 2 * 9 + 4 * 2
     assert out == ChernData(NSClass((-5,), (-1,)), 11)
+    assert pushed == ChernData(NSClass((0,), ()), 1)  # c2 = (2 a2 + c1^2) / 4
+    assert (bounds.d_min, bounds.d_max, bounds.e_min, bounds.e_max) == (1, 2, -3, -1)
+    assert cover == (16, 26)  # 4 Delta + 2g - 1 and 4 c2 - c1^2
 
 
 def test_chern_elem_mod():
@@ -601,6 +613,16 @@ def test_cover_verification_of_a_wrong_cover_fails_at_the_first_fibre():
     with pytest.raises(SpectralVerificationError) as info:
         _verify_cover(bundle, wrong, S0, Tolerance(), 50, 0)
     assert str(info.value) == f"no cover class produces a cohomology jump at fibre {b!r} (best residual {best:.3e})"
+
+
+def test_cover_verification_on_an_abstract_base_is_refused():
+    # the sampler draws formal markers on an abstract base, so verification
+    # refuses the base itself; the cover alone needs no point arithmetic
+    s_abs = SurfaceData(BaseCurve(2), TAU4)
+    bundle = trivial_extension(s_abs)
+    assert spectral_cover(bundle, s_abs).verification_samples == 0
+    with pytest.raises(ValueError, match=r"abstract bases \(g >= 2\) have no point arithmetic"):
+        spectral_cover(bundle, s_abs, verify_samples=1)
 
 
 @pytest.mark.parametrize("tau", [1e160, 1e300])

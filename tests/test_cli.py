@@ -34,7 +34,7 @@ from ellspec.cli import (
     _FLAGS,
     _emit,
     _read_argv,
-    _shared_parser,
+    build_parser,
     main,
 )
 from ellspec.jacobian import DoubleCoverData, irreducible_bisection
@@ -733,10 +733,12 @@ def test_extreme_finite_points_are_answered(tmp_path, capsys, doc):
     assert body["verification"]["samples"] == 50
 
 
-@pytest.mark.parametrize("hom", [1000, -1000000])
+@pytest.mark.parametrize("hom", [1000, -1000000, -1444, -1185, 657, 1185, 1443])
 def test_huge_hom_exponents_are_answered(tmp_path, capsys, hom):
-    # the power of a sampled base point leaves the float range; its class is
-    # reached through exp log x, where forming x**exp first exited 70
+    # the power of a sampled base point, or of the dual section's x**-hom,
+    # leaves the float range, is subnormal (-1444, 1443) or overflows once
+    # multiplied by the constant (-1185, 657, 1185); its class is reached
+    # through exp log x, where keeping the power exited 70
     doc = json.loads((GOLDEN / "spectral-cover-g1-elem-mod-verify.request.json").read_text(encoding="utf-8"))
     doc["bundle"]["elem_mod"]["parent"]["extension"]["D"]["section"]["hom"] = [hom]
     code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
@@ -914,6 +916,12 @@ def test_integer_gram_is_decoded_without_fractions(monkeypatch):
     surface = decode_surface(LADDER_SURFACE)
     assert calls == []
     assert surface.lattice.form == (1000, 0, 1)
+    # a half-integer entry is read once, by decode_fraction; the lattice
+    # checks it and builds its form without another Fraction
+    half = dict(LADDER_SURFACE, lattice={"rank": 2, "gram": [[4, "1/2"], ["1/2", 3]]})
+    surface = decode_surface(half)
+    assert len(calls) == 2
+    assert surface.lattice.form == (4, 1, 3)
 
 
 @pytest.mark.parametrize("value, text", [(Fraction(-3, 2), "-3/2"), (Fraction(4), "4"), (4, "4"), (0, "0")])
@@ -928,6 +936,10 @@ def test_only_exact_rationals_are_written(value):
 
 
 # ---------------------------------------------------------- command line
+
+
+# built once for the module: parse_args keeps no state between calls
+PARSER = build_parser()
 
 
 def _namespace(args) -> str:
@@ -950,7 +962,7 @@ def _namespace(args) -> str:
 def test_common_command_lines_are_read_directly(argv):
     got = _read_argv(argv)
     assert got is not None
-    assert _namespace(got) == _namespace(_shared_parser().parse_args(argv))
+    assert _namespace(got) == _namespace(PARSER.parse_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -1025,7 +1037,7 @@ def test_direct_argv_reader_agrees_with_argparse(argv):
     got = _read_argv(argv)
     event("read directly" if got is not None else "handed to argparse")
     if got is not None:
-        assert _namespace(got) == _namespace(_shared_parser().parse_args(argv))
+        assert _namespace(got) == _namespace(PARSER.parse_args(argv))
 
 
 # ------------------------------------------------------------ reply text

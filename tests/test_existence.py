@@ -88,6 +88,20 @@ def test_recipes_count_modifications(c2, steps):
     assert replay_recipe(v.recipe, G0) == cd
 
 
+def test_reducible_recipe_builds_only_delta_and_m(monkeypatch):
+    # the verdict compares 8 Delta with 4m and counts the steps in integers;
+    # the one Fraction each for Delta and m are the values it returns
+    cd = ChernData(NSClass((1,), (1,)), 3)
+    calls = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *a, **k: calls.append(1) or new(*a, **k)))
+    v = existence_verdict(cd, G1U)
+    assert len(calls) == 2
+    assert v.recipe is not None and v.recipe.modification_steps == 3  # 2 (Delta - m)
+    assert (v.delta, v.lattice_minimum) == (Fraction(7, 4), Fraction(1, 4))
+    assert v.recipe.base_delta is v.lattice_minimum
+
+
 def test_low_genus_matches_sign_test_and_is_monotone():
     for torsion in range(-3, 4):
         prev = False

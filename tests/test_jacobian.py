@@ -156,8 +156,8 @@ def test_sample_base_points():
     # annulus representatives on a genus-1 base
     g1pts = _sample_base_numbers(S1, 3, seed=1)
     assert all(1.0 <= abs(p) < abs(TAU3.tau) for p in g1pts)
-    with pytest.raises(ValueError):
-        _sample_base_numbers(SurfaceData(BaseCurve(2), TAU4), 1)
+    # formal markers on an abstract base, from the square a rational base uses
+    assert _sample_base_numbers(SurfaceData(BaseCurve(2), TAU4), 5, seed=3) == _sample_base_numbers(S0, 5, seed=3)
 
 
 # ------------------------------------------------------- section pairing
