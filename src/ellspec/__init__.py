@@ -75,7 +75,6 @@ from .tate import (
     distance_to_identity,
     group_inv,
     identity,
-    is_infinite,
     points_equal,
     quotient_x,
     quotient_x_at,

@@ -3,13 +3,18 @@
 A bundle is presented as an extension of a twisted ideal sheaf by a line
 bundle, as the direct image of a line bundle on an irreducible spectral
 bisection, or as a chain of elementary modifications along smooth
-fibres.  Each presentation determines Chern data exactly; restriction to
-a smooth fibre determines a split, non-split, or unstable isomorphism
-type whose determinant is the fibre value of the determinant bundle.
-Whether a spectral push fits its surface (constant determinant and a
-trace map over a rational base, invariant bisection) is decided by
-check_spectral_push, which spectral_cover runs once per request before
-any fibre; fibre evaluation compares nothing.
+fibres.  _unwind splits a presentation into its root (an extension or a
+push) and its chain of (fibre, steps) modifications, innermost first; it
+is the one reader of a chain, and every consumer works from its split.
+Each presentation determines Chern data exactly; restriction to a smooth
+fibre determines a split, non-split, or unstable isomorphism type whose
+determinant is the fibre value of the determinant bundle.  Whether a
+spectral push fits its surface (constant determinant and a trace map
+over a rational base, invariant bisection) is decided by
+check_spectral_push on the root of a presentation.  chern_data and
+spectral_cover each run it before any other work (the command line also
+runs it first, to report a misfit as a schema error); fibre evaluation
+compares nothing.
 
 Fibres are evaluated from a plan (_FibrePlan) that resolves a
 presentation once per request: its chain, zero cycle and non-split marks
@@ -32,7 +37,7 @@ of that dual section by construction.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import cached_property
 
 from .jacobian import (
@@ -103,7 +108,7 @@ def trivial_line_bundle(surface: SurfaceData) -> LineBundleOnX:
     return LineBundleOnX(zero_section(surface))
 
 
-class ExtensionBundle(Record, uncompared=("quotient",), hidden=("quotient",)):
+class ExtensionBundle(Record):
     """Extension of delta (x) sub^-1 (x) I_Z by sub.
 
     zero_cycle lists (point, length) with positive lengths over distinct
@@ -113,12 +118,11 @@ class ExtensionBundle(Record, uncompared=("quotient",), hidden=("quotient",)):
     quotient is the section of the quotient line bundle, the image of
     sub's section under the involution of the determinant's; it is
     worked out once, here, for the Chern data, every fibre restriction
-    and the spectral cover.
+    and the spectral cover.  It is derived, so it is not a field.
     """
 
-    __slots__ = _fields = (
-        "sub", "determinant", "zero_cycle", "nonsplit_at", "nonsplit_everywhere", "quotient"
-    )
+    _fields = ("sub", "determinant", "zero_cycle", "nonsplit_at", "nonsplit_everywhere")
+    __slots__ = _fields + ("quotient",)
     sub: LineBundleOnX
     determinant: LineBundleOnX
     zero_cycle: tuple[tuple[complex, int], ...]
@@ -201,12 +205,26 @@ def chern_of_extension(bundle: ExtensionBundle, lattice: HomLattice, torsion_ran
     return cd
 
 
-def check_spectral_push(push: SpectralPushBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Raise ValueError unless the push fits the surface: over a rational
-    base the determinant is constant and the cover has a trace map, and
-    is_invariant_bisection holds (a given norm map is a constant in the
-    class of the determinant's value).  Callers pass the root of a
-    modification chain."""
+def _unwind(bundle: RankTwoBundle) -> tuple[ExtensionBundle | SpectralPushBundle, list[tuple[complex, int]]]:
+    """The root presentation of a modification chain and its (fibre, steps)
+    pairs, innermost (first applied) first; a root has an empty chain."""
+    chain = []
+    while isinstance(bundle, ElemModBundle):
+        chain.append((bundle.fibre, bundle.steps))
+        bundle = bundle.parent
+    chain.reverse()
+    return bundle, chain
+
+
+def check_spectral_push(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Raise ValueError unless a presentation whose root is a spectral push
+    fits the surface: over a rational base the determinant is constant and
+    the cover has a trace map, and is_invariant_bisection holds (a given
+    norm map is a constant in the class of the determinant's value).  Any
+    other root passes."""
+    push, _ = _unwind(bundle)
+    if not isinstance(push, SpectralPushBundle):
+        return
     if surface.base.genus == 0:
         if any(push.determinant.section.hom):
             raise ValueError("over a rational base the determinant section is constant")
@@ -217,24 +235,26 @@ def check_spectral_push(push: SpectralPushBundle, surface: SurfaceData, tol: Tol
 
 
 def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> ChernData:
-    """Chern data of a presentation."""
-    if isinstance(bundle, ExtensionBundle):
-        cd = chern_of_extension(bundle, surface.lattice, surface.torsion_rank)
-    elif isinstance(bundle, SpectralPushBundle):
-        check_spectral_push(bundle, surface, tol)
-        c1 = bundle.determinant.chern_class(surface.torsion_rank)
-        a2 = graph_self_intersection(bundle.cover, bundle.determinant.section, surface, tol)
+    """Chern data of a presentation: the root's, moved by the ledger for
+    the chain's total steps.  Every step raises 8 Delta, so the sign is
+    checked on the root alone."""
+    root, chain = _unwind(bundle)
+    if isinstance(root, ExtensionBundle):
+        cd = chern_of_extension(root, surface.lattice, surface.torsion_rank)
+    else:
+        check_spectral_push(root, surface, tol)
+        c1 = root.determinant.chern_class(surface.torsion_rank)
+        a2 = graph_self_intersection(root.cover, root.determinant.section, surface, tol)
         # Delta = a2/4, an eighth of the bisection self-intersection upstairs,
         # so c2 = 2 Delta + c1^2/4 = (2 a2 + c1^2)/4
         c2, rem = divmod(2 * a2 + self_intersection(c1, surface.lattice), 4)
         if rem:
             raise ValueError("cover data is incompatible with integral second Chern class")
         cd = ChernData(c1, c2)
-    else:
-        parent = chern_data(bundle.parent, surface, tol)
-        cd = apply_modification_ledger(parent, bundle.steps, surface.lattice)
     if eight_discriminant(cd, surface.lattice) < 0:
         raise ValueError("presentation has negative discriminant")
+    if chain:
+        cd = apply_modification_ledger(cd, sum(steps for _, steps in chain), surface.lattice)
     return cd
 
 
@@ -265,18 +285,13 @@ class _FibrePlan:
     """
 
     def __init__(self, bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -> None:
-        fibres = []
-        while isinstance(bundle, ElemModBundle):
-            fibres.append(bundle.fibre)
-            bundle = bundle.parent
-        self.root = bundle
+        self.root, self._chain = _unwind(bundle)
         self.surface = surface
         self.tol = tol
-        self._fibres = fibres
 
     @cached_property
     def modified(self) -> list[complex]:
-        return [base_point(self.surface, f) for f in self._fibres]
+        return [base_point(self.surface, f) for f, _ in self._chain]
 
     @cached_property
     def cycle(self) -> list[tuple[complex, int]]:
@@ -375,54 +390,49 @@ def _dual_section(s: SectionOfJ) -> SectionOfJ:
 
 
 def _merge_jumps(
-    surface: SurfaceData, tol: Tolerance, *groups: tuple[tuple[complex, int], ...]
+    surface: SurfaceData, tol: Tolerance, *groups: Sequence[tuple[complex, int]]
 ) -> tuple[tuple[complex, int], ...]:
     """The (point, multiplicity) pairs of all groups, one per base point."""
     out: list[tuple[complex, int]] = []
     for group in groups:
         for p, m in group:
+            p = base_point(surface, p)
             for i, (q, n) in enumerate(out):
-                if same_base_point(surface, q, p, tol):
+                if _same_base_number(surface, q, p, tol):
                     out[i] = (q, n + m)
                     break
             else:
-                out.append((base_point(surface, p), m))
+                out.append((p, m))
     return tuple(out)
 
 
 def _cover_parts(
     bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance
 ) -> tuple[Bisection, tuple[tuple[complex, int], ...], SectionOfJ]:
-    if isinstance(bundle, ExtensionBundle):
-        bis = reducible_bisection(_dual_section(bundle.sub.section), _dual_section(bundle.quotient))
-        jumps = _merge_jumps(surface, tol, bundle.zero_cycle)
-        return bis, jumps, _dual_section(bundle.determinant.section)
-    if isinstance(bundle, SpectralPushBundle):
-        check_spectral_push(bundle, surface, tol)
-        cover = bundle.cover.cover
+    root, chain = _unwind(bundle)
+    if isinstance(root, ExtensionBundle):
+        bis = reducible_bisection(_dual_section(root.sub.section), _dual_section(root.quotient))
+        jumps = _merge_jumps(surface, tol, root.zero_cycle, chain)
+    else:
+        check_spectral_push(root, surface, tol)
+        cover = root.cover.cover
         if surface.base.genus == 0:  # check_spectral_push saw a trace map
             # the product of the fibre values: the given (constant) norm,
             # else the determinant's representative
-            n = cover.norm(0j) if cover.norm is not None else bundle.determinant.section.constant.rep
+            n = cover.norm(0j) if cover.norm is not None else root.determinant.section.constant.rep
             inv_trace = RationalMap(tuple(c / n for c in cover.trace.num), cover.trace.den)
             # The fibre values invert, so trace and norm divide by that
             # product; its reciprocal usually leaves the fundamental
             # annulus, hence the explicit norm map.
-            dual_cover = DoubleCoverData(
+            cover = DoubleCoverData(
                 inv_trace,
                 cover.branch_points,
                 cover.declared_self_intersection,
                 norm=RationalMap((1.0 / n,)),
             )
-        else:
-            dual_cover = cover
-        return (
-            irreducible_bisection(dual_cover),
-            (),
-            _dual_section(bundle.determinant.section),
-        )
-    bis, jumps, dual = _cover_parts(bundle.parent, surface, tol)
-    return bis, _merge_jumps(surface, tol, jumps, ((bundle.fibre, bundle.steps),)), dual
+        bis = irreducible_bisection(cover)
+        jumps = _merge_jumps(surface, tol, chain)
+    return bis, jumps, _dual_section(root.determinant.section)
 
 
 def spectral_cover(
@@ -560,15 +570,17 @@ def elementary_modification(
     bc = base_point(surface, b)
     if any(same_base_point(surface, bc, p, tol) for p, _ in surface.multiple_fibres):
         raise ValueError("cannot modify along a multiple fibre")
-    root = bundle
-    while isinstance(root, ElemModBundle):
-        root = root.parent
+    root, chain = _unwind(bundle)
     if isinstance(root, SpectralPushBundle) and surface.base.genus == 0:
         cover = root.cover.cover
         if cover.trace is not None:
             for p in branch_points_numeric(cover, root.determinant.section, surface):
                 if abs(bc - p) <= max(tol.eps, 1e-6):
                     raise ValueError("cannot modify along a branch fibre of the cover")
-    if isinstance(bundle, ElemModBundle) and same_base_point(surface, bc, bundle.fibre, tol):
-        return ElemModBundle(bundle.parent, bundle.fibre, bundle.steps + steps)
-    return ElemModBundle(bundle, bc, steps)
+    if not chain or not same_base_point(surface, bc, chain[-1][0], tol):
+        return ElemModBundle(bundle, bc, steps)
+    # the outermost fibre again: its steps grow, on the chain below it
+    fibre, outer = chain.pop()
+    for f, n in chain:
+        root = ElemModBundle(root, f, n)
+    return ElemModBundle(root, fibre, outer + steps)

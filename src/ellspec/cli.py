@@ -50,8 +50,6 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable
 
 from .bundles import (
-    ElemModBundle,
-    SpectralPushBundle,
     apply_modification_ledger,
     check_spectral_push,
     chern_data,
@@ -291,11 +289,7 @@ def _cmd_spectral_cover(
     doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData
 ) -> tuple[dict, int]:
     bundle = decode_bundle(doc.get("bundle"), surface)
-    root = bundle
-    while isinstance(root, ElemModBundle):
-        root = root.parent
-    if isinstance(root, SpectralPushBundle):
-        _domain("bundle", check_spectral_push, root, surface, opts.tol)
+    _domain("bundle", check_spectral_push, bundle, surface, opts.tol)
     cover = spectral_cover(
         bundle,
         surface,

@@ -30,7 +30,6 @@ from .tate import (
     _class_distance,
     _point_rep,
     identity,
-    is_infinite,
     points_equal,
 )
 from .surface import ChernData, HomLattice, NSClass, SurfaceData, eight_discriminant, self_intersection
@@ -157,7 +156,7 @@ class RationalMap(Record):
         return max(len(self.num) - 1 if self.num else 0, len(self.den) - 1)
 
     def __call__(self, b: complex) -> complex:
-        if is_infinite(complex(b)):
+        if cmath.isinf(b):
             dn = len(self.num) - 1 if self.num else -1
             dd = len(self.den) - 1
             if dn > dd:
@@ -278,7 +277,7 @@ def _cover_evaluator(
 
     def values(b) -> tuple[complex, complex]:
         t = cover.trace(complex(b))
-        if is_infinite(t):
+        if cmath.isinf(t):
             raise ValueError(f"trace map has a pole at {b!r}")
         if cover.norm is not None:
             d = cover.norm(complex(b))

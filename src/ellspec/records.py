@@ -4,16 +4,13 @@ attributes that the package's data classes share.
 A record class names its fields, in order, in ``_fields``, and stores each
 one once in its own ``__init__`` with ``object.__setattr__``; a class with
 no cached property also declares the fields as its ``__slots__``.  When the
-class is made, Record reads that tuple and the two class keywords:
-
-- ``uncompared``: fields left out of equality and hashing;
-- ``hidden``: fields left out of the repr.
-
-Equality holds only between instances of one class and compares the other
-fields as one tuple, or a lone such field as itself; that key is also what
-is hashed.  The repr is ``Name(field=value, ...)`` in field order.
-Assigning or deleting an attribute raises AttributeError.  No code is
-generated.
+class is made, Record reads that tuple.  Equality holds only between
+instances of one class and compares the fields as one tuple, or a lone
+field as itself; that key is also what is hashed.  The repr is
+``Name(field=value, ...)`` in field order.  A value that a record derives
+from its fields (a slot or cached attribute outside ``_fields``) takes no
+part in any of the three.  Assigning or deleting an attribute raises
+AttributeError.  No code is generated.
 """
 
 from __future__ import annotations
@@ -25,12 +22,10 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, *, uncompared: tuple[str, ...] = (), hidden: tuple[str, ...] = ()) -> None:
+    def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        fields = cls._fields
         # attrgetter is no descriptor, so self._key is the getter itself
-        cls._key = attrgetter(*(name for name in fields if name not in uncompared))
-        cls._shown = tuple(name for name in fields if name not in hidden)
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -42,7 +37,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({body})"
 
     def __setattr__(self, name: str, value) -> None:

@@ -41,7 +41,7 @@ from .surface import (
     base_point,
     distinct_base_points,
 )
-from .tate import CurveParam, TatePoint, is_infinite
+from .tate import CurveParam, TatePoint
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +82,7 @@ def _gram_entry(doc: Any, where: str) -> int | Fraction:
 
 def encode_complex(z: complex) -> list[float] | str:
     z = complex(z)
-    if is_infinite(z) or cmath.isinf(z):
+    if cmath.isinf(z):
         return "inf"
     return [z.real, z.imag]
 

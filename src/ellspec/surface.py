@@ -24,13 +24,14 @@ discriminant and m from filtrable_bound.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
 from numbers import Rational
 
 from .records import Record
-from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance, _point_rep, is_infinite
+from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance, _point_rep
 
 
 def as_fraction(x) -> Fraction:
@@ -50,7 +51,7 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot read {x!r} as an exact rational")
 
 
-class HomLattice(Record, uncompared=("rank",)):
+class HomLattice(Record):
     """Rank <= 2 lattice with a positive-semidefinite degree form.
 
     Built from the Gram matrix of the polarisation B, so that
@@ -60,8 +61,8 @@ class HomLattice(Record, uncompared=("rank",)):
     checked through its numerator and denominator, so an int or a Fraction
     is read as it stands and only a string or a float builds a Fraction.
     The lattice keeps the integer binary form (A, B, C) = (g00, 2 g01, g11)
-    in rank 2, (g00,) in rank 1 and () in rank 0; form is the lattice's
-    identity for equality and hashing.
+    in rank 2, (g00,) in rank 1 and () in rank 0; the form fixes the rank,
+    so (rank, form) compares as the form alone would.
     """
 
     __slots__ = _fields = ("rank", "form")
@@ -166,7 +167,7 @@ def _same_base_number(surface: SurfaceData | None, a: complex, b: complex, tol: 
     point at infinity.  No point object is built."""
     if surface is not None and surface.base.genus == 1:
         return _class_distance(a, b, surface.base.tate.tau) <= tol.eps
-    return abs(a - b) <= tol.eps or (is_infinite(a) and is_infinite(b))
+    return abs(a - b) <= tol.eps or (cmath.isinf(a) and cmath.isinf(b))
 
 
 def distinct_base_points(surface: SurfaceData | None, points) -> bool:

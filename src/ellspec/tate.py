@@ -55,10 +55,6 @@ INF = complex(math.inf, 0.0)
 _TWO_PI_I = 2j * math.pi
 
 
-def is_infinite(z: complex) -> bool:
-    return math.isinf(z.real) or math.isinf(z.imag)
-
-
 class PeriodFrame(NamedTuple):
     """The reduced basis (a, b) of the period lattice 2 pi i Z + log(tau) Z."""
 
@@ -407,7 +403,7 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
     its inverse.  An empty list means no start converged, or a NaN value.
     """
     at = abs(curve.tau)
-    if is_infinite(value):
+    if cmath.isinf(value):
         return [identity(curve)]
     if cmath.isnan(value):
         return []

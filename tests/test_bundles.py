@@ -288,6 +288,34 @@ def test_chern_elem_mod():
     assert cd == ChernData(NSClass((-2,), ()), 2)
 
 
+def modified_chain(root, levels: int):
+    """root modified once at each of levels distinct fibres, innermost first."""
+    for i in range(levels):
+        root = ElemModBundle(root, complex(0.001 * i - 1, 0.5), 1)
+    return root
+
+
+def test_deep_chains_are_unwound_without_recursion():
+    # a chain is read in one loop: the ledger moves the root's Chern data
+    # once, by the total steps, and the jump fibres are merged once (1500
+    # levels once raised RecursionError from both)
+    root = push_bundle(RationalMap((0.3, 0.2, 1.0)), 1.5)
+    chain = modified_chain(root, 1500)
+    assert chern_data(chain, S0) == apply_modification_ledger(chern_data(root, S0), 1500, S0.lattice)
+    cover = spectral_cover(chain, S0)
+    assert cover.jump_fibres == tuple((complex(0.001 * i - 1, 0.5), 1) for i in range(1500))
+    assert cover.bisection == spectral_cover(root, S0).bisection
+
+
+def test_push_check_reads_the_root_of_any_presentation():
+    cover = DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=RationalMap((2.5,)))
+    det = LineBundleOnX(SectionOfJ(TatePoint(1.5, S03.fibre), ()))
+    misfit = SpectralPushBundle(irreducible_bisection(cover), det)
+    with pytest.raises(ValueError, match="bisection is not invariant under the involution"):
+        check_spectral_push(modified_chain(misfit, 3), S03)
+    check_spectral_push(modified_chain(trivial_extension(S03), 3), S03)  # any other root passes
+
+
 def test_modification_ledger():
     cd = ChernData(NSClass((0,), ()), 0)
     assert apply_modification_ledger(cd, 0, ZERO_LATTICE) == cd

@@ -764,6 +764,24 @@ def test_same_class_modified_fibres_merge(tmp_path, capsys):
     assert body["jump_fibres"] == [[SAME_CLASS[0], 3]]
 
 
+def test_deep_modification_chain_is_answered_in_bounded_time(tmp_path, capsys):
+    # 300 nested modifications of the golden genus-1 extension, each at a
+    # fibre of its own; merging every jump fibre again at every level of
+    # the chain once took 11 s
+    doc = json.loads((GOLDEN / "spectral-cover-g1-elem-mod-verify.request.json").read_text(encoding="utf-8"))
+    bundle = doc["bundle"]["elem_mod"]["parent"]
+    fibres = [[1.2 + 0.001 * i, 0.4] for i in range(300)]
+    for fibre in fibres:
+        bundle = {"elem_mod": {"parent": bundle, "fibre": fibre, "steps": 1}}
+    doc.update(bundle=bundle, options={"verify": 5})
+    start = time.perf_counter()
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert time.perf_counter() - start < 3.0
+    assert code == EX_OK, body
+    assert body["jump_fibres"] == [[[1.7, 0.4], 1]] + [[fibre, 1] for fibre in fibres]
+    assert body["verification"]["samples"] == 5
+
+
 def test_valid_options_still_accepted(tmp_path, capsys):
     plain = run_cli(tmp_path, capsys, "exists", g2_request(0))
     doc = g2_request(0)

@@ -33,7 +33,6 @@ from ellspec.tate import (
     distance_to_identity,
     group_inv,
     identity,
-    is_infinite,
     points_equal,
     quotient_x,
     quotient_x_at,
@@ -301,9 +300,9 @@ def test_quotient_x_random_points_match_oracle():
 
 
 def test_quotient_x_identity_is_infinite():
-    assert is_infinite(quotient_x(identity(TAU4)))
+    assert cmath.isinf(quotient_x(identity(TAU4)))
     # near-identity at tolerance also maps to infinity
-    assert is_infinite(quotient_x(TatePoint(1.0 + 1e-12j, TAU4)))
+    assert cmath.isinf(quotient_x(TatePoint(1.0 + 1e-12j, TAU4)))
 
 
 def test_quotient_x_invariances():
