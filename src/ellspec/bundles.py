@@ -3,9 +3,9 @@
 A bundle is presented as an extension of a twisted ideal sheaf by a line
 bundle, as the direct image of a line bundle on an irreducible spectral
 bisection, or as a chain of elementary modifications along smooth
-fibres.  _unwind splits a presentation into its root (an extension or a
-push) and its chain of (fibre, steps) modifications, innermost first; it
-is the one reader of a chain, and every consumer works from its split.
+fibres.  A chain is one flat record, its root (an extension or a push)
+and its (fibre, steps) pairs, innermost first; _unwind reads that split
+off any presentation, and every consumer works from it.
 Each presentation determines Chern data exactly; restriction to a smooth
 fibre determines a split, non-split, or unstable isomorphism type whose
 determinant is the fibre value of the determinant bundle.  Whether a
@@ -168,20 +168,25 @@ class SpectralPushBundle(Record):
         object.__setattr__(self, "determinant", determinant)
 
 
+ChainRoot = ExtensionBundle | SpectralPushBundle
+
+
 class ElemModBundle(Record):
-    """steps successive elementary modifications of parent along the fibre."""
+    """Elementary modifications of root (an extension or a push): steps
+    successive ones along the fibre of each (fibre, steps) pair of chain,
+    innermost (first applied) first.  No chain nests inside another."""
 
-    __slots__ = _fields = ("parent", "fibre", "steps")
-    parent: RankTwoBundle
-    fibre: complex
-    steps: int
+    __slots__ = _fields = ("root", "chain")
+    root: ChainRoot
+    chain: tuple[tuple[complex, int], ...]
 
-    def __init__(self, parent: RankTwoBundle, fibre: complex, steps: int) -> None:
-        if steps <= 0:
+    def __init__(self, root: ChainRoot, chain: Sequence[tuple[complex, int]]) -> None:
+        if not isinstance(root, ChainRoot) or not chain:
+            raise ValueError("a modification chain needs a root (an extension or a push) and a pair")
+        if any(steps <= 0 for _, steps in chain):
             raise ValueError("modification step count must be positive")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "fibre", fibre)
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "chain", tuple(chain))
 
 
 RankTwoBundle = ExtensionBundle | SpectralPushBundle | ElemModBundle
@@ -205,15 +210,12 @@ def chern_of_extension(bundle: ExtensionBundle, lattice: HomLattice, torsion_ran
     return cd
 
 
-def _unwind(bundle: RankTwoBundle) -> tuple[ExtensionBundle | SpectralPushBundle, list[tuple[complex, int]]]:
+def _unwind(bundle: RankTwoBundle) -> tuple[ChainRoot, tuple[tuple[complex, int], ...]]:
     """The root presentation of a modification chain and its (fibre, steps)
     pairs, innermost (first applied) first; a root has an empty chain."""
-    chain = []
-    while isinstance(bundle, ElemModBundle):
-        chain.append((bundle.fibre, bundle.steps))
-        bundle = bundle.parent
-    chain.reverse()
-    return bundle, chain
+    if isinstance(bundle, ElemModBundle):
+        return bundle.root, bundle.chain
+    return bundle, ()
 
 
 def check_spectral_push(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -577,10 +579,6 @@ def elementary_modification(
             for p in branch_points_numeric(cover, root.determinant.section, surface):
                 if abs(bc - p) <= max(tol.eps, 1e-6):
                     raise ValueError("cannot modify along a branch fibre of the cover")
-    if not chain or not same_base_point(surface, bc, chain[-1][0], tol):
-        return ElemModBundle(bundle, bc, steps)
-    # the outermost fibre again: its steps grow, on the chain below it
-    fibre, outer = chain.pop()
-    for f, n in chain:
-        root = ElemModBundle(root, f, n)
-    return ElemModBundle(root, fibre, outer + steps)
+    if chain and same_base_point(surface, bc, chain[-1][0], tol):  # the outermost fibre again
+        return ElemModBundle(root, chain[:-1] + ((chain[-1][0], chain[-1][1] + steps),))
+    return ElemModBundle(root, chain + ((bc, steps),))

@@ -25,6 +25,7 @@ from .bundles import (
     LineBundleOnX,
     RankTwoBundle,
     SpectralPushBundle,
+    _unwind,
     chern_data,
 )
 from .jacobian import (
@@ -72,7 +73,8 @@ class Recipe(Record):
     def realize(self) -> RankTwoBundle:
         if self.modification_steps == 0:
             return self.base
-        return ElemModBundle(self.base, self.generic_fibre, self.modification_steps)
+        root, chain = _unwind(self.base)
+        return ElemModBundle(root, chain + ((self.generic_fibre, self.modification_steps),))
 
 
 class Verdict(Record):

@@ -22,6 +22,7 @@ from .bundles import (
     RankTwoBundle,
     SpectralCover,
     SpectralPushBundle,
+    _unwind,
 )
 from .existence import Existence, Recipe, Verdict
 from .jacobian import (
@@ -324,40 +325,39 @@ def decode_line_bundle(doc: Any, surface: SurfaceData, where: str = "line bundle
 
 
 def encode_bundle(bundle: RankTwoBundle) -> dict:
-    if isinstance(bundle, ExtensionBundle):
+    root, chain = _unwind(bundle)
+    if isinstance(root, ExtensionBundle):
         inner: dict[str, Any] = {
-            "D": encode_line_bundle(bundle.sub),
-            "delta": encode_line_bundle(bundle.determinant),
+            "D": encode_line_bundle(root.sub),
+            "delta": encode_line_bundle(root.determinant),
         }
-        if bundle.zero_cycle:
-            inner["Z"] = [[encode_complex(p), n] for p, n in bundle.zero_cycle]
-        if bundle.nonsplit_at:
-            inner["nonsplit_at"] = [encode_complex(p) for p in bundle.nonsplit_at]
-        if bundle.nonsplit_everywhere:
+        if root.zero_cycle:
+            inner["Z"] = [[encode_complex(p), n] for p, n in root.zero_cycle]
+        if root.nonsplit_at:
+            inner["nonsplit_at"] = [encode_complex(p) for p in root.nonsplit_at]
+        if root.nonsplit_everywhere:
             inner["nonsplit_everywhere"] = True
-        return {"extension": inner}
-    if isinstance(bundle, SpectralPushBundle):
-        return {
-            "spectral_push": {
-                "bisection": encode_bisection(bundle.cover),
-                "delta": encode_line_bundle(bundle.determinant),
-            }
-        }
-    return {
-        "elem_mod": {
-            "parent": encode_bundle(bundle.parent),
-            "fibre": encode_complex(bundle.fibre),
-            "steps": bundle.steps,
-        }
-    }
+        doc = {"extension": inner}
+    else:
+        push = {"bisection": encode_bisection(root.cover), "delta": encode_line_bundle(root.determinant)}
+        doc = {"spectral_push": push}
+    for fibre, steps in chain:  # each modification wraps the bundle it modifies
+        doc = {"elem_mod": {"parent": doc, "fibre": encode_complex(fibre), "steps": steps}}
+    return doc
 
 
 def decode_bundle(doc: Any, surface: SurfaceData, where: str = "bundle") -> RankTwoBundle:
-    body = _expect_map(doc, where)
-
     def point(item: Any, name: str) -> complex:
         return _domain(name, base_point, surface, decode_complex(item, name))
 
+    # peel elem_mod levels down to the root; decode it, then each level innermost first
+    body = _expect_map(doc, where)
+    levels = []  # (elem_mod body, where of its bundle), outermost first
+    while "elem_mod" in body and "extension" not in body and "spectral_push" not in body:
+        inner = _expect_map(body["elem_mod"], f"{where}.elem_mod")
+        levels.append((inner, where))
+        where = f"{where}.elem_mod.parent"
+        body = _expect_map(inner.get("parent"), where)
     if "extension" in body:
         inner = _expect_map(body["extension"], f"{where}.extension")
         cycle = _vector(
@@ -376,29 +376,25 @@ def decode_bundle(doc: Any, surface: SurfaceData, where: str = "bundle") -> Rank
         # the bundle alone tells its points apart as numbers; the surface knows their classes
         if not distinct_base_points(surface, (p for p, _ in cycle)):
             raise SchemaError(f"{where}: zero-cycle points must be distinct")
-        return _domain(where, ExtensionBundle, sub, determinant, cycle, nonsplit, everywhere)
-    if "spectral_push" in body:
+        root = _domain(where, ExtensionBundle, sub, determinant, cycle, nonsplit, everywhere)
+    elif "spectral_push" in body:
         inner = _expect_map(body["spectral_push"], f"{where}.spectral_push")
-        return _domain(
+        root = _domain(
             where,
             SpectralPushBundle,
-            cover=decode_bisection(
-                inner.get("bisection"), surface, f"{where}.spectral_push.bisection"
-            ),
+            cover=decode_bisection(inner.get("bisection"), surface, f"{where}.spectral_push.bisection"),
             determinant=decode_line_bundle(inner.get("delta"), surface, f"{where}.spectral_push.delta"),
         )
-    if "elem_mod" in body:
-        inner = _expect_map(body["elem_mod"], f"{where}.elem_mod")
-        return _domain(
-            where,
-            ElemModBundle,
-            parent=decode_bundle(inner.get("parent"), surface, f"{where}.elem_mod.parent"),
-            fibre=point(inner.get("fibre"), f"{where}.elem_mod.fibre"),
-            steps=_expect_int(inner.get("steps"), f"{where}.elem_mod.steps"),
-        )
-    raise SchemaError(
-        f"{where}: expected an 'extension', 'spectral_push', or 'elem_mod' key"
-    )
+    else:
+        raise SchemaError(f"{where}: expected an 'extension', 'spectral_push', or 'elem_mod' key")
+    chain = []
+    for inner, at in reversed(levels):
+        fibre = point(inner.get("fibre"), f"{at}.elem_mod.fibre")
+        steps = _expect_int(inner.get("steps"), f"{at}.elem_mod.steps")
+        if steps <= 0:
+            raise SchemaError(f"{at}: modification step count must be positive")
+        chain.append((fibre, steps))
+    return ElemModBundle(root, chain) if chain else root
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,8 @@ def _canonical_rep(z: complex, curve: CurveParam) -> complex:
         z *= tau
     while abs(z) >= at:
         z /= tau
+    while abs(z) < 1.0:  # |z| rounded below 1 and |z tau| onto |tau|: nudge it inside
+        z *= 1.0 + 2.0**-52
     return z
 
 

@@ -38,6 +38,7 @@ from ellspec.bundles import (
 )
 import ellspec.bundles as bundles_module
 import ellspec.tate as tate_module
+from ellspec.existence import Recipe
 from ellspec.jacobian import (
     DoubleCoverData,
     RationalMap,
@@ -53,6 +54,7 @@ from ellspec.jacobian import (
     sections_equal,
     zero_section,
 )
+from ellspec.schemas import decode_bundle, decode_recipe, encode_bundle, encode_recipe
 from ellspec.surface import (
     UNIT_LATTICE,
     ZERO_LATTICE,
@@ -139,8 +141,22 @@ def test_spectral_push_needs_irreducible():
 
 
 def test_elem_mod_validation():
-    with pytest.raises(ValueError):
-        ElemModBundle(trivial_extension(S0), 0.1, 0)
+    # a chain is one flat record: a root and its (fibre, steps) pairs
+    root = trivial_extension(S0)
+    chain = ElemModBundle(root, ((0.1, 1),))
+    for base, pairs in ((root, ((0.1, 0),)), (root, ((0.1, 1), (0.2, -1))), (root, ()), (chain, ((0.2, 1),))):
+        with pytest.raises(ValueError):
+            ElemModBundle(base, pairs)
+
+
+def test_realized_recipe_extends_the_chain_of_its_base():
+    root = trivial_extension(S0)
+    base = ElemModBundle(root, ((0.3, 2),))
+    recipe = decode_recipe(encode_recipe(Recipe(base, Fraction(1), 0.7, 3)), S0)
+    assert recipe.base == base
+    bundle = recipe.realize()
+    assert bundle.root == root and bundle.chain == ((0.3, 2), (0.7, 3))
+    assert chern_data(bundle, S0) == apply_modification_ledger(chern_data(root, S0), 5, S0.lattice)
 
 
 # ------------------------------------------------------------ chern data
@@ -213,7 +229,7 @@ def test_every_use_of_a_mismatched_norm_push_is_rejected():
     cover = DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=RationalMap((2.5,)))
     det = LineBundleOnX(SectionOfJ(TatePoint(1.5, S03.fibre), ()))
     bundle = SpectralPushBundle(irreducible_bisection(cover), det)
-    chain = ElemModBundle(bundle, 0.4 + 0.3j, 1)
+    chain = ElemModBundle(bundle, ((0.4 + 0.3j, 1),))
     for compute in (
         lambda: check_spectral_push(bundle, S03),
         lambda: spectral_cover(chain, S03),
@@ -243,7 +259,7 @@ def test_rational_push_on_a_declared_cover_is_rejected():
     # check, and its verification failed at the first fibre instead
     det = LineBundleOnX(SectionOfJ(TatePoint(1.5 + 0.2j, S03.fibre), ()))
     bundle = SpectralPushBundle(irreducible_bisection(DoubleCoverData(declared_self_intersection=2)), det)
-    chain = ElemModBundle(bundle, 0.4 + 0.3j, 1)
+    chain = ElemModBundle(bundle, ((0.4 + 0.3j, 1),))
     for compute in (
         lambda: check_spectral_push(bundle, S03),
         lambda: chern_data(chain, S03),
@@ -283,28 +299,41 @@ def test_discriminant_checks_build_no_fraction(monkeypatch):
 
 
 def test_chern_elem_mod():
-    bundle = ElemModBundle(trivial_extension(S0), 0.3, 2)
+    bundle = ElemModBundle(trivial_extension(S0), ((0.3, 2),))
     cd = chern_data(bundle, S0)
     assert cd == ChernData(NSClass((-2,), ()), 2)
 
 
 def modified_chain(root, levels: int):
     """root modified once at each of levels distinct fibres, innermost first."""
-    for i in range(levels):
-        root = ElemModBundle(root, complex(0.001 * i - 1, 0.5), 1)
-    return root
+    return ElemModBundle(root, tuple((complex(0.001 * i - 1, 0.5), 1) for i in range(levels)))
 
 
 def test_deep_chains_are_unwound_without_recursion():
-    # a chain is read in one loop: the ledger moves the root's Chern data
-    # once, by the total steps, and the jump fibres are merged once (1500
-    # levels once raised RecursionError from both)
+    # a chain is stored flat and read as one field: the ledger moves the
+    # root's Chern data once, by the total steps, and the jump fibres are
+    # merged once (1500 nested levels once raised RecursionError from both)
     root = push_bundle(RationalMap((0.3, 0.2, 1.0)), 1.5)
     chain = modified_chain(root, 1500)
     assert chern_data(chain, S0) == apply_modification_ledger(chern_data(root, S0), 1500, S0.lattice)
     cover = spectral_cover(chain, S0)
     assert cover.jump_fibres == tuple((complex(0.001 * i - 1, 0.5), 1) for i in range(1500))
     assert cover.bisection == spectral_cover(root, S0).bisection
+
+
+def test_deep_chains_hash_compare_print_and_round_trip():
+    # 1500 modifications through the library: equality, hash, repr and the
+    # codec once recursed through nested records and raised RecursionError
+    def build():
+        bundle = trivial_extension(S0)
+        for i in range(1500):
+            bundle = elementary_modification(bundle, complex(0.001 * i - 1, 0.5), 1, S0)
+        return bundle
+
+    one, two = build(), build()
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert repr(one) == repr(two) and len(one.chain) == 1500
+    assert decode_bundle(encode_bundle(one), S0) == one
 
 
 def test_push_check_reads_the_root_of_any_presentation():
@@ -377,17 +406,17 @@ def test_restrict_spectral_push_branch_point():
 
 
 def test_restrict_elem_mod():
-    bundle = ElemModBundle(trivial_extension(S0), 0.3, 1)
+    bundle = ElemModBundle(trivial_extension(S0), ((0.3, 1),))
     assert restrict(bundle, 0.3, S0) == 1
     assert splits(restrict(bundle, 0.8, S0))
     # a chain two levels deep over a spectral push: each modified fibre is
     # unstable, and elsewhere the push decides
-    chain = ElemModBundle(ElemModBundle(push_bundle(RationalMap((0.3, 0.2, 1.0)), 1.5), 0.3, 1), 0.8, 2)
+    chain = ElemModBundle(push_bundle(RationalMap((0.3, 0.2, 1.0)), 1.5), ((0.3, 1), (0.8, 2)))
     assert restrict(chain, 0.3, S0) == 1
     assert restrict(chain, 0.8, S0) == 1
     assert splits(restrict(chain, -0.5, S0))
     with pytest.raises(ValueError, match="multiple fibre"):
-        restrict(ElemModBundle(trivial_extension(SMF), 0.3, 1), 1.5, SMF)
+        restrict(ElemModBundle(trivial_extension(SMF), ((0.3, 1),)), 1.5, SMF)
 
 
 def test_restrict_multiple_fibre_rejected():
@@ -448,7 +477,7 @@ def test_cover_of_elem_mod_merges_jumps():
 def test_genus_one_points_of_one_class_are_one_point():
     pt, shifted = 1.4 + 0.1j, (1.4 + 0.1j) * 3.0  # one class of the base C*/<3>
     base = trivial_extension(S1U)
-    twice = ElemModBundle(ElemModBundle(base, pt, 1), shifted, 2)
+    twice = ElemModBundle(base, ((pt, 1), (shifted, 2)))
     (jump,) = spectral_cover(twice, S1U).jump_fibres
     assert abs(jump[0] - pt) < 1e-12 and jump[1] == 3
     # a zero cycle given by two representatives of one class counts once there
@@ -500,7 +529,7 @@ G1_EXTENSION = ExtensionBundle(
             0.5,
         ),
         (G1_EXTENSION, S1U, 7),
-        (ElemModBundle(G1_EXTENSION, 2.1 - 0.6j, 2), S1U, 8),
+        (ElemModBundle(G1_EXTENSION, ((2.1 - 0.6j, 2),)), S1U, 8),
         (push_bundle(RationalMap((0.0, 0.0, 1.0)), 2.0), S0, 4.1),
     ],
     ids=["genus-0-extension", "genus-1-extension", "genus-1-elem-mod", "genus-0-push"],
@@ -596,7 +625,7 @@ G0_GLUED = ExtensionBundle(
     "bundle, scores",
     [
         (G0_EXTENSION, 4),
-        (ElemModBundle(ElemModBundle(G0_EXTENSION, 0.4 + 0.3j, 1), -0.6 + 0.2j, 2), 4),
+        (ElemModBundle(G0_EXTENSION, ((0.4 + 0.3j, 1), (-0.6 + 0.2j, 2))), 4),
         (G0_GLUED, 2),
     ],
     ids=["extension", "elem-mod-chain", "glued"],
@@ -786,9 +815,8 @@ def verification_cases(draw):
     kind = draw(st.sampled_from(["genus-0 extension", "genus-1 extension", "genus-0 push"]))
     surface = draw(st.sampled_from(G1_SURFACES if kind == "genus-1 extension" else G0_SURFACES))
     bundle = _push(draw, surface) if kind == "genus-0 push" else _extension(draw, surface)
-    for _ in range(draw(st.integers(0, 2))):
-        bundle = ElemModBundle(bundle, _base(draw, surface), draw(st.integers(1, 3)))
-    return bundle, surface
+    chain = tuple((_base(draw, surface), draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 2))))
+    return (ElemModBundle(bundle, chain) if chain else bundle), surface
 
 
 @settings(max_examples=120, deadline=None)
@@ -820,7 +848,7 @@ def test_verification_at_a_coarse_tolerance_skips_unstable_and_glues(surface):
     det = SectionOfJ(TatePoint(sub.constant.rep**2, surface.fibre), (2,) * surface.lattice.rank)
     p, q = (x + 0.01 for x in _sample_base_numbers(surface, 2, 3))
     root = ExtensionBundle(LineBundleOnX(sub), LineBundleOnX(det), zero_cycle=((p, 1),), nonsplit_everywhere=True)
-    bundle = ElemModBundle(root, q, 2)
+    bundle = ElemModBundle(root, ((q, 2),))
     tol = Tolerance(0.05)
     residual, unstable, glued = _reference_verify(bundle, surface, tol, 50, 3)
     assert unstable >= 2 and glued == 50 - unstable
@@ -875,5 +903,5 @@ def test_modification_g1_base_point_classes():
     shifted = (1.4 + 0.1j) * 3.0
     two = elementary_modification(one, shifted, 2, S1U)
     assert isinstance(two, ElemModBundle)
-    assert two.steps == 3
-    assert two.parent is base
+    assert two.root is base
+    assert two.chain == ((one.chain[0][0], 3),)

@@ -782,6 +782,58 @@ def test_deep_modification_chain_is_answered_in_bounded_time(tmp_path, capsys):
     assert body["verification"]["samples"] == 5
 
 
+def _nested(root, *levels):
+    """root under one elem_mod level per (fibre, steps), innermost first."""
+    for fibre, steps in levels:
+        root = {"elem_mod": {"parent": root, "fibre": fibre, "steps": steps}}
+    return root
+
+
+_BAD_MIDDLE_AND_OUTER = (([0.9, 0.2], 1), ("x", 1), ([1.1, 0.3], 0))
+
+
+@pytest.mark.parametrize(
+    "make, code, error",
+    [
+        (
+            lambda root: _nested(dict(root, extension=dict(root["extension"], D=5)), *_BAD_MIDDLE_AND_OUTER),
+            EX_SCHEMA,
+            "bundle.elem_mod.parent.elem_mod.parent.elem_mod.parent.extension.D: expected an object",
+        ),
+        (
+            lambda root: _nested(root, *_BAD_MIDDLE_AND_OUTER),
+            EX_SCHEMA,
+            "bundle.elem_mod.parent.elem_mod.fibre: expected [re, im] or 'inf'",
+        ),
+        (
+            lambda root: _nested(root, ([0.9, 0.2], 1), ([1.1, 0.3], 0)),
+            EX_SCHEMA,
+            "bundle: modification step count must be positive",
+        ),
+        (
+            lambda root: _nested(root, ([0.9, 0.2], 1), ([2.1, -0.6], "2"), ([1.1, 0.3], 1)),
+            EX_SCHEMA,
+            "bundle.elem_mod.parent.elem_mod.steps: expected an integer",
+        ),
+        (lambda root: {"elem_mod": [1]}, EX_SCHEMA, "bundle.elem_mod: expected an object"),
+        (lambda root: _nested(None, ([0.9, 0.2], 1)), EX_SCHEMA, "bundle.elem_mod.parent: expected an object"),
+        (lambda root: dict(root, elem_mod=_nested(root, ([0.9, 0.2], 1))["elem_mod"]), EX_OK, None),
+    ],
+    ids=["root-first", "innermost-level-first", "outer-steps", "middle-steps", "body", "parent", "extension-key-wins"],
+)
+def test_nested_modifications_report_errors_root_first(tmp_path, capsys, make, code, error):
+    # the decoder peels elem_mod levels in a loop: the root is decoded
+    # first, then each level's fibre and steps, innermost first
+    doc = json.loads((GOLDEN / "spectral-cover-g1-elem-mod-verify.request.json").read_text(encoding="utf-8"))
+    root = doc["bundle"]["elem_mod"]["parent"]
+    got, body = run_cli(tmp_path, capsys, "spectral-cover", dict(doc, bundle=make(root)))
+    assert got == code, body
+    if error is not None:
+        assert body["error"] == error
+    else:  # an extension body is decoded as the extension, whatever else it carries
+        assert body == run_cli(tmp_path, capsys, "spectral-cover", dict(doc, bundle=root))[1]
+
+
 def test_valid_options_still_accepted(tmp_path, capsys):
     plain = run_cli(tmp_path, capsys, "exists", g2_request(0))
     doc = g2_request(0)

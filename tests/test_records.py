@@ -94,7 +94,7 @@ CASES = {
         nonsplit_everywhere=True,
     ),
     SpectralPushBundle: lambda: dict(cover=Bisection(cover=_cover()), determinant=_line_bundle()),
-    ElemModBundle: lambda: dict(parent=_extension(), fibre=0.3 + 0.1j, steps=2),
+    ElemModBundle: lambda: dict(root=_extension(), chain=((0.3 + 0.1j, 2),)),
     SpectralCover: lambda: dict(
         bisection=Bisection(components=(_section(), _section())),
         jump_fibres=((0.5, 1),),

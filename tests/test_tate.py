@@ -217,6 +217,18 @@ def test_canonical_rep_lies_in_annulus(re, im, tau):
     assert 1.0 <= abs(rep) < abs(tau)
 
 
+
+def test_canonical_rep_is_a_fixed_point_at_the_float_fence():
+    # |z| rounds below 1 while |z tau| rounds onto |tau|, so no power of tau
+    # takes z inside the annulus in floats; the reduction once returned a
+    # modulus below 1 there, which a second reduction moved again
+    curve = CurveParam(2.5 + 1j)
+    z = 0.9968017063026192 - 0.07991469396917264j
+    assert abs(z) < 1.0 and abs(z * curve.tau) >= abs(curve.tau)
+    rep = TatePoint(z, curve).rep
+    assert 1.0 <= abs(rep) < abs(curve.tau)
+    assert TatePoint(rep, curve).rep == rep and abs(rep - z) < 1e-15
+
 # -------------------------------------------------------- group operations
 
 
