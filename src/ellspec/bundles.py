@@ -562,8 +562,9 @@ def elementary_modification(
     """Modify along the smooth fibre over b, steps times.
 
     Zero steps is the identity; the fibre must avoid multiple fibres and,
-    for spectral-push parents over a rational base, the branch points of
-    the cover.
+    for a spectral-push root over a rational base, the branch points of
+    the cover.  The result's chain is the bundle's with one more pair, or
+    with more steps on its outermost pair when that fibre repeats.
     """
     if steps == 0:
         return bundle
