@@ -136,6 +136,71 @@ CASES: list[tuple[str, list[str], object]] = [
         },
     ),
     (
+        # the push-chain request at a coarse tol: sampled fibres within 0.3
+        # of a modified fibre are unstable, and coincident values glue
+        "spectral-cover-g0-coarse-tol-verify",
+        ["spectral-cover"],
+        {
+            "schema": 1,
+            "surface": G0,
+            "bundle": {
+                "elem_mod": {
+                    "parent": {
+                        "elem_mod": {
+                            "parent": {
+                                "spectral_push": {
+                                    "bisection": {
+                                        "irreducible": {"trace": {"num": [[0.3, 0], [0.2, 0], [1, 0]], "den": [[1, 0]]}}
+                                    },
+                                    "delta": {"section": {"constant": [1.5, 0.0], "hom": []}},
+                                }
+                            },
+                            "fibre": [0.4, 0.3],
+                            "steps": 1,
+                        }
+                    },
+                    "fibre": [-0.6, 0.2],
+                    "steps": 2,
+                }
+            },
+            "options": {"verify": 200, "seed": 3, "tol": 0.3},
+        },
+    ),
+    (
+        # points on both sides of the annulus seam |z| = 1 ~ |z| = 3: the
+        # fibres 2.95 - 0.03i and 3.03 (the class of 1.01) lie within tol
+        # 0.3 of the cycle point 1.02 + 0.01i as classes, and so do the two
+        # marks of each other; delta is the square of D, so sub and
+        # quotient agree and every marked fibre glues
+        "spectral-cover-g1-seam-verify",
+        ["spectral-cover"],
+        {
+            "schema": 1,
+            "surface": G1,
+            "bundle": {
+                "elem_mod": {
+                    "parent": {
+                        "elem_mod": {
+                            "parent": {
+                                "extension": {
+                                    "D": {"section": {"constant": [1.5, 0.5], "hom": [1]}},
+                                    "delta": {"section": {"constant": [2.0, 1.5], "hom": [2]}},
+                                    "Z": [[[1.02, 0.01], 1], [[1.6, 1.2], 2]],
+                                    "nonsplit_at": [[-1.01, 0.05], [-2.95, 0.2]],
+                                }
+                            },
+                            "fibre": [2.95, -0.03],
+                            "steps": 1,
+                        }
+                    },
+                    "fibre": [3.03, 0.0],
+                    "steps": 2,
+                }
+            },
+            "options": {"verify": 200, "seed": 4, "tol": 0.3},
+        },
+    ),
+    (
         # sub and quotient coincide (1.5 squared is delta), so every
         # sampled fibre glues to the non-split type
         "spectral-cover-g0-nonsplit-everywhere-verify",
