@@ -17,11 +17,11 @@ runs it first, to report a misfit as a schema error); fibre evaluation
 compares nothing.
 
 Fibres are evaluated from a plan (_FibrePlan) that resolves a
-presentation once per request: its chain, zero cycle and non-split marks
-as base numbers, and the constant representative and power exponent of
-each section.  A fibre then costs complex arithmetic on canonical
-annulus representatives alone; spectral-cover verification runs the
-plan at every sampled fibre.
+presentation once per request: its base points into one
+surface._BaseIndex, and the constant representative and power exponent
+of each section.  A fibre then costs one lookup and complex arithmetic
+on canonical annulus representatives; spectral-cover verification runs
+the plan at every sampled fibre.  Jumps merge by lookups too.
 Verification reuses a fibre's residuals while the next fibres repeat its
 values and cover classes, so a bundle whose values and classes stay put
 (every extension over a rational base) is scored once per request, not
@@ -37,6 +37,7 @@ of that dual section by construction.
 from __future__ import annotations
 
 import cmath
+import itertools
 from collections.abc import Callable, Sequence
 from functools import cached_property
 
@@ -63,7 +64,7 @@ from .surface import (
     HomLattice,
     NSClass,
     SurfaceData,
-    _same_base_number,
+    _BaseIndex,
     base_point,
     distinct_base_points,
     eight_discriminant,
@@ -138,7 +139,7 @@ class ExtensionBundle(Record):
         nonsplit_at: tuple[complex, ...] = (),
         nonsplit_everywhere: bool = False,
     ) -> None:
-        if not distinct_base_points(None, (p for p, _ in zero_cycle)):
+        if not distinct_base_points(None, [p for p, _ in zero_cycle]):
             raise ValueError("zero-cycle points must be distinct")
         if any(length <= 0 for _, length in zero_cycle):
             raise ValueError("zero-cycle lengths are positive")
@@ -278,12 +279,12 @@ class _FibrePlan:
     """The restriction of a presentation to smooth fibres, on base numbers.
 
     One plan serves every fibre of a call.  What a fibre reads from the
-    presentation is resolved once: the modified fibres of a chain, the
-    zero cycle and the non-split marks as base numbers, and the evaluator
-    of the root's two values (jacobian._section_evaluator and
-    _cover_evaluator).  Each part is resolved where a fibre first needs
-    it, so errors come in the order of a fibre-by-fibre walk; after that a
-    fibre computes with complex numbers only.
+    presentation is resolved once, at the first fibre: one _BaseIndex of
+    the base numbers it is compared with, normalised in precedence order,
+    then the evaluator of the root's two values
+    (jacobian._section_evaluator and _cover_evaluator).  After that a
+    fibre costs one lookup, a dict miss away from those points, and
+    complex arithmetic on the values.
     """
 
     def __init__(self, bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -> None:
@@ -292,16 +293,15 @@ class _FibrePlan:
         self.tol = tol
 
     @cached_property
-    def modified(self) -> list[complex]:
-        return [base_point(self.surface, f) for f, _ in self._chain]
-
-    @cached_property
-    def cycle(self) -> list[tuple[complex, int]]:
-        return [(base_point(self.surface, p), n) for p, n in self.root.zero_cycle]
-
-    @cached_property
-    def marks(self) -> list[complex]:
-        return [base_point(self.surface, p) for p in self.root.nonsplit_at]
+    def points(self) -> _BaseIndex:
+        """The multiple fibres, modified fibres, zero cycle and marks,
+        tagged "multiple", "modified", by cycle length and "mark"."""
+        surface, root = self.surface, self.root
+        tagged = [(p, "multiple") for p, _ in surface.multiple_fibres]
+        tagged += [(f, "modified") for f, _ in self._chain]
+        if isinstance(root, ExtensionBundle):
+            tagged += list(root.zero_cycle) + [(p, "mark") for p in root.nonsplit_at]
+        return _BaseIndex(surface, self.tol.eps, [(base_point(surface, p), tag) for p, tag in tagged])
 
     @cached_property
     def evaluate(self) -> Callable[[complex], tuple[complex, complex]]:
@@ -317,37 +317,28 @@ class _FibrePlan:
         sub-degree if it is unstable, else the two value representatives
         and whether they glue to the non-split type.
 
-        A chain is walked down in one pass: a modified fibre at x is
-        unstable, and elsewhere the root decides; a multiple fibre raises
-        ValueError.  An extension is unstable on its zero cycle and glues
+        One lookup finds the points at x: a multiple fibre raises
+        ValueError, a modified fibre is unstable, and elsewhere the root
+        decides.  An extension is unstable on its zero cycle and glues
         its sub and quotient values where they coincide on a marked fibre.
         A cover's values glue at square-root tolerance, the sensitivity of
         a double root at a branch point.  The caller checks a spectral push
         against its surface first (check_spectral_push).
         """
-        surface, tol = self.surface, self.tol
-        # the scans below run at every fibre and their lists are usually empty
-        multiple = surface.multiple_fibres
-        if multiple and any(_same_base_number(surface, x, p, tol) for p, _ in multiple):
-            raise ValueError("restriction to a multiple fibre is unsupported")
-        modified = self.modified
-        if modified and any(_same_base_number(surface, x, f, tol) for f in modified):
-            return 1
-        root = self.root
-        tau = surface.fibre.tau
-        if isinstance(root, ExtensionBundle):
-            cycle = self.cycle
-            if cycle:
-                k = sum(n for p, n in cycle if _same_base_number(surface, x, p, tol))
-                if k >= 1:
-                    return k
-            v1, v2 = self.evaluate(x)
-            glued = _class_distance(v1, v2, tau) <= tol.eps and (
-                root.nonsplit_everywhere or any(_same_base_number(surface, x, p, tol) for p in self.marks)
-            )
-            return v1, v2, glued
+        hits = self.points.matches(x) if self.points else ()
+        if hits:
+            if "multiple" in hits:
+                raise ValueError("restriction to a multiple fibre is unsupported")
+            if "modified" in hits:
+                return 1
+            k = sum(h for h in hits if not isinstance(h, str))
+            if k >= 1:
+                return k
         v1, v2 = self.evaluate(x)
-        return v1, v2, _class_distance(v1, v2, tau) <= max(tol.eps, tol.eps**0.5)
+        close, eps = _class_distance(v1, v2, self.surface.fibre.tau), self.tol.eps
+        if isinstance(self.root, ExtensionBundle):
+            return v1, v2, close <= eps and (self.root.nonsplit_everywhere or "mark" in hits)
+        return v1, v2, close <= max(eps, eps**0.5)
 
 
 class SpectralCover(Record):
@@ -395,17 +386,17 @@ def _merge_jumps(
     surface: SurfaceData, tol: Tolerance, *groups: Sequence[tuple[complex, int]]
 ) -> tuple[tuple[complex, int], ...]:
     """The (point, multiplicity) pairs of all groups, one per base point."""
-    out: list[tuple[complex, int]] = []
-    for group in groups:
-        for p, m in group:
-            p = base_point(surface, p)
-            for i, (q, n) in enumerate(out):
-                if _same_base_number(surface, q, p, tol):
-                    out[i] = (q, n + m)
-                    break
-            else:
-                out.append((p, m))
-    return tuple(out)
+    out: list[list] = []
+    index = _BaseIndex(surface, tol.eps)  # each output pair, by its point
+    for p, m in itertools.chain(*groups):
+        p = base_point(surface, p)
+        found = index.matches(p)
+        if found:  # the earliest output point that p agrees with
+            found[0][1] += m
+        else:
+            out.append([p, m])
+            index.add(p, out[-1])
+    return tuple(map(tuple, out))
 
 
 def _cover_parts(
@@ -552,6 +543,24 @@ def spectral_accounting(
     return lhs, spectral_support_count(cd, lattice)
 
 
+def _modification_check(root: ChainRoot, surface: SurfaceData, tol: Tolerance) -> Callable[[complex], None]:
+    """ValueError at a fibre that root may not be modified along: a multiple
+    fibre, or a branch point of a push's trace map over a rational base."""
+    multiple = _BaseIndex(surface, tol.eps, surface.multiple_fibres)
+    cover = root.cover.cover if isinstance(root, SpectralPushBundle) and surface.base.genus == 0 else None
+    concrete = cover is not None and cover.trace is not None
+    branch = branch_points_numeric(cover, root.determinant.section, surface) if concrete else ()
+
+    def check(bc: complex) -> None:
+        if multiple.matches(bc):
+            raise ValueError("cannot modify along a multiple fibre")
+        for p in branch:
+            if abs(bc - p) <= max(tol.eps, 1e-6):
+                raise ValueError("cannot modify along a branch fibre of the cover")
+
+    return check
+
+
 def elementary_modification(
     bundle: RankTwoBundle,
     b,
@@ -563,23 +572,17 @@ def elementary_modification(
 
     Zero steps is the identity; the fibre must avoid multiple fibres and,
     for a spectral-push root over a rational base, the branch points of
-    the cover.  The result's chain is the bundle's with one more pair, or
-    with more steps on its outermost pair when that fibre repeats.
+    the cover (_modification_check).  The result's chain is the bundle's
+    with one more pair, or with more steps on its outermost pair when that
+    fibre repeats.
     """
     if steps == 0:
         return bundle
     if steps < 0:
         raise ValueError("modification step count must be positive")
     bc = base_point(surface, b)
-    if any(same_base_point(surface, bc, p, tol) for p, _ in surface.multiple_fibres):
-        raise ValueError("cannot modify along a multiple fibre")
     root, chain = _unwind(bundle)
-    if isinstance(root, SpectralPushBundle) and surface.base.genus == 0:
-        cover = root.cover.cover
-        if cover.trace is not None:
-            for p in branch_points_numeric(cover, root.determinant.section, surface):
-                if abs(bc - p) <= max(tol.eps, 1e-6):
-                    raise ValueError("cannot modify along a branch fibre of the cover")
+    _modification_check(root, surface, tol)(bc)
     if chain and same_base_point(surface, bc, chain[-1][0], tol):  # the outermost fibre again
         return ElemModBundle(root, chain[:-1] + ((chain[-1][0], chain[-1][1] + steps),))
     return ElemModBundle(root, chain + ((bc, steps),))

@@ -22,10 +22,13 @@ that grows with an option is capped the same way: "verify" above
 MAX_VERIFY_SAMPLES fibres or "enum_radius" above MAX_ENUM_RADIUS (the
 cube holds (2r+1)^rank points) exits 64, from a flag or embedded.  So
 does a spectral push that does not fit its surface at the request's tol
-(bundles.check_spectral_push), found before any fibre work.  With
+(bundles.check_spectral_push), or an elem_mod fibre that
+elementary_modification refuses at it, found before any fibre work.  With
 --batch the input is an array of requests for the same subcommand; the
 output is the array of responses in order and the exit code is the
 maximum over the items.  An --output that cannot be written exits 64.
+Lists of base points need no cap: each point costs a keyed lookup
+(surface._BaseIndex), so request work is linear in list lengths.
 
 Replies are JSON with a 2-space indent, the separators "," and ": ",
 strings and keys escaped to ASCII, and no NaN or Infinity (a non-finite
@@ -288,7 +291,7 @@ def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: Options, surface: Surfac
 def _cmd_spectral_cover(
     doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData
 ) -> tuple[dict, int]:
-    bundle = decode_bundle(doc.get("bundle"), surface)
+    bundle = decode_bundle(doc.get("bundle"), surface, tol=opts.tol)
     _domain("bundle", check_spectral_push, bundle, surface, opts.tol)
     cover = spectral_cover(
         bundle,

@@ -27,12 +27,12 @@ from .tate import (
     CurveParam,
     TatePoint,
     Tolerance,
-    _class_distance,
     _point_rep,
     identity,
     points_equal,
 )
 from .surface import ChernData, HomLattice, NSClass, SurfaceData, eight_discriminant, self_intersection
+from .surface import _BaseIndex, base_point
 
 
 class SectionOfJ(Record):
@@ -304,15 +304,15 @@ def _sample_base_numbers(
     avoid: tuple[complex, ...] = (),
 ) -> list[complex]:
     """Seeded generic base numbers, at least _CLEARANCE from the avoided
-    points and the multiple fibres, with no point object built: annulus
-    representatives on genus 1, and on any other base complex numbers from
-    the square |Re|, |Im| <= 2, which on an abstract base (g >= 2) are
-    formal markers."""
+    points and the multiple fibres (one _BaseIndex lookup each), with no
+    point object built: annulus representatives on genus 1, and on any
+    other base complex numbers from the square |Re|, |Im| <= 2, which on
+    an abstract base (g >= 2) are formal markers."""
     rng = random.Random(seed)
-    forbidden = [complex(p) for p in avoid] + [complex(p) for p, _ in surface.multiple_fibres]
-    tate = surface.base.tate if surface.base.genus == 1 else None
-    if tate is not None:
-        forbidden = [_point_rep(f, tate) for f in forbidden]
+    # a distance is below _CLEARANCE exactly when it is at most the float below it
+    avoided = [(base_point(surface, p), 0) for p in avoid] + list(surface.multiple_fibres)
+    forbidden = _BaseIndex(surface, math.nextafter(_CLEARANCE, 0.0), avoided) if avoided else None
+    tate = surface.base.tate
     out: list[complex] = []
     trials = 0
     while len(out) < count:
@@ -321,14 +321,12 @@ def _sample_base_numbers(
             raise RuntimeError("could not sample enough generic base points")
         if tate is None:
             b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            if forbidden and any(abs(b - f) < _CLEARANCE for f in forbidden):
-                continue
         else:
             r = abs(tate.tau) ** rng.uniform(0.0, 1.0)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             b = _point_rep(r * cmath.exp(1j * theta), tate)
-            if forbidden and any(_class_distance(b, f, tate.tau) < _CLEARANCE for f in forbidden):
-                continue
+        if forbidden and forbidden.matches(b):
+            continue
         out.append(b)
     return out
 
@@ -480,6 +478,8 @@ def branch_points_numeric(cover: DoubleCoverData, delta: SectionOfJ, surface: Su
         x - 4.0 * d0 * y
         for x, y in zip_longest(_poly_square(cover.trace.num), _poly_square(cover.trace.den), fillvalue=0j)
     ]
+    if not all(cmath.isfinite(c) for c in disc):
+        raise ValueError("cover coefficients leave the floating-point range")
     scale = max((abs(c) for c in disc), default=0.0)
     if scale == 0.0:
         raise ValueError("degenerate cover: the quadratic relation has square discriminant")

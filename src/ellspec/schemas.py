@@ -22,6 +22,7 @@ from .bundles import (
     RankTwoBundle,
     SpectralCover,
     SpectralPushBundle,
+    _modification_check,
     _unwind,
 )
 from .existence import Existence, Recipe, Verdict
@@ -42,7 +43,7 @@ from .surface import (
     base_point,
     distinct_base_points,
 )
-from .tate import CurveParam, TatePoint
+from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance
 
 SCHEMA_VERSION = 1
 
@@ -346,7 +347,10 @@ def encode_bundle(bundle: RankTwoBundle) -> dict:
     return doc
 
 
-def decode_bundle(doc: Any, surface: SurfaceData, where: str = "bundle") -> RankTwoBundle:
+def decode_bundle(
+    doc: Any, surface: SurfaceData, where: str = "bundle", tol: Tolerance = DEFAULT_TOL
+) -> RankTwoBundle:
+    """The presentation in doc; each elem_mod fibre is checked as elementary_modification does at tol."""
     def point(item: Any, name: str) -> complex:
         return _domain(name, base_point, surface, decode_complex(item, name))
 
@@ -374,7 +378,7 @@ def decode_bundle(doc: Any, surface: SurfaceData, where: str = "bundle") -> Rank
         sub = decode_line_bundle(inner.get("D"), surface, f"{where}.extension.D")
         determinant = decode_line_bundle(inner.get("delta"), surface, f"{where}.extension.delta")
         # the bundle alone tells its points apart as numbers; the surface knows their classes
-        if not distinct_base_points(surface, (p for p, _ in cycle)):
+        if not distinct_base_points(surface, [p for p, _ in cycle]):
             raise SchemaError(f"{where}: zero-cycle points must be distinct")
         root = _domain(where, ExtensionBundle, sub, determinant, cycle, nonsplit, everywhere)
     elif "spectral_push" in body:
@@ -387,12 +391,14 @@ def decode_bundle(doc: Any, surface: SurfaceData, where: str = "bundle") -> Rank
         )
     else:
         raise SchemaError(f"{where}: expected an 'extension', 'spectral_push', or 'elem_mod' key")
+    check = _modification_check(root, surface, tol) if levels else None
     chain = []
     for inner, at in reversed(levels):
         fibre = point(inner.get("fibre"), f"{at}.elem_mod.fibre")
         steps = _expect_int(inner.get("steps"), f"{at}.elem_mod.steps")
         if steps <= 0:
             raise SchemaError(f"{at}: modification step count must be positive")
+        _domain(f"{at}.elem_mod.fibre", check, fibre)
         chain.append((fibre, steps))
     return ElemModBundle(root, chain) if chain else root
 

@@ -20,13 +20,17 @@ wherever it is only compared: eight_discriminant returns the integer
 8 Delta = 4 c2 + 2 deg(c1), and discriminant is that integer over 8.  A
 Fraction is built only for a value returned as one: Delta from
 discriminant and m from filtrable_bound.
+
+Base points are compared here alone: _same_base_number decides, and
+_BaseIndex files a list by grid cell, so a lookup replaces a scan.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
+import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Rational
 
@@ -157,22 +161,86 @@ def base_point(surface: SurfaceData | None, b) -> complex:
 
 def same_base_point(surface: SurfaceData | None, a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two base points agree within tol.eps (see _same_base_number)."""
-    return _same_base_number(surface, base_point(surface, a), base_point(surface, b), tol)
+    return _same_base_number(_base_tau(surface), tol.eps, base_point(surface, a), base_point(surface, b))
 
 
-def _same_base_number(surface: SurfaceData | None, a: complex, b: complex, tol: Tolerance) -> bool:
-    """same_base_point on numbers that base_point already gave: classes of
-    annulus representatives on a genus-1 base, complex numbers on any other
-    or with no surface at hand, where every infinite number is the one
-    point at infinity.  No point object is built."""
-    if surface is not None and surface.base.genus == 1:
-        return _class_distance(a, b, surface.base.tate.tau) <= tol.eps
-    return abs(a - b) <= tol.eps or (cmath.isinf(a) and cmath.isinf(b))
+def _base_tau(surface: SurfaceData | None) -> complex | None:
+    """The multiplier of a genus-1 base, whose numbers stand for classes; else None."""
+    return None if surface is None or surface.base.tate is None else surface.base.tate.tau
 
 
-def distinct_base_points(surface: SurfaceData | None, points) -> bool:
-    """Whether no two of the points are the same base point."""
-    return not any(same_base_point(surface, p, q) for p, q in itertools.combinations(points, 2))
+def _same_base_number(tau: complex | None, eps: float, a: complex, b: complex) -> bool:
+    """Whether two numbers from base_point agree within eps: by class distance
+    on a base of multiplier tau, else by modulus, infinity being one point."""
+    if cmath.isinf(a) and cmath.isinf(b):
+        return True
+    return (abs(a - b) if tau is None else _class_distance(a, b, tau)) <= eps
+
+
+class _BaseIndex(dict):
+    """Base numbers filed by grid cell: fixed-radius near neighbours
+    (Bentley and Friedman, ACM Computing Surveys 11, 1979).  A cell's side
+    is a power of two, at least 4r for r below 2**1021, r being eps widened
+    by rounding.  A number goes into each cell its r-box meets, and on
+    genus 1 near the annulus seam as p tau and p / tau too, so a query's
+    own cell holds all its matches and _same_base_number picks them.  Cell
+    numbers are exact integers; infinite numbers share the key (), and NaN
+    is never filed."""
+
+    __slots__ = ("tau", "eps", "r", "shift", "side")
+
+    def __init__(self, surface: SurfaceData | None, eps: float, pairs=()) -> None:
+        self.tau, self.eps = _base_tau(surface), eps
+        self.r = min(eps * (1.0 + 2.0**-40) + (0.0 if self.tau is None else 2.0**-40), sys.float_info.max)
+        self.shift = min(math.frexp(self.r)[1] + 2, 1023)
+        self.side = 2.0**self.shift
+        for p, item in pairs:
+            self.add(p, item)
+
+    def _cell(self, v: float) -> int:
+        """floor(v / side), exactly; an infinite v counts as the largest float."""
+        try:
+            return math.floor(v / self.side)
+        except OverflowError:  # the quotient left the float range: the same floor, in integers
+            n, d = max(-sys.float_info.max, min(v, sys.float_info.max)).as_integer_ratio()
+            return (n << -self.shift) // d if self.shift < 0 else n // (d << self.shift)
+
+    def add(self, p: complex, item: object = None) -> None:
+        """File the base number p, to be answered as item."""
+        entry, r, tau = (p, item), self.r, self.tau
+        if cmath.isinf(p):
+            self.setdefault((), []).append(entry)
+        images = [p] if cmath.isfinite(p) else []
+        if tau is not None and abs(p) <= 1.0 + 2.0 * r:
+            images.append(p * tau)
+        if tau is not None and abs(p) >= abs(tau) * (1.0 - 2.0**-40) - r:
+            images.append(p / tau)
+        for q in images:
+            if cmath.isfinite(q):  # an image past the float range meets nothing
+                ys = range(self._cell(q.imag - r), self._cell(q.imag + r) + 1)
+                for cx in range(self._cell(q.real - r), self._cell(q.real + r) + 1):
+                    for cy in ys:
+                        cell = self.setdefault((cx, cy), [])
+                        if not cell or cell[-1] is not entry:
+                            cell.append(entry)
+
+    def matches(self, x: complex) -> list:
+        """The items of the filed numbers that agree with x, in filing order."""
+        key = () if cmath.isinf(x) else (self._cell(x.real), self._cell(x.imag)) if x == x else None
+        cell = self.get(key)
+        return [item for p, item in cell if _same_base_number(self.tau, self.eps, x, p)] if cell else []
+
+
+def distinct_base_points(surface: SurfaceData | None, points: Sequence) -> bool:
+    """Whether no two of the points are the same base point (one lookup each)."""
+    if len(points) < 2:
+        return True
+    seen = _BaseIndex(surface, DEFAULT_TOL.eps)
+    for p in points:
+        if seen.matches(p := base_point(surface, p)):
+            return False
+        seen.add(p)
+    return True
 
 
 class SurfaceData(Record):
@@ -207,7 +275,7 @@ class SurfaceData(Record):
             fibres = tuple((base_point(self, b), mult) for b, mult in multiple_fibres)
         except ValueError as exc:
             raise ValueError(f"multiple fibre point: {exc}") from exc
-        if not distinct_base_points(self, (b for b, _ in fibres)):
+        if not distinct_base_points(self, [b for b, _ in fibres]):
             raise ValueError("multiple fibres must sit over distinct base points")
         for _, mult in fibres:
             if mult < 2:

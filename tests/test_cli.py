@@ -21,7 +21,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ellspec.bundles import chern_data
+import ellspec.surface as surface_module
+from ellspec.bundles import chern_data, elementary_modification
 from ellspec.cli import (
     EX_FAILURE,
     EX_NEGATIVE,
@@ -40,6 +41,7 @@ from ellspec.cli import (
 from ellspec.jacobian import DoubleCoverData, irreducible_bisection
 from ellspec.schemas import (
     decode_bisection,
+    decode_bundle,
     decode_recipe,
     decode_section,
     decode_surface,
@@ -50,7 +52,7 @@ from ellspec.schemas import (
     encode_verdict,
 )
 from ellspec.surface import BaseCurve, ChernData, NSClass, SurfaceData, UNIT_LATTICE, HomLattice
-from ellspec.tate import CurveParam, TatePoint, points_equal
+from ellspec.tate import CurveParam, TatePoint, Tolerance, points_equal
 from fractions import Fraction
 
 S0 = SurfaceData(BaseCurve(0), CurveParam(4.0))
@@ -780,6 +782,71 @@ def test_deep_modification_chain_is_answered_in_bounded_time(tmp_path, capsys):
     assert code == EX_OK, body
     assert body["jump_fibres"] == [[[1.7, 0.4], 1]] + [[fibre, 1] for fibre in fibres]
     assert body["verification"]["samples"] == 5
+
+
+# an extension and a push (trace b, delta 1, branched over b = +-2) on the
+# genus-0 surface, and that surface with a multiple fibre at 0.3
+_G0_EXTENSION = extension_request()["bundle"]
+_G0_PUSH = {
+    "spectral_push": {
+        "bisection": {"irreducible": {"trace": {"num": [[0, 0], [1, 0]], "den": [[1, 0]]}}},
+        "delta": {"section": {"constant": [1.0, 0.0], "hom": []}},
+    }
+}
+_G0_FIBRED = dict(G0_SURFACE, multiple_fibres=[[[0.3, 0.0], 2]])
+
+
+@pytest.mark.parametrize(
+    "surface, root, fibre, tol, error",
+    [
+        (_G0_FIBRED, _G0_EXTENSION, [0.3, 0.0], 1e-9, "cannot modify along a multiple fibre"),
+        (_G0_FIBRED, _G0_EXTENSION, [0.45, 0.0], 0.3, "cannot modify along a multiple fibre"),
+        (G0_SURFACE, _G0_PUSH, [2.0, 0.0], 1e-9, "cannot modify along a branch fibre of the cover"),
+    ],
+    ids=["multiple-fibre", "multiple-fibre-at-the-request-tol", "branch-fibre"],
+)
+def test_a_decoded_chain_is_refused_where_the_library_refuses(tmp_path, capsys, surface, root, fibre, tol, error):
+    # the decoder checks each modified fibre as elementary_modification
+    # does, at the request's tol
+    bundle = {"elem_mod": {"parent": root, "fibre": fibre, "steps": 1}}
+    doc = {"schema": 1, "surface": surface, "bundle": bundle, "options": {"tol": tol, "verify": 5}}
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert code == EX_SCHEMA
+    assert body["error"] == f"bundle.elem_mod.fibre: {error}"
+    decoded = decode_surface(surface)
+    with pytest.raises(ValueError, match=error):
+        elementary_modification(decode_bundle(root, decoded), complex(*fibre), 1, decoded, Tolerance(tol))
+
+
+LONG = 20_000
+
+
+@pytest.mark.parametrize("part", ["Z", "nonsplit_at", "multiple_fibres"])
+def test_request_work_is_linear_in_list_length(tmp_path, capsys, monkeypatch, part):
+    # the golden genus-1 extension with 20,000 cycle points, marks or
+    # multiple fibres, verified at the most fibres a request may ask for;
+    # base-point identity is decided by lookups, so the exact predicate
+    # runs a bounded number of times per point and per fibre
+    points = [[1.2 + 0.0005 * i, 0.45] for i in range(LONG)]
+    doc = json.loads((GOLDEN / "spectral-cover-g1-elem-mod-verify.request.json").read_text(encoding="utf-8"))
+    extension = doc["bundle"]["elem_mod"]["parent"]["extension"]
+    if part == "Z":
+        extension["Z"] = [[p, 1] for p in points]
+    elif part == "nonsplit_at":
+        extension["nonsplit_at"] = points
+    else:
+        doc["surface"]["multiple_fibres"] = [[p, 2] for p in points]
+    doc["options"] = {"verify": MAX_VERIFY_SAMPLES, "seed": 5}
+    calls = []
+    predicate = surface_module._same_base_number
+    monkeypatch.setattr(surface_module, "_same_base_number", lambda *args: calls.append(1) or predicate(*args))
+    start = time.perf_counter()
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    elapsed = time.perf_counter() - start
+    assert code == EX_OK, body
+    assert body["verification"]["samples"] == MAX_VERIFY_SAMPLES
+    assert len(calls) <= 4 * (LONG + MAX_VERIFY_SAMPLES)
+    assert elapsed < 5.0
 
 
 def _nested(root, *levels):

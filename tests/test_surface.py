@@ -9,6 +9,7 @@ reduced closest-vector search that replaced it.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -16,9 +17,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from ellspec.bundles import _merge_jumps
 from ellspec.surface import (
     UNIT_LATTICE,
     ZERO_LATTICE,
@@ -27,15 +29,21 @@ from ellspec.surface import (
     HomLattice,
     NSClass,
     SurfaceData,
+    _BaseIndex,
+    _base_tau,
+    _same_base_number,
     as_fraction,
+    base_point,
     discriminant,
+    distinct_base_points,
     eight_discriminant,
     filtrable_bound,
     pairing,
+    same_base_point,
     self_intersection,
     spectral_support_count,
 )
-from ellspec.tate import CurveParam
+from ellspec.tate import CurveParam, Tolerance
 
 POLARIZED = HomLattice(2, ((1, "1/2"), ("1/2", 1)))
 DEGENERATE = HomLattice(2, ((1, 1), (1, 1)))
@@ -296,6 +304,155 @@ def test_surface_validation():
     )
     assert ok.torsion_rank == 1
     assert SurfaceData(base, fib, multiple_fibres=((0.0, 2), (1.0, 3))).torsion_rank == 3
+
+
+# ------------------------------------------------------ base-point identity
+
+
+def pairwise_distinct(surface, points) -> bool:
+    """The pairwise scan that distinct_base_points replaced: the reference."""
+    return not any(same_base_point(surface, p, q) for p, q in itertools.combinations(points, 2))
+
+
+def pairwise_merge(surface, eps, points):
+    """The pairwise merge that bundles._merge_jumps replaced: the reference."""
+    tau = _base_tau(surface)
+    out = []
+    for p, m in points:
+        p = base_point(surface, p)
+        for i, (q, n) in enumerate(out):
+            if _same_base_number(tau, eps, q, p):
+                out[i] = (q, n + m)
+                break
+        else:
+            out.append((p, m))
+    return tuple(out)
+
+
+NEAR_TAUS = [1.0000001, 3.0, 2j, 1e8, 1e300]
+NEAR_EPS = [5e-324, 1e-9, 1e-3, 0.5]
+# offsets in units of eps: on it, within it and just beyond it
+NEAR_FACTORS = [0.0, 0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.5, 4.0]
+EXTREME = [
+    complex(1.7e308, -1.7e308),
+    complex(-1.7e308, 1.0),
+    complex(1e308, 1e308),
+    complex(math.inf, 0.0),
+    complex(0.0, -math.inf),
+    complex(math.inf, math.nan),
+    complex(math.nan, 0.0),
+    complex(math.nan, math.nan),
+    complex(5e-324, -5e-324),
+    0j,
+]
+
+
+@st.composite
+def near_points(draw):
+    """(surface, eps, base numbers) drawn as clusters of near-coincident
+    points: within and just beyond eps of an anchor, and on a genus-1 base
+    also carried across the annulus seam by the multiplier; on genus 0
+    anchors include points near +-1e308, at infinity and NaN."""
+    eps = draw(st.sampled_from(NEAR_EPS))
+    tau = draw(st.sampled_from([None, *NEAR_TAUS]))
+    if tau is None:
+        surface = SurfaceData(BaseCurve(0), CurveParam(4.0))
+        anchor = st.one_of(
+            st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)), st.sampled_from(EXTREME)
+        )
+    else:
+        surface = SurfaceData(BaseCurve(1, CurveParam(tau)), CurveParam(tau))
+        # moduli on the seam, on either side of it, and inside the annulus
+        modulus = st.sampled_from([1.0, 1.0 + 1e-12, abs(tau), abs(tau) * (1 - 1e-12), abs(tau) ** 0.5])
+        anchor = st.builds(cmath.rect, modulus, st.floats(0, 2 * math.pi))
+    points = []
+    for a in draw(st.lists(anchor, min_size=1, max_size=4)):
+        points.append(a)
+        for factor, angle, shift in draw(
+            st.lists(
+                st.tuples(st.sampled_from(NEAR_FACTORS), st.floats(0, 2 * math.pi), st.sampled_from([-1, 0, 1])),
+                max_size=3,
+            )
+        ):
+            z = a + cmath.rect(eps * factor, angle) if cmath.isfinite(a) else a
+            points.append(z if tau is None else z * tau**shift)
+    try:
+        points = [base_point(surface, p) for p in points]
+    except ValueError:  # no class on C*/<tau>: zero, or a product past the float range
+        assume(False)
+    return surface, eps, draw(st.permutations(points))
+
+
+def _or_overflow(f, *args):
+    """f(*args), or OverflowError where a difference's modulus leaves the float range."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return OverflowError
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=near_points())
+def test_keyed_identity_matches_the_pairwise_reference(case):
+    surface, eps, points = case
+    tau = _base_tau(surface)
+    event(f"tau={tau}, eps={eps}")
+    # distinctness, at the default tolerance
+    want = _or_overflow(pairwise_distinct, surface, points)
+    if want is not OverflowError:
+        assert distinct_base_points(surface, points) == want
+    # merging keeps the earliest representative and adds multiplicities
+    pairs = [(p, i + 1) for i, p in enumerate(points)]
+    want = _or_overflow(pairwise_merge, surface, eps, pairs)
+    if want is not OverflowError:
+        assert repr(_merge_jumps(surface, Tolerance(eps), pairs)) == repr(want)
+    # lookup: every filed number that agrees with the query, in filing order
+    index = _BaseIndex(surface, eps)
+    for i, p in enumerate(points):
+        index.add(p, i)
+    for x in points:
+        want = _or_overflow(lambda: [i for i, p in enumerate(points) if _same_base_number(tau, eps, x, p)])
+        if want is not OverflowError:
+            assert index.matches(x) == want, (x, want)
+
+
+@pytest.mark.parametrize("tau", [3.0, 1e8, 1e300, 1.5 + 1.5j])
+def test_a_point_meets_its_rounded_image_across_the_seam(tau):
+    # x on the inner edge of the annulus and y = x tau, rounded, on the outer
+    # edge: the class distance |x tau - y| is 0, so they agree even at the
+    # least eps, though y / tau is not x to the last bit
+    surface = SurfaceData(BaseCurve(1, CurveParam(tau)), CurveParam(tau))
+    rng = random.Random(1)
+    met = 0
+    for _ in range(3000):
+        x = cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi))
+        y = x * tau
+        if not (abs(x) >= 1.0 and abs(y) < abs(tau)) or y / tau == x:
+            continue
+        met += 1
+        for first, second in ((x, y), (y, x)):
+            index = _BaseIndex(surface, 5e-324)
+            index.add(first, "first")
+            assert index.matches(second) == ["first"], (x, y)
+    assert met > 0
+
+
+def test_base_index_keys_stay_exact_past_the_float_range():
+    # with the least eps a cell is 2**-1069 wide, so x / side overflows a
+    # float; the cell number is still exact and neighbours stay apart
+    index = _BaseIndex(None, 5e-324)
+    index.add(1.5 + 0j, "a")
+    index.add(complex(1.5, 1e-323), "b")
+    index.add(complex(1.7e308, -1.7e308), "c")
+    assert index.matches(1.5 + 0j) == ["a"]
+    assert index.matches(complex(1.5, 5e-324)) == ["a", "b"]
+    assert index.matches(complex(1.7e308, -1.7e308)) == ["c"]
+    index.add(complex(math.inf, 1.0), "inf")
+    assert index.matches(complex(0.0, -math.inf)) == ["inf"]
+    # NaN is never filed and matches nothing
+    nan = _BaseIndex(None, 1e-9)
+    nan.add(complex(math.nan, 0.0), "nan")
+    assert not nan and nan.matches(complex(math.nan, 0.0)) == []
 
 
 # ------------------------------------------------------- pairing arithmetic
