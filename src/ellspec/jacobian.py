@@ -310,7 +310,7 @@ def _sample_base_numbers(
     an abstract base (g >= 2) are formal markers."""
     rng = random.Random(seed)
     # a distance is below _CLEARANCE exactly when it is at most the float below it
-    avoided = [(base_point(surface, p), 0) for p in avoid] + list(surface.multiple_fibres)
+    avoided = [(base_point(surface, p), None) for p in avoid] + list(surface.multiple_fibres)
     forbidden = _BaseIndex(surface, math.nextafter(_CLEARANCE, 0.0), avoided) if avoided else None
     tate = surface.base.tate
     out: list[complex] = []

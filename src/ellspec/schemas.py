@@ -391,7 +391,7 @@ def decode_bundle(
         )
     else:
         raise SchemaError(f"{where}: expected an 'extension', 'spectral_push', or 'elem_mod' key")
-    check = _modification_check(root, surface, tol) if levels else None
+    check = _domain(where, _modification_check, root, surface, tol) if levels else None
     chain = []
     for inner, at in reversed(levels):
         fibre = point(inner.get("fibre"), f"{at}.elem_mod.fibre")

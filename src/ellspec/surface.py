@@ -189,8 +189,10 @@ class _BaseIndex(dict):
 
     __slots__ = ("tau", "eps", "r", "shift", "side")
 
-    def __init__(self, surface: SurfaceData | None, eps: float, pairs=()) -> None:
+    def __init__(self, surface: SurfaceData | None, eps: float, pairs: Sequence = ()) -> None:
         self.tau, self.eps = _base_tau(surface), eps
+        # the predicate rounds |a - b| within a relative 2**-52 of eps, and a
+        # product with tau within a few ulps of a number of modulus ~1 at the seam
         self.r = min(eps * (1.0 + 2.0**-40) + (0.0 if self.tau is None else 2.0**-40), sys.float_info.max)
         self.shift = min(math.frexp(self.r)[1] + 2, 1023)
         self.side = 2.0**self.shift

@@ -818,6 +818,19 @@ def test_a_decoded_chain_is_refused_where_the_library_refuses(tmp_path, capsys, 
         elementary_modification(decode_bundle(root, decoded), complex(*fibre), 1, decoded, Tolerance(tol))
 
 
+def test_a_push_with_no_branch_points_takes_no_modification(tmp_path, capsys):
+    # an infinite trace coefficient leaves no branch points to avoid: the
+    # library refuses to modify the push, and the decoder names its root
+    push = json.loads(json.dumps(_G0_PUSH))
+    push["spectral_push"]["bisection"]["irreducible"]["trace"]["num"][1] = "inf"
+    doc = {"schema": 1, "surface": G0_SURFACE, "bundle": {"elem_mod": {"parent": push, "fibre": [0.5, 0.0], "steps": 1}}}
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert code == EX_SCHEMA
+    assert body["error"] == "bundle.elem_mod.parent: cover coefficients leave the floating-point range"
+    with pytest.raises(ValueError, match="cover coefficients leave the floating-point range"):
+        elementary_modification(decode_bundle(push, S0), 0.5, 1, S0)
+
+
 LONG = 20_000
 
 
