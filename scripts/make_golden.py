@@ -266,6 +266,13 @@ CASES: list[tuple[str, list[str], object]] = [
     ("exists-g2-window-exists", ["exists"], chern(G2_FOUR, [0], [1], -1)),
     ("exists-g2-d-not-exists", ["exists", "--d", "1", "--c2", "-2"], chern(G2_FOUR, [0], [1], -1)),
     ("recipe-g1-quantized-corner", ["recipe"], chern(G1_EVEN, [0], [1], -1)),
+    # a multiple fibre at the first draw of seed 0 blocks it, so the
+    # recipe's generic fibre is the second draw
+    (
+        "recipe-g0-first-draw-blocked",
+        ["recipe"],
+        chern(dict(G0, multiple_fibres=[[[1.3776874061001925, 1.03181761176121], 2]]), [1, 0], [], 3),
+    ),
 ]
 
 
