@@ -34,7 +34,13 @@ Replies are JSON with a 2-space indent, the separators "," and ": ",
 strings and keys escaped to ASCII, and no NaN or Infinity (a non-finite
 float raises ValueError): byte for byte what json.dumps(indent=2,
 allow_nan=False) writes.  _dump builds that text directly, because the
-stdlib's C encoder serves only unindented output.
+stdlib's C encoder serves only unindented output.  A leaf of a dict or
+list whose type is exactly str, int, float, bool or None is written
+through one table keyed by that type (_LEAVES), without a call of _dump;
+any other value, a subclass such as an IntEnum member included, goes
+through _dump's isinstance tests.  A recipe's transcript is the ledger
+run back from the request's Chern data, which the verdict's replay has
+just reached from the base.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from .bundles import (
     apply_modification_ledger,
     check_spectral_push,
-    chern_data,
     spectral_cover,
 )
 from .existence import Existence, Verdict, existence_verdict
@@ -238,24 +243,24 @@ def _cross_check_minimum(c1: NSClass, surface: SurfaceData, radius: int | None) 
 
 def _request_verdict(
     doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData, radius: int | None
-) -> Verdict:
-    """The verdict of an exists or recipe request, after the lattice-minimum
-    cross-check over the given cube radius, if any."""
+) -> tuple[ChernData, Verdict]:
+    """The Chern data of an exists or recipe request and its verdict, after
+    the lattice-minimum cross-check over the given cube radius, if any."""
     cd = _request_chern(doc, surface, args)
     d = opts.d if opts.d is not None else doc.get("d")
     if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
         raise SchemaError("d: expected an integer")
     _cross_check_minimum(cd.c1, surface, radius)
-    return existence_verdict(cd, surface, d=d, tol=opts.tol, seed=opts.seed)
+    return cd, existence_verdict(cd, surface, d=d, tol=opts.tol, seed=opts.seed)
 
 
 def _cmd_exists(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
-    verdict = _request_verdict(doc, args, opts, surface, opts.enum_radius)
+    _, verdict = _request_verdict(doc, args, opts, surface, opts.enum_radius)
     return encode_verdict(verdict), _STATUS_CODES[verdict.status]
 
 
 def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
-    verdict = _request_verdict(doc, args, opts, surface, None)
+    cd, verdict = _request_verdict(doc, args, opts, surface, None)
     code = _STATUS_CODES[verdict.status]
     if verdict.status is not Existence.EXISTS:
         return (
@@ -277,9 +282,12 @@ def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: Options, surface: Surfac
                 f"recipe: {verdict.recipe.modification_steps} modification steps exceed "
                 f"the transcript cap of {MAX_RECIPE_STEPS}"
             )
-        snapshot = chern_data(verdict.recipe.base, surface, opts.tol)
+        # the verdict's replay has checked that the steps take the base's
+        # Chern data to cd, and the ledger runs backwards exactly
+        steps = verdict.recipe.modification_steps
+        snapshot = apply_modification_ledger(cd, -steps, surface.lattice)
         transcript = [encode_chern(snapshot)]
-        for _ in range(verdict.recipe.modification_steps):
+        for _ in range(steps):
             snapshot = apply_modification_ledger(snapshot, 1, surface.lattice)
             transcript.append(encode_chern(snapshot))
         out["transcript"] = transcript
@@ -620,10 +628,46 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# The text of a scalar leaf, by its exact type: _dump writes such leaves of a
+# dict or list without a call to itself.  Any other value, subclasses such as
+# an IntEnum member included, takes _dump's isinstance path.
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _dump(value: Any, newline: str = "\n") -> str:
     """The JSON text of value, indented by 2 as json.dumps(indent=2,
     allow_nan=False) writes it; newline is the line break plus the indent
     of the enclosing level.  Tuples are written as lists."""
+    inner = newline + "  "
+    # no type is both a container and a scalar, so containers come first
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for k, v in value.items():
+            leaf = _LEAVES.get(type(v))
+            items.append(encode_basestring_ascii(k) + ": " + (leaf(v) if leaf else _dump(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = []
+        for v in value:
+            leaf = _LEAVES.get(type(v))
+            items.append(leaf(v) if leaf else _dump(v, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -635,19 +679,7 @@ def _dump(value: Any, newline: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_dump(v, inner) for v in value]) + newline + "]"
+        return _float_text(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -8,6 +8,7 @@ under test).
 from __future__ import annotations
 
 import contextlib
+import enum
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import ellspec.surface as surface_module
@@ -32,9 +33,11 @@ from ellspec.cli import (
     MAX_ENUM_RADIUS,
     MAX_RECIPE_STEPS,
     MAX_VERIFY_SAMPLES,
+    _COMMANDS,
     _FLAGS,
     _emit,
     _read_argv,
+    _run_one,
     build_parser,
     main,
 )
@@ -47,11 +50,21 @@ from ellspec.schemas import (
     decode_surface,
     decode_verdict,
     encode_bisection,
+    encode_chern,
     encode_fraction,
     encode_section,
     encode_verdict,
 )
-from ellspec.surface import BaseCurve, ChernData, NSClass, SurfaceData, UNIT_LATTICE, HomLattice
+from ellspec.surface import (
+    UNIT_LATTICE,
+    BaseCurve,
+    ChernData,
+    HomLattice,
+    NSClass,
+    SurfaceData,
+    eight_discriminant,
+    filtrable_bound,
+)
 from ellspec.tate import CurveParam, TatePoint, Tolerance, points_equal
 from fractions import Fraction
 
@@ -196,6 +209,52 @@ def test_recipe_transcript(tmp_path, capsys):
     assert transcript[-1] == {"c1": {"torsion": [0], "hom": []}, "c2": 2}
     recipe = decode_recipe(body["recipe"], S0)
     assert chern_data(recipe.realize(), S0) == ChernData(NSClass((0,), ()), 2)
+
+
+_GRAMS = {
+    0: st.just([]),
+    1: st.integers(0, 6).map(lambda a: [[a]]),
+    2: st.sampled_from([[[4, "1/2"], ["1/2", 3]], [[2, 1], [1, 2]], [[1, 0], [0, 0]], [[1, 1], [1, 1]]]),
+}
+
+
+@st.composite
+def _recipe_requests(draw):
+    """A recipe request whose verdict carries a recipe, and its step count."""
+    genus, rank, fibres = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    surface = {"genus": genus, "tau": [3.0, 0.0], "lattice": {"rank": rank, "gram": draw(_GRAMS[rank])}}
+    if genus == 1:
+        surface["sigma"] = [0.0, 2.0]
+    if fibres:
+        surface["multiple_fibres"] = [[[0.25 + k, -0.5], 2 + k] for k in range(fibres)]
+    decoded = decode_surface(surface)
+    c1 = NSClass(
+        tuple(draw(st.integers(-3, 3)) for _ in range(1 + fibres)),
+        tuple(draw(st.integers(-4, 4)) for _ in range(rank)),
+    )
+    steps = draw(st.integers(0, 4))
+    # 8 Delta rises by 4 with c2: pick c2 for 8 Delta = 8m + 4 steps
+    m, _ = filtrable_bound(c1, decoded.lattice)
+    c2, rem = divmod(int(8 * m) + 4 * steps - eight_discriminant(ChernData(c1, 0), decoded.lattice), 4)
+    assume(not rem)
+    chern = {"c1": {"torsion": list(c1.torsion), "hom": list(c1.hom)}, "c2": c2}
+    return {"schema": 1, "surface": surface, "chern": chern}, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(request=_recipe_requests())
+def test_transcript_runs_from_the_base_to_the_request(request):
+    doc, steps = request
+    event("no steps" if steps == 0 else "steps")
+    body, code = _run_one(_COMMANDS["recipe"], doc, _read_argv(["recipe"]))
+    assert code == EX_OK, body
+    surface = decode_surface(doc["surface"])
+    recipe = decode_recipe(body["recipe"], surface)
+    assert recipe.modification_steps == steps
+    transcript = body["transcript"]
+    assert len(transcript) == steps + 1
+    assert transcript[0] == encode_chern(chern_data(recipe.base, surface))
+    assert transcript[-1] == doc["chern"]
 
 
 def test_recipe_builds_few_fractions(monkeypatch, capsys):
@@ -1200,6 +1259,19 @@ def emitted(body) -> str:
     return out.getvalue()
 
 
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
 _TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u00bd\u2028\U0001f600')))
 _SCALARS = st.one_of(
     st.none(),
@@ -1208,6 +1280,10 @@ _SCALARS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, 1.7e308, 1e16]),
     _TEXT,
+    # subclasses, which the writer's exact-type table leaves to its fallback
+    st.sampled_from([_Level.LOW, _Level.HIGH]),
+    _TEXT.map(_Text),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Real),
 )
 _TREES = st.recursive(
     _SCALARS,
@@ -1226,7 +1302,7 @@ def test_reply_text_is_json_dumps_indent_2(tree):
     assert emitted(tree) == json.dumps(tree, indent=2, allow_nan=False) + "\n"
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, _Real(math.nan), _Real(-math.inf)])
 def test_non_finite_reply_value_raises(bad):
     tree = {"a": [1, {"b": bad}]}
     with pytest.raises(ValueError):

@@ -37,6 +37,7 @@ def run_script(script: str, args) -> subprocess.CompletedProcess:
         ("quotient_profile.py", ("--tau", "-2", "--samples", "20")),
         ("quotient_profile.py", ("--tau", "1e10", "--samples", "20")),
         ("reply_digest.py", ("--workload", "cover-verify", "--seeds", "1")),
+        ("reply_digest.py", ("--workload", "verdict-batch", "--seeds", "1")),
     ],
 )
 def test_script_runs(script, args):
