@@ -1302,7 +1302,16 @@ def test_reply_text_is_json_dumps_indent_2(tree):
     assert emitted(tree) == json.dumps(tree, indent=2, allow_nan=False) + "\n"
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, _Real(math.nan), _Real(-math.inf)])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        pytest.param(_Real(math.nan), id="real-nan"),
+        pytest.param(_Real(-math.inf), id="real--inf"),
+    ],
+)
 def test_non_finite_reply_value_raises(bad):
     tree = {"a": [1, {"b": bad}]}
     with pytest.raises(ValueError):
