@@ -16,12 +16,12 @@ spectral_cover each run it before any other work (the command line also
 runs it first, to report a misfit as a schema error); fibre evaluation
 compares nothing.
 
-Fibres are evaluated from a plan (_FibrePlan) that resolves a
-presentation once per request: its base points into one
-surface._BaseIndex, and the constant representative and power exponent
-of each section.  A fibre then costs one lookup and complex arithmetic
-on canonical annulus representatives; spectral-cover verification runs
-the plan at every sampled fibre.  Jumps merge by lookups too.
+A spectral-cover request builds one plan (_FibrePlan): each base point
+normalised once and filed with its tag in one surface._BaseIndex, the
+jump fibres merged in that same pass, and each section's constant
+representative and power exponent.  A fibre then costs one lookup and
+complex arithmetic on canonical annulus representatives; verification
+runs the plan at every sampled fibre.
 Verification reuses a fibre's residuals while the next fibres repeat its
 values and cover classes, so a bundle whose values and classes stay put
 (every extension over a rational base) is scored once per request, not
@@ -37,7 +37,6 @@ of that dual section by construction.
 from __future__ import annotations
 
 import cmath
-import itertools
 from collections.abc import Callable, Sequence
 from functools import cached_property
 
@@ -276,32 +275,36 @@ def apply_modification_ledger(cd: ChernData, steps: int, lattice: HomLattice) ->
 
 
 class _FibrePlan:
-    """The restriction of a presentation to smooth fibres, on base numbers.
+    """A presentation resolved against (surface, tol), once per request.
 
-    One plan serves every fibre of a call.  What a fibre reads from the
-    presentation is resolved once, at the first fibre: one _BaseIndex of
-    the base numbers it is compared with, normalised in precedence order,
-    then the evaluator of the root's two values
-    (jacobian._section_evaluator and _cover_evaluator).  After that a
-    fibre costs one lookup, a dict miss away from those points, and
-    complex arithmetic on the values.
+    Each base point is normalised once (zero cycle, modified fibres, then
+    marks; multiple fibres are stored normalised) and filed in one
+    _BaseIndex as (tag, jump): its cycle length, "modified", "multiple" or
+    "mark", and the [number, multiplicity] jump it heads, else None.  A
+    cycle point or modified fibre joins the earliest head it matches, else
+    heads a new jump.  The root's evaluator is resolved at the first fibre
+    that needs it; a fibre then costs one lookup and complex arithmetic.
     """
 
     def __init__(self, bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -> None:
-        self.root, self._chain = _unwind(bundle)
-        self.surface = surface
-        self.tol = tol
-
-    @cached_property
-    def points(self) -> _BaseIndex:
-        """The multiple fibres, modified fibres, zero cycle and marks,
-        tagged "multiple", "modified", by cycle length and "mark"."""
-        surface, root = self.surface, self.root
-        tagged = [(p, "multiple") for p, _ in surface.multiple_fibres]
-        tagged += [(f, "modified") for f, _ in self._chain]
-        if isinstance(root, ExtensionBundle):
-            tagged += list(root.zero_cycle) + [(p, "mark") for p in root.nonsplit_at]
-        return _BaseIndex(surface, self.tol.eps, [(base_point(surface, p), tag) for p, tag in tagged])
+        self.root, chain = _unwind(bundle)
+        self.surface, self.tol = surface, tol
+        self.points = points = _BaseIndex(surface, tol.eps)
+        extension = isinstance(self.root, ExtensionBundle)
+        cycle = self.root.zero_cycle if extension else ()
+        jumps: list[list] = []
+        for p, m, tag in [(p, m, m) for p, m in cycle] + [(f, steps, "modified") for f, steps in chain]:
+            p = base_point(surface, p)
+            head = next((jump for _, jump in points.matches(p) if jump), None)
+            if head:  # the earliest jump that p agrees with
+                head[1] += m
+            else:
+                jumps.append([p, m])
+            points.add(p, (tag, None if head else jumps[-1]))
+        marks = [base_point(surface, p) for p in self.root.nonsplit_at] if extension else []
+        for p, tag in [(p, "multiple") for p, _ in surface.multiple_fibres] + [(p, "mark") for p in marks]:
+            points.add(p, (tag, None))
+        self.jumps = tuple(map(tuple, jumps))
 
     @cached_property
     def evaluate(self) -> Callable[[complex], tuple[complex, complex]]:
@@ -327,6 +330,7 @@ class _FibrePlan:
         """
         hits = self.points.matches(x) if self.points else ()
         if hits:
+            hits = [tag for tag, _ in hits]
             if "multiple" in hits:
                 raise ValueError("restriction to a multiple fibre is unsupported")
             if "modified" in hits:
@@ -382,34 +386,13 @@ def _dual_section(s: SectionOfJ) -> SectionOfJ:
     return SectionOfJ(group_inv(s.constant), tuple(-h for h in s.hom))
 
 
-def _merge_jumps(
-    surface: SurfaceData, tol: Tolerance, *groups: Sequence[tuple[complex, int]]
-) -> tuple[tuple[complex, int], ...]:
-    """The (point, multiplicity) pairs of all groups, one per base point."""
-    out: list[list] = []
-    index = _BaseIndex(surface, tol.eps)  # each output pair, by its point
-    for p, m in itertools.chain(*groups):
-        p = base_point(surface, p)
-        found = index.matches(p)
-        if found:  # the earliest output point that p agrees with
-            found[0][1] += m
-        else:
-            out.append([p, m])
-            index.add(p, out[-1])
-    return tuple(map(tuple, out))
-
-
-def _cover_parts(
-    bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance
-) -> tuple[Bisection, tuple[tuple[complex, int], ...], SectionOfJ]:
-    root, chain = _unwind(bundle)
+def _cover_parts(plan: _FibrePlan) -> tuple[Bisection, tuple[tuple[complex, int], ...], SectionOfJ]:
+    root = plan.root
     if isinstance(root, ExtensionBundle):
         bis = reducible_bisection(_dual_section(root.sub.section), _dual_section(root.quotient))
-        jumps = _merge_jumps(surface, tol, root.zero_cycle, chain)
     else:
-        check_spectral_push(root, surface, tol)
         cover = root.cover.cover
-        if surface.base.genus == 0:  # check_spectral_push saw a trace map
+        if plan.surface.base.genus == 0:  # check_spectral_push saw a trace map
             # the product of the fibre values: the given (constant) norm,
             # else the determinant's representative
             n = cover.norm(0j) if cover.norm is not None else root.determinant.section.constant.rep
@@ -424,8 +407,7 @@ def _cover_parts(
                 norm=RationalMap((1.0 / n,)),
             )
         bis = irreducible_bisection(cover)
-        jumps = _merge_jumps(surface, tol, chain)
-    return bis, jumps, _dual_section(root.determinant.section)
+    return bis, plan.jumps, _dual_section(root.determinant.section)
 
 
 def spectral_cover(
@@ -443,16 +425,17 @@ def spectral_cover(
     nonzero first cohomology); its norm is therefore the inverse of the
     determinant, and that dual section rides along for invariance
     checks.  Jump fibres collect the zero cycle and every modified
-    fibre.  With verify_samples > 0 the cover is cross-checked against
-    the fibre restrictions at sampled fibres, from one plan of the
-    presentation (see _verify_cover); multiple fibres are never sampled
-    and stay untracked.
+    fibre.  One plan (_FibrePlan), built once a spectral push is checked
+    against the surface, gives the jump fibres and, with verify_samples >
+    0, the restrictions the cover is checked against at sampled fibres
+    (_verify_cover); multiple fibres are never sampled and stay untracked.
     """
-    bis, jumps, dual = _cover_parts(bundle, surface, tol)
-    cover = SpectralCover(bis, jumps, dual)
+    check_spectral_push(bundle, surface, tol)
+    plan = _FibrePlan(bundle, surface, tol)
+    parts = _cover_parts(plan)
+    cover = SpectralCover(*parts)
     if verify_samples > 0:
-        residual = _verify_cover(bundle, cover, surface, tol, verify_samples, seed)
-        cover = SpectralCover(bis, jumps, dual, verify_samples, residual)
+        cover = SpectralCover(*parts, verify_samples, _verify_cover(plan, cover, verify_samples, seed))
     return cover
 
 
@@ -466,22 +449,15 @@ def _twist_residual(v: complex, a: complex, curve: CurveParam) -> float:
     return _class_distance(_canonical_rep(twist, curve), 1.0 + 0.0j, tau)
 
 
-def _verify_cover(
-    bundle: RankTwoBundle,
-    cover: SpectralCover,
-    surface: SurfaceData,
-    tol: Tolerance,
-    samples: int,
-    seed: int,
-) -> float:
+def _verify_cover(plan: _FibrePlan, cover: SpectralCover, samples: int, seed: int) -> float:
     """Largest per-value residual of the cover against the restrictions.
 
     At each sampled fibre, every restriction value v must have a cover
     class a whose twist v a is the identity class, i.e. makes first
-    cohomology jump, within ten times tol.eps.  The request is planned
-    once: one _FibrePlan gives the restriction at every fibre, and the
-    cover's evaluator, resolved at the first fibre that is not unstable,
-    gives its two classes.  Base points, values and twists stay canonical
+    cohomology jump, within ten times tol.eps.  The plan the cover was
+    built from gives the restriction at every fibre, and the cover's
+    evaluator, resolved at the first fibre that is not unstable, gives
+    its two classes.  Base points, values and twists stay canonical
     annulus representatives; a twist's residual is the class distance of
     its representative to 1, and no point object is built.  A residual
     that is not within the jump tolerance (NaN included) raises
@@ -495,9 +471,9 @@ def _verify_cover(
     residual is the float a recomputation would give.  Values that move
     from fibre to fibre pay one tuple comparison per fibre.
     """
+    surface, tol = plan.surface, plan.tol
     if surface.base.genus >= 2:
         raise ValueError("abstract bases (g >= 2) have no point arithmetic")
-    plan = _FibrePlan(bundle, surface, tol)
     alphas = None
     fibre = surface.fibre
     avoid = tuple(p for p, _ in cover.jump_fibres)

@@ -40,6 +40,7 @@ from .surface import (
     HomLattice,
     NSClass,
     SurfaceData,
+    _bounded_decimal,
     base_point,
     distinct_base_points,
 )
@@ -70,6 +71,7 @@ def decode_fraction(doc: Any, where: str = "rational") -> Fraction:
     if isinstance(doc, int):
         return Fraction(doc)
     if isinstance(doc, str):
+        _domain(where, _bounded_decimal, doc)
         try:
             return Fraction(doc)
         except (ValueError, ZeroDivisionError) as exc:
@@ -377,8 +379,8 @@ def decode_bundle(
             raise SchemaError(f"{where}.extension.nonsplit_everywhere: expected a boolean")
         sub = decode_line_bundle(inner.get("D"), surface, f"{where}.extension.D")
         determinant = decode_line_bundle(inner.get("delta"), surface, f"{where}.extension.delta")
-        # the bundle alone tells its points apart as numbers; the surface knows their classes
-        if not distinct_base_points(surface, [p for p, _ in cycle]):
+        # the bundle alone tells its points apart as numbers; a genus-1 surface knows their classes
+        if surface.base.genus == 1 and not distinct_base_points(surface, [p for p, _ in cycle]):
             raise SchemaError(f"{where}: zero-cycle points must be distinct")
         root = _domain(where, ExtensionBundle, sub, determinant, cycle, nonsplit, everywhere)
     elif "spectral_push" in body:

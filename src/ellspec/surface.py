@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -38,9 +39,29 @@ from .records import Record
 from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance, _point_rep
 
 
+# Fraction's decimal form with an exponent: whole digits, fraction digits, exponent
+_DECIMAL = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d+(?:_\d+)*)?(?:\.(\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _bounded_decimal(text: str) -> str:
+    """text, unless Fraction(text) would spend seconds expanding its decimal
+    exponent into a power of ten or a numerator of more than
+    sys.get_int_max_str_digits() digits, which no reply could print."""
+    limit, m = sys.get_int_max_str_digits(), _DECIMAL.match(text)
+    if limit and m:
+        whole, tail = (m[1] or "").replace("_", ""), (m[2] or "").replace("_", "")
+        try:
+            shift = int(m[3]) - len(tail)
+        except ValueError:  # the exponent's own digits pass the limit: Fraction refuses it too
+            return text
+        if max(len((whole + tail).lstrip("0")) + shift, abs(shift) + 1) > limit:
+            raise ValueError(f"rational {text!r} has more than {limit} digits")
+    return text
+
+
 def as_fraction(x) -> Fraction:
-    """Exact conversion; floats are accepted only when they are exact halves.
-    A Fraction is returned as it is."""
+    """Exact conversion; floats are accepted only when they are exact halves,
+    and strings only within _bounded_decimal.  A Fraction is returned as it is."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, Rational):
@@ -51,7 +72,7 @@ def as_fraction(x) -> Fraction:
             return f
         raise ValueError(f"non-exact gram entry {x!r}; use 'p/q' strings")
     if isinstance(x, str):
-        return Fraction(x)
+        return Fraction(_bounded_decimal(x))
     raise TypeError(f"cannot read {x!r} as an exact rational")
 
 

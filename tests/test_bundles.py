@@ -474,6 +474,25 @@ def test_cover_of_elem_mod_merges_jumps():
     assert cover.jump_fibres == ((0.7 + 0j, 3), (-0.4 + 0j, 1))
 
 
+@pytest.mark.parametrize(
+    "chain, jumps",
+    [
+        # 1.8 agrees with 0.9, merged into 0's jump, and with no head: a new jump
+        ([(0.9, 2), (1.8, 3)], ((0j, 3), (1.8 + 0j, 3))),
+        # 1.8 agrees with the merged 0.9, filed first, and with the head 2.7: it joins 2.7
+        ([(0.9, 2), (2.7, 3), (1.8, 4)], ((0j, 3), (2.7 + 0j, 7))),
+        # 0.75 agrees with the heads 0 and 1.5: it joins the earlier
+        ([(1.5, 2), (0.75, 3)], ((0j, 4), (1.5 + 0j, 2))),
+    ],
+)
+def test_a_jump_point_joins_the_earliest_head_it_agrees_with(chain, jumps):
+    # at eps 1, the zero cycle at 0 then the chain fibres, one index of the plan
+    bundle = ElemModBundle(trivial_extension(S0, zero_cycle=((0.0, 1),)), chain)
+    plan = _FibrePlan(bundle, S0, Tolerance(1.0))
+    assert plan.jumps == jumps
+    assert spectral_cover(bundle, S0, Tolerance(1.0)).jump_fibres == jumps
+
+
 def test_genus_one_points_of_one_class_are_one_point():
     pt, shifted = 1.4 + 0.1j, (1.4 + 0.1j) * 3.0  # one class of the base C*/<3>
     base = trivial_extension(S1U)
@@ -510,7 +529,7 @@ def test_cover_verification_detects_tampering():
         good.dual_determinant,
     )
     with pytest.raises(SpectralVerificationError):
-        _verify_cover(bundle, bad, S0, Tolerance(), 20, 0)
+        _verify_cover(_FibrePlan(bundle, S0, Tolerance()), bad, 20, 0)
 
 
 G1_EXTENSION = ExtensionBundle(
@@ -668,7 +687,7 @@ def test_cover_verification_of_a_wrong_cover_fails_at_the_first_fibre():
     alphas = _cover_evaluator(wrong.bisection, wrong.dual_determinant, S0)(b)
     best = min(_reference_twist_residual(v, TatePoint(a, S0.fibre)) for a in alphas)
     with pytest.raises(SpectralVerificationError) as info:
-        _verify_cover(bundle, wrong, S0, Tolerance(), 50, 0)
+        _verify_cover(_FibrePlan(bundle, S0, Tolerance()), wrong, 50, 0)
     assert str(info.value) == f"no cover class produces a cohomology jump at fibre {b!r} (best residual {best:.3e})"
 
 

@@ -43,8 +43,10 @@ from ellspec.cli import (
 )
 from ellspec.jacobian import DoubleCoverData, irreducible_bisection
 from ellspec.schemas import (
+    SchemaError,
     decode_bisection,
     decode_bundle,
+    decode_fraction,
     decode_recipe,
     decode_section,
     decode_surface,
@@ -738,6 +740,12 @@ SAME_CLASS = [[1.4, 0.1], [4.2, 0.3]]
             "bundle: zero-cycle points must be distinct",
         ),
         (
+            # off genus 1 numbers are points, and the extension itself tells them apart
+            "spectral-cover",
+            extension_request(Z=[[[0.5, 0.0], 1], [[0.5, 5e-10], 2]]),
+            "bundle: zero-cycle points must be distinct",
+        ),
+        (
             "exists",
             g1_fibred_request("exists", [[SAME_CLASS[0], 2], [SAME_CLASS[1], 3]]),
             "surface: multiple fibres must sit over distinct base points",
@@ -762,6 +770,7 @@ SAME_CLASS = [[1.4, 0.1], [4.2, 0.3]]
     ],
     ids=[
         "cycle-same-class",
+        "cycle-near-g0",
         "fibres-same-class",
         "fibre-zero-exists",
         "fibre-zero-intersect",
@@ -919,6 +928,36 @@ def test_request_work_is_linear_in_list_length(tmp_path, capsys, monkeypatch, pa
     assert body["verification"]["samples"] == MAX_VERIFY_SAMPLES
     assert len(calls) <= 4 * (LONG + MAX_VERIFY_SAMPLES)
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize(
+    "name, indexes, adds, normalised",
+    [
+        # a push under two modifications: the modification check, the
+        # plan and the sampler's clearance index
+        ("spectral-cover-g0-push-chain-verify", 3, 4, 6),
+        # an extension with a zero cycle and a mark, under a modification
+        ("spectral-cover-g1-elem-mod-verify", 3, 5, 8),
+    ],
+)
+def test_a_verified_cover_request_files_each_point_once(tmp_path, capsys, monkeypatch, name, indexes, adds, normalised):
+    # one plan per request serves jump merging and fibre restriction: the
+    # same points are not normalised and filed again for each
+    calls = {"index": 0, "add": 0, "base_point": 0}
+
+    def counted(key, f):
+        return lambda *args: calls.__setitem__(key, calls[key] + 1) or f(*args)
+
+    monkeypatch.setattr(surface_module._BaseIndex, "__init__", counted("index", surface_module._BaseIndex.__init__))
+    monkeypatch.setattr(surface_module._BaseIndex, "add", counted("add", surface_module._BaseIndex.add))
+    base_point = surface_module.base_point
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "ellspec"]:
+        if getattr(module, "base_point", None) is base_point:
+            monkeypatch.setattr(module, "base_point", counted("base_point", base_point))
+    doc = json.loads((GOLDEN / f"{name}.request.json").read_text(encoding="utf-8"))
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert code == EX_OK and body["verification"]["samples"] == 50
+    assert calls == {"index": indexes, "add": adds, "base_point": normalised}
 
 
 def _nested(root, *levels):
@@ -1131,6 +1170,43 @@ def test_integer_gram_is_decoded_without_fractions(monkeypatch):
     surface = decode_surface(half)
     assert len(calls) == 2
     assert surface.lattice.form == (4, 1, 3)
+
+
+@pytest.mark.parametrize("entry", ["1e3000000", "1e-3000000"])
+def test_a_huge_decimal_exponent_is_refused_before_it_is_expanded(tmp_path, capsys, entry):
+    # ten characters that Fraction would expand for seconds into a number
+    # past the int-to-str limit: the request edge refuses the string itself
+    doc = g2_request(3)
+    doc["surface"]["lattice"] = {"rank": 1, "gram": [[entry]]}
+    start = time.perf_counter()
+    code, body = run_cli(tmp_path, capsys, "exists", doc)
+    assert time.perf_counter() - start < 0.5
+    assert code == EX_SCHEMA
+    assert body["error"] == f"surface.lattice.gram: rational {entry!r} has more than {sys.get_int_max_str_digits()} digits"
+
+
+# {K} is one below the int-to-str digit limit: 10**K has exactly the limit's digits
+@pytest.mark.parametrize("text", ["1e3", "0.5", "-2.5E-3", " 1_0e1_0 ", "3/4", "1e{K}", "5e-{K}", "0.01e{K}"])
+def test_decimal_exponents_within_the_digit_limit_keep_their_value(text):
+    text = text.format(K=sys.get_int_max_str_digits() - 1)
+    assert surface_module.as_fraction(text) == Fraction(text)
+    assert decode_fraction(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e{L}", "0e{L}", "12e{K}", "1e-{L}", "1.5e-{K}", "0e-30000000"])
+def test_decimal_exponents_past_the_digit_limit_are_refused(text):
+    limit = sys.get_int_max_str_digits()
+    text = text.format(K=limit - 1, L=limit)
+    with pytest.raises(ValueError, match=f"^rational '{text}' has more than {limit} digits$"):
+        surface_module.as_fraction(text)
+    with pytest.raises(SchemaError, match=f"^rational: rational '{text}' has more than {limit} digits$"):
+        decode_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1/2e99999", "1._5e99999", "x1e99999"])
+def test_a_malformed_rational_with_a_huge_exponent_stays_malformed(text):
+    with pytest.raises(SchemaError, match=f"^rational: malformed rational '{text}'$"):
+        decode_fraction(text)
 
 
 @pytest.mark.parametrize("value, text", [(Fraction(-3, 2), "-3/2"), (Fraction(4), "4"), (4, "4"), (0, "0")])

@@ -44,7 +44,7 @@ def module_level_names() -> set[str]:
     return names
 
 
-# Kept for the planned `ellspec replay` command (ROADMAP item 4), which
+# Kept for the planned `ellspec replay` command (ROADMAP item 5), which
 # decodes the verdict of a stored reply; until then only tests read it.
 AWAITING_CONSUMER = {"decode_verdict"}
 

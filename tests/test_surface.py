@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from ellspec.bundles import _merge_jumps
+from ellspec.bundles import ElemModBundle, ExtensionBundle, _FibrePlan, trivial_line_bundle
 from ellspec.surface import (
     UNIT_LATTICE,
     ZERO_LATTICE,
@@ -315,7 +315,7 @@ def pairwise_distinct(surface, points) -> bool:
 
 
 def pairwise_merge(surface, eps, points):
-    """The pairwise merge that bundles._merge_jumps replaced: the reference."""
+    """The pairwise merge that the keyed jump merge of bundles._FibrePlan replaced: the reference."""
     tau = _base_tau(surface)
     out = []
     for p, m in points:
@@ -401,11 +401,16 @@ def test_keyed_identity_matches_the_pairwise_reference(case):
     want = _or_overflow(pairwise_distinct, surface, points)
     if want is not OverflowError:
         assert distinct_base_points(surface, points) == want
-    # merging keeps the earliest representative and adds multiplicities
+    # merging keeps the earliest representative and adds multiplicities:
+    # the first pair as a zero cycle, the rest as a modification chain
     pairs = [(p, i + 1) for i, p in enumerate(points)]
     want = _or_overflow(pairwise_merge, surface, eps, pairs)
     if want is not OverflowError:
-        assert repr(_merge_jumps(surface, Tolerance(eps), pairs)) == repr(want)
+        trivial = trivial_line_bundle(surface)
+        bundle = ExtensionBundle(trivial, trivial, zero_cycle=tuple(pairs[:1]))
+        if pairs[1:]:
+            bundle = ElemModBundle(bundle, pairs[1:])
+        assert repr(_FibrePlan(bundle, surface, Tolerance(eps)).jumps) == repr(want)
     # lookup: every filed number that agrees with the query, in filing order
     index = _BaseIndex(surface, eps)
     for i, p in enumerate(points):
