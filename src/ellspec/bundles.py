@@ -46,7 +46,6 @@ from .jacobian import (
     RationalMap,
     SectionOfJ,
     _cover_evaluator,
-    _sample_base_numbers,
     _section_evaluator,
     branch_points_numeric,
     graph_self_intersection,
@@ -64,6 +63,7 @@ from .surface import (
     NSClass,
     SurfaceData,
     _BaseIndex,
+    _sample_base_numbers,
     base_point,
     distinct_base_points,
     eight_discriminant,

@@ -26,7 +26,8 @@ does a spectral push that does not fit its surface at the request's tol
 elementary_modification refuses at it, found before any fibre work.  With
 --batch the input is an array of requests for the same subcommand; the
 output is the array of responses in order and the exit code is the
-maximum over the items.  An --output that cannot be written exits 64.
+maximum over the items.  An input that cannot be read or is not UTF-8,
+and an --output that cannot be written, exit 64.
 Lists of base points need no cap: each point costs a keyed lookup
 (surface._BaseIndex), so request work is linear in list lengths.
 
@@ -206,7 +207,7 @@ def _read_input(path: str) -> Any:
                 raw = fh.read().decode("utf-8")
             # the newline translation that text mode would have applied
             raw = raw.replace("\r\n", "\n").replace("\r", "\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
     return _parse_json(raw, "input")
 

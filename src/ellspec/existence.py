@@ -30,7 +30,6 @@ from .bundles import (
 )
 from .jacobian import (
     Bisection,
-    _sample_base_numbers,
     graph_self_intersection,
     ruled_invariant_bounds,
     section_for_class,
@@ -40,6 +39,7 @@ from .surface import (
     ChernData,
     NSClass,
     SurfaceData,
+    _sample_base_numbers,
     discriminant,
     filtrable_bound,
 )

@@ -13,9 +13,7 @@ of its fibrewise quadratic relation l^2 - t(b) l + delta_b = 0.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import random
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -33,7 +31,6 @@ from .tate import (
     points_equal,
 )
 from .surface import ChernData, HomLattice, NSClass, SurfaceData, eight_discriminant, self_intersection
-from .surface import _BaseIndex, _base_tau, _same_base_number, base_point
 
 
 class SectionOfJ(Record):
@@ -293,69 +290,6 @@ def _cover_evaluator(
         return _point_rep(r1, fibre), _point_rep(r2, fibre)
 
     return values
-
-
-_CLEARANCE = 1e-3
-
-
-def _candidate(tate: CurveParam | None, u: float, v: float) -> complex:
-    """The base number drawn from two uniforms u, v in [0, 1): exactly what
-    rng.uniform(-2, 2) twice, or rng.uniform(0, 1) then rng.uniform(0, 2 pi)
-    on a genus-1 base, makes of the same two draws."""
-    if tate is None:
-        return complex(-2.0 + 4.0 * u, -2.0 + 4.0 * v)
-    return _point_rep(abs(tate.tau) ** u * cmath.exp(1j * (2.0 * math.pi * v)), tate)
-
-
-@functools.lru_cache(maxsize=256)
-def _first_uniforms(seed) -> tuple[float, float]:
-    """The first two uniforms of random.Random(seed)."""
-    rng = random.Random(seed)
-    return rng.random(), rng.random()
-
-
-def _sample_base_numbers(
-    surface: SurfaceData,
-    count: int,
-    seed: int = 0,
-    avoid: tuple[complex, ...] = (),
-) -> list[complex]:
-    """Seeded generic base numbers, at least _CLEARANCE from the avoided
-    points and the multiple fibres, with no point object built: annulus
-    representatives on genus 1, and on any other base complex numbers from
-    the square |Re|, |Im| <= 2, which on an abstract base (g >= 2) are
-    formal markers.
-
-    One number (a recipe's generic fibre) is the seed's first draw, read
-    from a cache of the last 256 seeds (_first_uniforms) and tested
-    against each avoided point in turn.  More numbers, and one whose first
-    draw is blocked, come from a seeded loop with one _BaseIndex lookup
-    per draw; both ways give the same numbers."""
-    # a distance is below _CLEARANCE exactly when it is at most the float below it
-    near = math.nextafter(_CLEARANCE, 0.0)
-    avoided = [base_point(surface, p) for p in avoid] + [p for p, _ in surface.multiple_fibres]
-    tate = surface.base.tate
-    if count == 1:
-        b = _candidate(tate, *_first_uniforms(seed))
-        tau = _base_tau(surface)
-        try:
-            if not any(_same_base_number(tau, near, b, p) for p in avoided):
-                return [b]
-        except OverflowError:  # abs() left the float range; the index never compares far points
-            pass
-    forbidden = _BaseIndex(surface, near, [(p, None) for p in avoided]) if avoided else None
-    rng = random.Random(seed)
-    out: list[complex] = []
-    trials = 0
-    while len(out) < count:
-        trials += 1
-        if trials > 100 * count + 100:
-            raise RuntimeError("could not sample enough generic base points")
-        b = _candidate(tate, rng.random(), rng.random())
-        if forbidden and forbidden.matches(b):
-            continue
-        out.append(b)
-    return out
 
 
 def is_invariant_bisection(

@@ -21,14 +21,19 @@ wherever it is only compared: eight_discriminant returns the integer
 Fraction is built only for a value returned as one: Delta from
 discriminant and m from filtrable_bound.
 
-Base points are compared here alone: _same_base_number decides, and
-_BaseIndex files a list by grid cell, so a lookup replaces a scan.
+Base points are numbers, and they are normalised, compared, filed and
+drawn here alone: base_point normalises a number, _same_base_number
+compares two, _BaseIndex files a list by grid cell, so a lookup replaces
+a scan, and _sample_base_numbers draws seeded generic fibres clear of
+given numbers and of the multiple fibres.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import random
 import re
 import sys
 from collections.abc import Sequence
@@ -36,7 +41,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .records import Record
-from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, _class_distance, _point_rep
+from .tate import DEFAULT_TOL, CurveParam, Tolerance, _class_distance, _point_rep
 
 
 # Fraction's decimal form with an exponent: whole digits, fraction digits, exponent
@@ -163,19 +168,14 @@ class BaseCurve(Record):
         object.__setattr__(self, "tate", tate)
 
 
-def base_point(surface: SurfaceData | None, b) -> complex:
-    """The complex number that stands for a base point.
+def base_point(surface: SurfaceData | None, b: complex) -> complex:
+    """The complex number that stands for the base point given by the number b.
 
-    On a genus-1 base this is the annulus representative of the point's
-    class on the Tate base curve, and a TatePoint must lie on that curve;
-    on any other base, or with no surface at hand, it is the point itself.
+    On a genus-1 base this is the annulus representative of b's class on
+    the Tate base curve; on any other base, or with no surface at hand, it
+    is b itself.
     """
-    genus_one = surface is not None and surface.base.genus == 1
-    if isinstance(b, TatePoint):
-        if genus_one and b.curve is not surface.base.tate and b.curve != surface.base.tate:
-            raise ValueError("base point lies on the wrong curve")
-        return b.rep
-    if genus_one:
+    if surface is not None and surface.base.genus == 1:
         return _point_rep(b, surface.base.tate)
     return complex(b)
 
@@ -264,6 +264,69 @@ def distinct_base_points(surface: SurfaceData | None, points: Sequence) -> bool:
             return False
         seen.add(p)
     return True
+
+
+_CLEARANCE = 1e-3
+
+
+def _candidate(tate: CurveParam | None, u: float, v: float) -> complex:
+    """The base number drawn from two uniforms u, v in [0, 1): exactly what
+    rng.uniform(-2, 2) twice, or rng.uniform(0, 1) then rng.uniform(0, 2 pi)
+    on a genus-1 base, makes of the same two draws."""
+    if tate is None:
+        return complex(-2.0 + 4.0 * u, -2.0 + 4.0 * v)
+    return _point_rep(abs(tate.tau) ** u * cmath.exp(1j * (2.0 * math.pi * v)), tate)
+
+
+@functools.lru_cache(maxsize=256)
+def _first_uniforms(seed) -> tuple[float, float]:
+    """The first two uniforms of random.Random(seed)."""
+    rng = random.Random(seed)
+    return rng.random(), rng.random()
+
+
+def _sample_base_numbers(
+    surface: SurfaceData,
+    count: int,
+    seed: int = 0,
+    avoid: tuple[complex, ...] = (),
+) -> list[complex]:
+    """Seeded generic base numbers, at least _CLEARANCE from the avoided
+    numbers (each a base_point number) and the multiple fibres, with no
+    point object built: annulus representatives on genus 1, and on any
+    other base complex numbers from the square |Re|, |Im| <= 2, which on an
+    abstract base (g >= 2) are formal markers.
+
+    One number (a recipe's generic fibre) is the seed's first draw, read
+    from a cache of the last 256 seeds (_first_uniforms) and tested
+    against each avoided point in turn.  More numbers, and one whose first
+    draw is blocked, come from a seeded loop with one _BaseIndex lookup
+    per draw; both ways give the same numbers."""
+    # a distance is below _CLEARANCE exactly when it is at most the float below it
+    near = math.nextafter(_CLEARANCE, 0.0)
+    avoided = list(avoid) + [p for p, _ in surface.multiple_fibres]
+    tate = surface.base.tate
+    if count == 1:
+        b = _candidate(tate, *_first_uniforms(seed))
+        tau = _base_tau(surface)
+        try:
+            if not any(_same_base_number(tau, near, b, p) for p in avoided):
+                return [b]
+        except OverflowError:  # abs() left the float range; the index never compares far points
+            pass
+    forbidden = _BaseIndex(surface, near, [(p, None) for p in avoided]) if avoided else None
+    rng = random.Random(seed)
+    out: list[complex] = []
+    trials = 0
+    while len(out) < count:
+        trials += 1
+        if trials > 100 * count + 100:
+            raise RuntimeError("could not sample enough generic base points")
+        b = _candidate(tate, rng.random(), rng.random())
+        if forbidden and forbidden.matches(b):
+            continue
+        out.append(b)
+    return out
 
 
 class SurfaceData(Record):

@@ -935,9 +935,9 @@ def test_request_work_is_linear_in_list_length(tmp_path, capsys, monkeypatch, pa
     [
         # a push under two modifications: the modification check, the
         # plan and the sampler's clearance index
-        ("spectral-cover-g0-push-chain-verify", 3, 4, 6),
+        ("spectral-cover-g0-push-chain-verify", 3, 4, 4),
         # an extension with a zero cycle and a mark, under a modification
-        ("spectral-cover-g1-elem-mod-verify", 3, 5, 8),
+        ("spectral-cover-g1-elem-mod-verify", 3, 5, 6),
     ],
 )
 def test_a_verified_cover_request_files_each_point_once(tmp_path, capsys, monkeypatch, name, indexes, adds, normalised):
@@ -1060,6 +1060,22 @@ def test_stdin_and_output_file(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == ""
     body = json.loads(out_path.read_text(encoding="utf-8"))
     assert body["verdict"] == "exists"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_is_a_schema_error(tmp_path, capsys, monkeypatch, source):
+    raw = b'\xff{"schema": 1}'
+    if source == "file":
+        path = tmp_path / "request.json"
+        path.write_bytes(raw)
+        arg = str(path)
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        arg = "-"
+    assert main(["exists", arg]) == EX_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read input: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_input_line_endings_do_not_matter(tmp_path, capsys):

@@ -106,3 +106,34 @@ def test_every_export_is_referenced():
 
 def test_every_module_level_definition_is_referenced():
     assert sorted(unreferenced(module_level_names())) == sorted(AWAITING_CONSUMER)
+
+
+# Base numbers are compared, filed and drawn in surface alone; bundles
+# builds its fibre plan and modification check on the index.
+SURFACE_ONLY = {"_same_base_number", "_base_tau", "_candidate", "_first_uniforms", "_CLEARANCE"}
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every name, attribute, import and definition in the file's code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name.rpartition(".")[2], node.asname)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_base_numbers_stay_in_surface():
+    crossings = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "surface.py":
+            continue
+        private = SURFACE_ONLY if path.name == "bundles.py" else SURFACE_ONLY | {"_BaseIndex"}
+        if named := identifiers(path) & private:
+            crossings[path.name] = sorted(named)
+    assert crossings == {}

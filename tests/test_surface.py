@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from ellspec import surface as surface_module
 from ellspec.bundles import ElemModBundle, ExtensionBundle, _FibrePlan, trivial_line_bundle
 from ellspec.surface import (
     UNIT_LATTICE,
@@ -32,6 +33,7 @@ from ellspec.surface import (
     _BaseIndex,
     _base_tau,
     _same_base_number,
+    _sample_base_numbers,
     as_fraction,
     base_point,
     discriminant,
@@ -43,7 +45,7 @@ from ellspec.surface import (
     self_intersection,
     spectral_support_count,
 )
-from ellspec.tate import CurveParam, Tolerance
+from ellspec.tate import CurveParam, Tolerance, _point_rep
 
 POLARIZED = HomLattice(2, ((1, "1/2"), ("1/2", 1)))
 DEGENERATE = HomLattice(2, ((1, 1), (1, 1)))
@@ -458,6 +460,110 @@ def test_base_index_keys_stay_exact_past_the_float_range():
     nan = _BaseIndex(None, 1e-9)
     nan.add(complex(math.nan, 0.0), "nan")
     assert not nan and nan.matches(complex(math.nan, 0.0)) == []
+
+
+# ------------------------------------------------------ generic base numbers
+
+TAU4 = CurveParam(4.0)
+TAU3 = CurveParam(3.0)
+S0 = SurfaceData(BaseCurve(0), TAU4)
+S1 = SurfaceData(BaseCurve(1, tate=TAU3), TAU3, lattice=HomLattice(1, ((4,),)), hom_exponents=(2,))
+
+
+def test_sample_base_points():
+    pts = _sample_base_numbers(S0, 5, seed=3, avoid=(0.5 + 0.5j,))
+    assert len(pts) == 5
+    assert all(abs(p - (0.5 + 0.5j)) > 1e-3 for p in pts)
+    assert pts == _sample_base_numbers(S0, 5, seed=3, avoid=(0.5 + 0.5j,))
+    # annulus representatives on a genus-1 base
+    g1pts = _sample_base_numbers(S1, 3, seed=1)
+    assert all(1.0 <= abs(p) < abs(TAU3.tau) for p in g1pts)
+    # formal markers on an abstract base, from the square a rational base uses
+    assert _sample_base_numbers(SurfaceData(BaseCurve(2), TAU4), 5, seed=3) == _sample_base_numbers(S0, 5, seed=3)
+
+
+def sampled_by_loop(surface: SurfaceData, count: int, seed: int = 0, avoid=()) -> list[complex]:
+    """The seeded loop alone, drawing through rng.uniform: the reference for
+    _sample_base_numbers, whose single number skips the loop unless blocked."""
+    rng = random.Random(seed)
+    avoided = [(base_point(surface, p), None) for p in avoid] + list(surface.multiple_fibres)
+    forbidden = _BaseIndex(surface, math.nextafter(1e-3, 0.0), avoided) if avoided else None
+    tate = surface.base.tate
+    out = []
+    while len(out) < count:
+        if tate is None:
+            b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        else:
+            r = abs(tate.tau) ** rng.uniform(0.0, 1.0)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            b = _point_rep(r * cmath.exp(1j * theta), tate)
+        if forbidden and forbidden.matches(b):
+            continue
+        out.append(b)
+    return out
+
+
+_SAMPLED_BASES = [(0, None), (2, None)] + [(1, CurveParam(t)) for t in (3.0, 2j, 1e8, complex(3.0, -0.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(_SAMPLED_BASES),
+    seed=st.integers(0, 999),
+    # how far the blocking point lies from the seed's first draw, and in
+    # which direction; None leaves the draw free
+    gap=st.sampled_from([None, 0.0, 1e-3, math.nextafter(1e-3, 0.0)]),
+    angle=st.sampled_from([0.0, 0.5 * math.pi, 0.75 * math.pi, -1.0]),
+    as_avoid=st.booleans(),
+)
+def test_one_number_is_the_seeded_loops_first(base, seed, gap, angle, as_avoid):
+    genus, tate = base
+    fibre = tate or TAU4
+    bare = SurfaceData(BaseCurve(genus, tate=tate), fibre)
+    first = sampled_by_loop(bare, 1, seed)[0]
+    avoid, fibres = (), ()
+    if gap is not None:
+        near = first + gap * cmath.exp(1j * angle)
+        avoid, fibres = ((base_point(bare, near),), ()) if as_avoid else ((), ((near, 2),))
+    surface = SurfaceData(BaseCurve(genus, tate=tate), fibre, multiple_fibres=fibres)
+    want = sampled_by_loop(surface, 1, seed, avoid)
+    if gap == 0.0:
+        assert want != [first]
+    assert _sample_base_numbers(surface, 1, seed, avoid) == want
+    surface_module._first_uniforms.cache_clear()
+    assert _sample_base_numbers(surface, 1, seed, avoid) == want
+    # more numbers come from the loop, whose first is the same draw
+    assert _sample_base_numbers(surface, 3, seed, avoid) == sampled_by_loop(surface, 3, seed, avoid)
+
+
+# seeds whose first draw lies where b + gap - b is exactly gap along the
+# given direction, found by search, so the clearance test meets its bound
+@pytest.mark.parametrize(
+    "genus, tate, seed, direction",
+    [(0, None, 8136, 1), (0, None, 2289, 1j), (2, None, 8136, 1), (1, TAU3, 336, 1), (1, TAU3, 309, 1j)],
+)
+def test_the_first_draw_is_blocked_only_below_the_clearance(genus, tate, seed, direction):
+    bare = SurfaceData(BaseCurve(genus, tate=tate), tate or TAU4)
+    first = sampled_by_loop(bare, 1, seed)[0]
+    tau = None if tate is None else tate.tau
+    below = math.nextafter(1e-3, 0.0)
+    assert _same_base_number(tau, 1e-3, first, first + direction * 1e-3)
+    assert not _same_base_number(tau, below, first, first + direction * 1e-3)
+    for gap, blocked in ((1e-3, False), (below, True)):
+        near = first + direction * gap
+        surface = SurfaceData(BaseCurve(genus, tate=tate), tate or TAU4, multiple_fibres=((near, 2),))
+        want = sampled_by_loop(surface, 1, seed)
+        assert (want != [first]) == blocked
+        assert _sample_base_numbers(surface, 1, seed) == want
+
+
+def test_one_number_far_from_a_huge_multiple_fibre():
+    # |draw - fibre| leaves the float range: the pairwise test cannot
+    # decide, and the keyed loop, which never compares far points, does
+    surface = SurfaceData(BaseCurve(0), TAU4, multiple_fibres=((complex(1.7e308, 1.7e308), 2),))
+    with pytest.raises(OverflowError):
+        abs(sampled_by_loop(S0, 1)[0] - surface.multiple_fibres[0][0])
+    assert _sample_base_numbers(surface, 1) == sampled_by_loop(surface, 1) == sampled_by_loop(S0, 1)
 
 
 # ------------------------------------------------------- pairing arithmetic
