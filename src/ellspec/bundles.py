@@ -16,16 +16,16 @@ spectral_cover each run it before any other work (the command line also
 runs it first, to report a misfit as a schema error); fibre evaluation
 compares nothing.
 
-A spectral-cover request builds one plan (_FibrePlan): each base point
-normalised once and filed with its tag in one surface._BaseIndex, the
-jump fibres merged in that same pass, and each section's constant
-representative and power exponent.  A fibre then costs one lookup and
-complex arithmetic on canonical annulus representatives; verification
-runs the plan at every sampled fibre.
-Verification reuses a fibre's residuals while the next fibres repeat its
-values and cover classes, so a bundle whose values and classes stay put
-(every extension over a rational base) is scored once per request, not
-once per fibre.
+A spectral-cover request resolves once what no fibre changes.  One plan
+(_FibrePlan) files each base point, normalised once, with its tag in one
+surface._BaseIndex and merges the jump fibres in that pass; each section
+evaluator binds its constant and power exponent, or its value where the
+exponent is 0; over a rational base an extension's two values, their
+class distance and the cover's two classes are taken once.  A fibre then
+pays one index lookup and the complex arithmetic of what moves (power and
+trace maps, twists), and verification reuses its residuals while the next
+fibres repeat its values and cover classes, so a bundle whose values and
+classes stay put (every extension over a rational base) is scored once.
 
 The spectral cover of a presentation records, per fibre, the classes
 whose twist makes first cohomology jump: these are the inverses of the
@@ -282,8 +282,11 @@ class _FibrePlan:
     _BaseIndex as (tag, jump): its cycle length, "modified", "multiple" or
     "mark", and the [number, multiplicity] jump it heads, else None.  A
     cycle point or modified fibre joins the earliest head it matches, else
-    heads a new jump.  The root's evaluator is resolved at the first fibre
-    that needs it; a fibre then costs one lookup and complex arithmetic.
+    heads a new jump.  The glue tolerance, and whether a fibre must be
+    marked to glue, are taken here; the root's evaluator, and the values of
+    an extension over a rational base with their class distance
+    (fixed_values), at the first fibre that needs them.  A fibre then costs
+    one lookup and the complex arithmetic of the values that move.
     """
 
     def __init__(self, bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -> None:
@@ -291,6 +294,9 @@ class _FibrePlan:
         self.surface, self.tol = surface, tol
         self.points = points = _BaseIndex(surface, tol.eps)
         extension = isinstance(self.root, ExtensionBundle)
+        self.fixed = extension and surface.base.genus == 0  # every section is constant there
+        self.glue_eps = tol.eps if extension else max(tol.eps, tol.eps**0.5)
+        self.glues_unmarked = not extension or self.root.nonsplit_everywhere
         cycle = self.root.zero_cycle if extension else ()
         jumps: list[list] = []
         for p, m, tag in [(p, m, m) for p, m in cycle] + [(f, steps, "modified") for f, steps in chain]:
@@ -315,6 +321,12 @@ class _FibrePlan:
             return lambda x: (sub(x), quotient(x))
         return _cover_evaluator(root.cover, root.determinant.section, surface)
 
+    @cached_property
+    def fixed_values(self) -> tuple[complex, complex, float]:
+        """The two values of an extension over a rational base and their class distance."""
+        v1, v2 = self.evaluate(0j)
+        return v1, v2, _class_distance(v1, v2, self.surface.fibre.tau)
+
     def restrict(self, x) -> int | tuple[complex, complex, bool]:
         """The restriction to the smooth fibre over the base number x: the
         sub-degree if it is unstable, else the two value representatives
@@ -338,11 +350,12 @@ class _FibrePlan:
             k = sum(h for h in hits if not isinstance(h, str))
             if k >= 1:
                 return k
-        v1, v2 = self.evaluate(x)
-        close, eps = _class_distance(v1, v2, self.surface.fibre.tau), self.tol.eps
-        if isinstance(self.root, ExtensionBundle):
-            return v1, v2, close <= eps and (self.root.nonsplit_everywhere or "mark" in hits)
-        return v1, v2, close <= max(eps, eps**0.5)
+        if self.fixed:
+            v1, v2, close = self.fixed_values
+        else:
+            v1, v2 = self.evaluate(x)
+            close = _class_distance(v1, v2, self.surface.fibre.tau)
+        return v1, v2, close <= self.glue_eps and (self.glues_unmarked or "mark" in hits)
 
 
 class SpectralCover(Record):
@@ -454,32 +467,31 @@ def _verify_cover(plan: _FibrePlan, cover: SpectralCover, samples: int, seed: in
 
     At each sampled fibre, every restriction value v must have a cover
     class a whose twist v a is the identity class, i.e. makes first
-    cohomology jump, within ten times tol.eps.  The plan the cover was
-    built from gives the restriction at every fibre, and the cover's
-    evaluator, resolved at the first fibre that is not unstable, gives
-    its two classes.  Base points, values and twists stay canonical
-    annulus representatives; a twist's residual is the class distance of
-    its representative to 1, and no point object is built.  A residual
-    that is not within the jump tolerance (NaN included) raises
+    cohomology jump, within ten times tol.eps.  Per request, the plan the
+    cover was built from and the cover's evaluator, resolved at the first
+    fibre that is not unstable, bind all that no fibre moves; per fibre,
+    the plan gives the restriction from one index lookup and the cover its
+    two classes.  Base points, values and twists stay canonical annulus
+    representatives; a twist's residual is the class distance of its
+    representative to 1, and no point object is built.  A residual that is
+    not within the jump tolerance (NaN included) raises
     SpectralVerificationError.
 
     A fibre whose values and cover classes equal those of the last scored
     fibre (every fibre of an extension over a rational base) reuses that
-    fibre's residuals.  A residual is a pure function of the numbers and
-    the curve, and equal numbers differ at most in the sign of a zero
-    part, which no operation of the residual lets through; so a reused
-    residual is the float a recomputation would give.  Values that move
-    from fibre to fibre pay one tuple comparison per fibre.
+    fibre's residuals, which passed.  A residual is a pure function of the
+    numbers and the curve, and equal numbers differ at most in the sign of
+    a zero part, which no operation of the residual lets through; so a
+    reused residual is the float a recomputation would give.
     """
     surface, tol = plan.surface, plan.tol
     if surface.base.genus >= 2:
         raise ValueError("abstract bases (g >= 2) have no point arithmetic")
-    alphas = None
+    alphas = scored = None  # scored: the values and cover classes that residuals belong to
     fibre = surface.fibre
     avoid = tuple(p for p, _ in cover.jump_fibres)
     jump_eps = 10.0 * tol.eps
     worst = 0.0
-    scored = None  # the values and cover classes that residuals belong to
     for x in _sample_base_numbers(surface, samples, seed, avoid):
         restriction = plan.restrict(x)
         if isinstance(restriction, int):
@@ -489,9 +501,10 @@ def _verify_cover(plan: _FibrePlan, cover: SpectralCover, samples: int, seed: in
             alphas = _cover_evaluator(cover.bisection, cover.dual_determinant, surface)
         a1, a2 = alphas(x)
         values = (v1,) if glued else (v1, v2)
-        if (values, a1, a2) != scored:
-            scored = values, a1, a2
-            residuals = [min(_twist_residual(v, a1, fibre), _twist_residual(v, a2, fibre)) for v in values]
+        if (values, a1, a2) == scored:  # residuals already scored, and none failed
+            continue
+        scored = values, a1, a2
+        residuals = [min(_twist_residual(v, a1, fibre), _twist_residual(v, a2, fibre)) for v in values]
         for residual in residuals:
             worst = max(worst, residual)
             if not residual <= jump_eps:

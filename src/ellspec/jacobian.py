@@ -23,9 +23,9 @@ from .records import Record
 from .tate import (
     DEFAULT_TOL,
     INF,
-    CurveParam,
     TatePoint,
     Tolerance,
+    _canonical_rep,
     _point_rep,
     identity,
     points_equal,
@@ -83,31 +83,30 @@ def _section_evaluator(section: SectionOfJ, surface: SurfaceData) -> Callable[[c
         const = section.constant.rep
         exp = _power_exponent(surface, section.hom)
         fibre = surface.fibre
-        return lambda x: _point_rep(_power(const, x, exp, fibre) if exp else const * 1.0, fibre)
+        if not exp:
+            value = _point_rep(const * 1.0, fibre)
+            return lambda x: value
+
+        def at(x: complex) -> complex:
+            try:  # a finite product with a normal power is nonzero
+                p = x**exp
+                q = const * p
+                if abs(p) >= _NORMAL_MIN and cmath.isfinite(q):
+                    return _canonical_rep(q, fibre)
+            except OverflowError:  # x**exp, or abs of a finite power, past the float range
+                pass
+            # the few bits left would be read as a point: take one of the power's
+            # class, exp log x reduced modulo log tau into real part [0, log|tau|),
+            # which loses about exp times the rounding of log x
+            w = exp * cmath.log(x)
+            w -= math.floor(w.real / fibre.log_abs_tau) * cmath.log(fibre.tau)
+            return _point_rep(const * cmath.exp(w), fibre)
+
+        return at
     raise ValueError("abstract bases (g >= 2) have no point arithmetic")
 
 
 _NORMAL_MIN = sys.float_info.min
-
-
-def _power(const: complex, x: complex, exp: int, fibre: CurveParam) -> complex:
-    """const * x**exp for a canonical representative const and nonzero x.
-
-    Where x**exp is zero, subnormal or not finite, or the product is not
-    finite, the few bits left would be read as a point.  The power is then
-    replaced by a point of its class, exp log x reduced modulo log tau into
-    real part [0, log|tau|), which loses about exp times the rounding of
-    log x.
-    """
-    try:
-        p = x**exp
-        q = const * p
-        if abs(p) >= _NORMAL_MIN and cmath.isfinite(q):
-            return q
-    except OverflowError:  # x**exp, or abs of a finite power, past the float range
-        pass
-    w = exp * cmath.log(x)
-    return const * cmath.exp(w - math.floor(w.real / fibre.log_abs_tau) * cmath.log(fibre.tau))
 
 
 def sections_equal(s1: SectionOfJ, s2: SectionOfJ, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -162,8 +161,11 @@ class RationalMap(Record):
             if dn < dd:
                 return 0.0 + 0.0j
             return self.num[-1] / self.den[-1]
-        p = _horner(self.num, b)
-        q = _horner(self.den, b)
+        p = q = 0.0 + 0.0j  # Horner's rule on each
+        for c in reversed(self.num):
+            p = p * b + c
+        for c in reversed(self.den):
+            q = q * b + c
         if q == 0:
             return INF
         return p / q
@@ -174,13 +176,6 @@ def _trim(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _horner(coeffs: tuple[complex, ...], b: complex) -> complex:
-    total = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        total = total * b + c
-    return total
 
 
 class DoubleCoverData(Record):
@@ -265,6 +260,9 @@ def _cover_evaluator(
     """
     if bis.is_reducible:
         first, second = (_section_evaluator(s, surface) for s in bis.components)
+        if surface.base.genus == 0:  # constant sections: the pair does not move
+            pair = first(0j), second(0j)
+            return lambda x: pair
         return lambda x: (first(x), second(x))
     cover = bis.cover
     if cover.trace is None:
@@ -272,15 +270,16 @@ def _cover_evaluator(
     if surface.base.genus != 0:
         raise ValueError("trace maps are concrete only over a rational base")
     fibre = surface.fibre
+    norm = None
 
     def values(b) -> tuple[complex, complex]:
+        nonlocal norm
         t = cover.trace(complex(b))
         if cmath.isinf(t):
             raise ValueError(f"trace map has a pole at {b!r}")
-        if cover.norm is not None:
-            d = cover.norm(complex(b))
-        else:  # resolved here, so that a pole at b is reported first
-            d = _section_evaluator(delta, surface)(b)
+        if norm is None:  # resolved here, so that a pole at b is reported first
+            norm = cover.norm if cover.norm is not None else _section_evaluator(delta, surface)
+        d = norm(complex(b))
         disc = t * t - 4.0 * d
         s = cmath.sqrt(disc)
         r1 = (t + s) / 2.0 if abs(t + s) >= abs(t - s) else (t - s) / 2.0

@@ -249,7 +249,10 @@ class _BaseIndex(dict):
 
     def matches(self, x: complex) -> list:
         """The items of the filed numbers that agree with x, in filing order."""
-        key = () if cmath.isinf(x) else (self._cell(x.real), self._cell(x.imag)) if x == x else None
+        try:
+            key = (math.floor(x.real / self.side), math.floor(x.imag / self.side))
+        except (OverflowError, ValueError):  # an infinite or NaN part, or a quotient past the float range
+            key = () if cmath.isinf(x) else (self._cell(x.real), self._cell(x.imag)) if x == x else None
         cell = self.get(key)
         return [item for p, item in cell if _same_base_number(self.tau, self.eps, x, p)] if cell else []
 
@@ -275,7 +278,7 @@ def _candidate(tate: CurveParam | None, u: float, v: float) -> complex:
     on a genus-1 base, makes of the same two draws."""
     if tate is None:
         return complex(-2.0 + 4.0 * u, -2.0 + 4.0 * v)
-    return _point_rep(abs(tate.tau) ** u * cmath.exp(1j * (2.0 * math.pi * v)), tate)
+    return _point_rep(tate.abs_tau**u * cmath.exp(1j * (2.0 * math.pi * v)), tate)
 
 
 @functools.lru_cache(maxsize=256)

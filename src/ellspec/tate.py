@@ -69,19 +69,25 @@ class PeriodFrame(NamedTuple):
 class CurveParam(Record):
     """Multiplier of the curve C*/<tau>; requires |tau| > 1.
 
-    log_abs_tau, log|tau|, is kept beside it for the annulus reduction in
-    _canonical_rep; it is not a field.
+    For the annulus reduction (_canonical_rep) the curve keeps, beside its
+    one field, |tau| and log|tau| (abs_tau, log_abs_tau), taken when it is
+    built; they are not fields.  A request decodes its curves once, so a
+    reduction at one of its fibres pays the log of its number and a power
+    of tau, not a modulus or log of tau.
     """
 
     _fields = ("tau",)
     tau: complex
+    abs_tau: float
     log_abs_tau: float
 
     def __init__(self, tau: complex) -> None:
-        if not abs(complex(tau)) > 1.0:
+        at = abs(complex(tau))
+        if not at > 1.0:
             raise ValueError(f"curve multiplier must satisfy |tau| > 1, got {tau!r}")
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "log_abs_tau", math.log(abs(tau)))
+        state = vars(self)  # derived values, written directly: a curve is often built per call
+        state["abs_tau"], state["log_abs_tau"] = at, math.log(at)
 
     @property
     def q(self) -> complex:
@@ -157,8 +163,7 @@ def _point_rep(z, curve: CurveParam) -> complex:
 
 def _canonical_rep(z: complex, curve: CurveParam) -> complex:
     """The representative of z in 1 <= |z| < |tau|, for nonzero finite z."""
-    tau = curve.tau
-    at = abs(tau)
+    at = curve.abs_tau
     try:
         az = abs(z)
         if 1.0 <= az < at:
@@ -168,17 +173,22 @@ def _canonical_rep(z: complex, curve: CurveParam) -> complex:
         log_az = math.log(abs(0.5 * z)) + math.log(2.0)
     # initial guess from logs, then fix float fences at the annulus boundary
     k = -math.floor(log_az / curve.log_abs_tau)
+    tau = curve.tau
     if k:
         try:
             z = z * tau**k
         except OverflowError:  # |z| so near the float floor that tau**k overflows
             return _canonical_rep(z * tau ** (k // 2), curve)
-    while abs(z) < 1.0:
+    az = abs(z)
+    while az < 1.0:
         z *= tau
-    while abs(z) >= at:
+        az = abs(z)
+    while az >= at:
         z /= tau
-    while abs(z) < 1.0:  # |z| rounded below 1 and |z tau| onto |tau|: nudge it inside
+        az = abs(z)
+    while az < 1.0:  # |z| rounded below 1 and |z tau| onto |tau|: nudge it inside
         z *= 1.0 + 2.0**-52
+        az = abs(z)
     return z
 
 

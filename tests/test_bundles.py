@@ -37,6 +37,7 @@ from ellspec.bundles import (
     trivial_line_bundle,
 )
 import ellspec.bundles as bundles_module
+import ellspec.jacobian as jacobian_module
 import ellspec.tate as tate_module
 from ellspec.existence import Recipe
 from ellspec.jacobian import (
@@ -44,6 +45,7 @@ from ellspec.jacobian import (
     RationalMap,
     SectionOfJ,
     _cover_evaluator,
+    _power_exponent,
     genus_and_branching,
     involution_on_section,
     irreducible_bisection,
@@ -63,8 +65,18 @@ from ellspec.surface import (
     SurfaceData,
     _sample_base_numbers,
     base_point,
+    same_base_point,
 )
-from ellspec.tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance, distance_to_identity, identity, points_equal
+from ellspec.tate import (
+    DEFAULT_TOL,
+    CurveParam,
+    TatePoint,
+    Tolerance,
+    class_distance,
+    distance_to_identity,
+    identity,
+    points_equal,
+)
 
 TAU4 = CurveParam(4.0)
 TAU3 = CurveParam(3.0)
@@ -587,7 +599,7 @@ def test_cover_verification_takes_log_tau_once_per_curve(tau, monkeypatch):
         return reduce(z, curve)
 
     monkeypatch.setattr(math, "log", lambda x, *base: logs.append(x) or log(x, *base))
-    for module in (tate_module, bundles_module):
+    for module in (tate_module, bundles_module, jacobian_module):
         monkeypatch.setattr(module, "_canonical_rep", counted_reduce)
     fibre = CurveParam(tau)
     surface = SurfaceData(BaseCurve(1, tate=fibre), fibre, lattice=UNIT_LATTICE, hom_exponents=(1,))
@@ -714,10 +726,13 @@ def test_cover_verification_on_a_huge_multiplier(tau):
 
 # ------------------------------------- verification against fibre by fibre
 #
-# The reference verifier walks the sampled fibres with a fresh plan and a
-# fresh cover evaluator at each one, and compares each twist as a point,
-# with the arithmetic of the twist residual written out.  The planned
-# verifier must give the same residual, bit for bit, and the same error.
+# The reference verifier walks the sampled fibres pairwise, with no plan
+# or index: it finds the points at each fibre by comparing it with every
+# one, takes each section's value as the point TatePoint(const * x**exp)
+# (a push's values and classes from a fresh cover evaluator), and
+# compares each twist as a point, with the arithmetic of the twist
+# residual written out.  The planned verifier must give the same
+# residual, bit for bit, and the same error.
 
 
 def _reference_twist_residual(v: TatePoint, a: TatePoint) -> float:
@@ -728,24 +743,61 @@ def _reference_twist_residual(v: TatePoint, a: TatePoint) -> float:
     return distance_to_identity(TatePoint(twist, v.curve))
 
 
-def _reference_verify(bundle, surface, tol, samples, seed):
+def _reference_section_value(section: SectionOfJ, surface: SurfaceData, x: complex) -> TatePoint:
+    exp = 0
+    if any(section.hom):
+        if surface.base.genus == 0:
+            raise ValueError("over a rational base every section is constant")
+        exp = _power_exponent(surface, section.hom)
+    return TatePoint(section.constant.rep * x**exp, surface.fibre)
+
+
+def _reference_pair(bisection, delta: SectionOfJ, surface: SurfaceData, x: complex) -> list[TatePoint]:
+    if bisection.is_reducible:
+        return [_reference_section_value(s, surface, x) for s in bisection.components]
+    return [TatePoint(a, surface.fibre) for a in _cover_evaluator(bisection, delta, surface)(x)]
+
+
+def _reference_restrict(bundle, surface: SurfaceData, tol: Tolerance, x: complex):
+    """The sub-degree at an unstable fibre, else the two values as points and whether they glue."""
+    root = bundle.root if isinstance(bundle, ElemModBundle) else bundle
+    chain = bundle.chain if isinstance(bundle, ElemModBundle) else ()
+    extension = isinstance(root, ExtensionBundle)
+    tagged = [(p, m) for p, m in (root.zero_cycle if extension else ())] + [(f, "modified") for f, _ in chain]
+    tagged += [(p, "multiple") for p, _ in surface.multiple_fibres]
+    tagged += [(p, "mark") for p in (root.nonsplit_at if extension else ())]
+    hits = [tag for p, tag in tagged if same_base_point(surface, x, p, tol)]
+    if "multiple" in hits:
+        raise ValueError("restriction to a multiple fibre is unsupported")
+    if "modified" in hits:
+        return 1
+    k = sum(h for h in hits if not isinstance(h, str))
+    if k >= 1:
+        return k
+    if extension:
+        v1, v2 = (_reference_section_value(s, surface, x) for s in (root.sub.section, root.quotient))
+        return v1, v2, class_distance(v1, v2) <= tol.eps and (root.nonsplit_everywhere or "mark" in hits)
+    v1, v2 = _reference_pair(root.cover, root.determinant.section, surface, x)
+    return v1, v2, class_distance(v1, v2) <= max(tol.eps, tol.eps**0.5)
+
+
+def _reference_verify(bundle, surface, tol, samples, seed, cover=None):
     """(largest residual, unstable fibres, glued fibres), fibre by fibre."""
-    cover = spectral_cover(bundle, surface, tol)
+    cover = cover or spectral_cover(bundle, surface, tol)
     avoid = tuple(p for p, _ in cover.jump_fibres)
     worst, unstable, glued = 0.0, 0, 0
-    fibre = surface.fibre
     for x in _sample_base_numbers(surface, samples, seed, avoid):
-        r = restrict(bundle, x, surface, tol)
+        r = _reference_restrict(bundle, surface, tol, x)
         if isinstance(r, int):
             unstable += 1
             continue
         v1, v2, nonsplit = r
         if nonsplit:
             glued += 1
-            values = (TatePoint(v1, fibre),) * 2
+            values = (v1, v1)
         else:
-            values = (TatePoint(v1, fibre), TatePoint(v2, fibre))
-        alphas = [TatePoint(a, fibre) for a in _cover_evaluator(cover.bisection, cover.dual_determinant, surface)(x)]
+            values = (v1, v2)
+        alphas = _reference_pair(cover.bisection, cover.dual_determinant, surface, x)
         for v in values:
             residual = min(_reference_twist_residual(v, a) for a in alphas)
             worst = max(worst, residual)
@@ -765,7 +817,18 @@ def _outcome(compute):
 
 
 TAU21 = CurveParam(2.0 + 1.0j)
-G0_SURFACES = (S0, S03, S0U, SMF, SurfaceData(BaseCurve(0), CurveParam(2.5 + 1.0j)))
+# |tau| = 1.05 and 1e3 reduce values by several powers of tau at once
+TAU_NEAR_ONE = CurveParam(1.05 * cmath.exp(0.4j))
+TAU_LARGE = CurveParam(600.0 + 800.0j)
+G0_SURFACES = (
+    S0,
+    S03,
+    S0U,
+    SMF,
+    SurfaceData(BaseCurve(0), CurveParam(2.5 + 1.0j)),
+    SurfaceData(BaseCurve(0), TAU_NEAR_ONE),
+    SurfaceData(BaseCurve(0), TAU_LARGE),
+)
 G1_SURFACES = (
     S1U,
     SurfaceData(BaseCurve(1, tate=TAU21), TAU21, lattice=UNIT_LATTICE, hom_exponents=(2,)),
@@ -773,6 +836,8 @@ G1_SURFACES = (
         BaseCurve(1, tate=TAU3), TAU3, multiple_fibres=((1.3 + 0.5j, 2),), lattice=UNIT_LATTICE, hom_exponents=(1,)
     ),
     SurfaceData(BaseCurve(1, tate=TAU3), TAU3, lattice=UNIT_LATTICE),  # no power maps for hom parts
+    SurfaceData(BaseCurve(1, tate=TAU_NEAR_ONE), TAU_NEAR_ONE, lattice=UNIT_LATTICE, hom_exponents=(1,)),
+    SurfaceData(BaseCurve(1, tate=TAU_LARGE), TAU_LARGE, lattice=UNIT_LATTICE, hom_exponents=(2,)),
 )
 
 
@@ -872,6 +937,28 @@ def test_verification_at_a_coarse_tolerance_skips_unstable_and_glues(surface):
     residual, unstable, glued = _reference_verify(bundle, surface, tol, 50, 3)
     assert unstable >= 2 and glued == 50 - unstable
     assert spectral_cover(bundle, surface, tol, verify_samples=50, seed=3).max_residual == residual
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["hom-section", "wrong-cover"])
+def test_a_rational_extension_resolves_its_values_at_the_first_stable_fibre(wrong):
+    # zero-cycle points 0.01 from the first two sampled fibres make them
+    # unstable at eps 0.05, so the values are resolved at the third: a
+    # section with a hom part raises there, and so does a wrong cover,
+    # naming that fibre, as the fibre-by-fibre reference does; two samples
+    # raise nothing
+    tol = Tolerance(0.05)
+    x1, x2, x3 = _sample_base_numbers(S0U, 3, 3)
+    sub = LineBundleOnX(SectionOfJ(TatePoint(2.5, S0U.fibre), (0,) if wrong else (1,)))
+    bundle = ExtensionBundle(sub, trivial_line_bundle(S0U), zero_cycle=((x1 + 0.01, 1), (x2 + 0.01, 1)))
+    other = ExtensionBundle(LineBundleOnX(SectionOfJ(TatePoint(1.2, S0U.fibre), (0,))), trivial_line_bundle(S0U))
+    cover = spectral_cover(other if wrong else bundle, S0U, tol)
+    cover = SpectralCover(cover.bisection, spectral_cover(bundle, S0U, tol).jump_fibres, cover.dual_determinant)
+    for samples in (2, 3):
+        got = _outcome(lambda: _verify_cover(_FibrePlan(bundle, S0U, tol), cover, samples, 3))
+        assert got == _outcome(lambda: _reference_verify(bundle, S0U, tol, samples, 3, cover)[0])
+    assert got[0] is (SpectralVerificationError if wrong else ValueError)
+    assert f"at fibre {x3!r}" in got[1] if wrong else got[1] == "over a rational base every section is constant"
+    assert _verify_cover(_FibrePlan(bundle, S0U, tol), cover, 2, 3) == 0.0
 
 
 def test_cover_base_intersections_requires_reducible():

@@ -475,11 +475,23 @@ def test_sample_base_points():
     assert len(pts) == 5
     assert all(abs(p - (0.5 + 0.5j)) > 1e-3 for p in pts)
     assert pts == _sample_base_numbers(S0, 5, seed=3, avoid=(0.5 + 0.5j,))
+    assert _sample_base_numbers(S0, 0, seed=3, avoid=(0.5 + 0.5j,)) == []
     # annulus representatives on a genus-1 base
     g1pts = _sample_base_numbers(S1, 3, seed=1)
     assert all(1.0 <= abs(p) < abs(TAU3.tau) for p in g1pts)
     # formal markers on an abstract base, from the square a rational base uses
     assert _sample_base_numbers(SurfaceData(BaseCurve(2), TAU4), 5, seed=3) == _sample_base_numbers(S0, 5, seed=3)
+
+
+def test_sampling_a_blocked_base_raises():
+    # on |tau| = 1.0001 the annulus is 1e-4 wide, so avoided numbers 1.5e-3
+    # apart round the unit circle leave no number at clearance to draw
+    tate = CurveParam(1.0001)
+    surface = SurfaceData(BaseCurve(1, tate=tate), tate)
+    avoid = tuple(cmath.rect(1.00005, 1.5e-3 * k) for k in range(4200))
+    for count in (1, 2):
+        with pytest.raises(RuntimeError, match="could not sample enough generic base points"):
+            _sample_base_numbers(surface, count, 0, avoid)
 
 
 def sampled_by_loop(surface: SurfaceData, count: int, seed: int = 0, avoid=()) -> list[complex]:

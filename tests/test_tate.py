@@ -229,6 +229,23 @@ def test_canonical_rep_is_a_fixed_point_at_the_float_fence():
     assert 1.0 <= abs(rep) < abs(curve.tau)
     assert TatePoint(rep, curve).rep == rep and abs(rep - z) < 1e-15
 
+
+def test_reductions_by_many_powers_land_in_the_annulus():
+    # reductions by tau**k for |k| up to 40, then by some 6.9e6 powers
+    # (|z| = 1e300 and 1e-300 on |tau| = 1.0001): each lands in the annulus
+    # as a fixed point, the first ones on the number they were built from,
+    # and a curve built again gives the same bits
+    curve = CurveParam(1.0001 * cmath.exp(0.7j))
+    w = cmath.rect(curve.abs_tau**0.5, 1.0)
+    numbers = [curve.tau**-k * w for k in range(-40, 41)]
+    for z in numbers + [1e300 + 0j, -1e-300j]:
+        rep = tate._canonical_rep(z, curve)
+        assert 1.0 <= abs(rep) < curve.abs_tau
+        assert tate._canonical_rep(rep, curve) == rep
+        assert repr(tate._canonical_rep(z, CurveParam(curve.tau))) == repr(rep)
+        assert z not in numbers or abs(rep - w) < 1e-12
+
+
 # -------------------------------------------------------- group operations
 
 
