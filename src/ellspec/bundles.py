@@ -12,20 +12,21 @@ determinant is the fibre value of the determinant bundle.  Whether a
 spectral push fits its surface (constant determinant and a trace map
 over a rational base, invariant bisection) is decided by
 check_spectral_push on the root of a presentation.  chern_data and
-spectral_cover each run it before any other work (the command line also
-runs it first, to report a misfit as a schema error); fibre evaluation
-compares nothing.
+spectral_cover each run it before any other work, and the decoder
+(schemas.decode_bundle) runs it last on every presentation it reads, to
+report a misfit as a schema error; fibre evaluation compares nothing.
 
 A spectral-cover request resolves once what no fibre changes.  One plan
 (_FibrePlan) files each base point, normalised once, with its tag in one
-surface._BaseIndex and merges the jump fibres in that pass; each section
-evaluator binds its constant and power exponent, or its value where the
-exponent is 0; over a rational base an extension's two values, their
-class distance and the cover's two classes are taken once.  A fibre then
-pays one index lookup and the complex arithmetic of what moves (power and
-trace maps, twists), and verification reuses its residuals while the next
-fibres repeat its values and cover classes, so a bundle whose values and
-classes stay put (every extension over a rational base) is scored once.
+surface._BaseIndex and merges the jump fibres in that pass; one
+evaluator (jacobian._cover_evaluator) gives a root's two values, an
+extension's from its sub and quotient sections, and the cover's two
+classes, and takes a pair of sections over a rational base once.  A
+fibre then pays one index lookup and the complex arithmetic of what
+moves (power and trace maps, twists), and verification reuses its
+residuals while the next fibres repeat its values and cover classes, so
+a bundle whose values and classes stay put (every extension over a
+rational base) is scored once.
 
 The spectral cover of a presentation records, per fibre, the classes
 whose twist makes first cohomology jump: these are the inverses of the
@@ -46,7 +47,6 @@ from .jacobian import (
     RationalMap,
     SectionOfJ,
     _cover_evaluator,
-    _section_evaluator,
     branch_points_numeric,
     graph_self_intersection,
     involution_on_section,
@@ -112,9 +112,10 @@ class ExtensionBundle(Record):
     """Extension of delta (x) sub^-1 (x) I_Z by sub.
 
     zero_cycle lists (point, length) with positive lengths over distinct
-    points, told apart here as numbers and by class where the surface is
-    known; nonsplit_at marks fibres where the extension class does not
-    restrict to zero, so coincident values glue to the non-split type.
+    points, told apart here as the numbers complex() makes of them and by
+    class in the decoder; nonsplit_at marks fibres where the extension
+    class does not restrict to zero, so coincident values glue to the
+    non-split type.
     quotient is the section of the quotient line bundle, the image of
     sub's section under the involution of the determinant's; it is
     worked out once, here, for the Chern data, every fibre restriction
@@ -138,7 +139,7 @@ class ExtensionBundle(Record):
         nonsplit_at: tuple[complex, ...] = (),
         nonsplit_everywhere: bool = False,
     ) -> None:
-        if not distinct_base_points(None, [p for p, _ in zero_cycle]):
+        if not distinct_base_points(None, [complex(p) for p, _ in zero_cycle]):
             raise ValueError("zero-cycle points must be distinct")
         if any(length <= 0 for _, length in zero_cycle):
             raise ValueError("zero-cycle lengths are positive")
@@ -283,8 +284,9 @@ class _FibrePlan:
     "mark", and the [number, multiplicity] jump it heads, else None.  A
     cycle point or modified fibre joins the earliest head it matches, else
     heads a new jump.  The glue tolerance, and whether a fibre must be
-    marked to glue, are taken here; the root's evaluator, and the values of
-    an extension over a rational base with their class distance
+    marked to glue, are taken here; the root's evaluator (_cover_evaluator,
+    of an extension's sub and quotient sections as a bisection), and the
+    values of an extension over a rational base with their class distance
     (fixed_values), at the first fibre that needs them.  A fibre then costs
     one lookup and the complex arithmetic of the values that move.
     """
@@ -314,12 +316,10 @@ class _FibrePlan:
 
     @cached_property
     def evaluate(self) -> Callable[[complex], tuple[complex, complex]]:
-        root, surface = self.root, self.surface
-        if isinstance(root, ExtensionBundle):
-            sub = _section_evaluator(root.sub.section, surface)
-            quotient = _section_evaluator(root.quotient, surface)
-            return lambda x: (sub(x), quotient(x))
-        return _cover_evaluator(root.cover, root.determinant.section, surface)
+        root = self.root
+        extension = isinstance(root, ExtensionBundle)
+        bis = reducible_bisection(root.sub.section, root.quotient) if extension else root.cover
+        return _cover_evaluator(bis, root.determinant.section, self.surface)
 
     @cached_property
     def fixed_values(self) -> tuple[complex, complex, float]:

@@ -21,9 +21,9 @@ step, so a recipe with more than MAX_RECIPE_STEPS steps exits 64.  Work
 that grows with an option is capped the same way: "verify" above
 MAX_VERIFY_SAMPLES fibres or "enum_radius" above MAX_ENUM_RADIUS (the
 cube holds (2r+1)^rank points) exits 64, from a flag or embedded.  So
-does a spectral push that does not fit its surface at the request's tol
-(bundles.check_spectral_push), or an elem_mod fibre that
-elementary_modification refuses at it, found before any fibre work.  With
+does a spectral push that does not fit its surface at the request's tol,
+or an elem_mod fibre that elementary_modification refuses at it: the
+decoder (schemas.decode_bundle) refuses both before any fibre work.  With
 --batch the input is an array of requests for the same subcommand; the
 output is the array of responses in order and the exit code is the
 maximum over the items.  An input that cannot be read or is not UTF-8,
@@ -59,18 +59,13 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable
 
-from .bundles import (
-    apply_modification_ledger,
-    check_spectral_push,
-    spectral_cover,
-)
+from .bundles import apply_modification_ledger, spectral_cover
 from .existence import Existence, Verdict, existence_verdict
 from .jacobian import SectionOfJ, genus_and_branching, involution_on_section
 from .records import Record
 from .schemas import (
     SCHEMA_VERSION,
     SchemaError,
-    _domain,
     check_version,
     decode_bundle,
     decode_chern,
@@ -301,14 +296,7 @@ def _cmd_spectral_cover(
     doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData
 ) -> tuple[dict, int]:
     bundle = decode_bundle(doc.get("bundle"), surface, tol=opts.tol)
-    _domain("bundle", check_spectral_push, bundle, surface, opts.tol)
-    cover = spectral_cover(
-        bundle,
-        surface,
-        opts.tol,
-        verify_samples=opts.verify,
-        seed=opts.seed,
-    )
+    cover = spectral_cover(bundle, surface, opts.tol, verify_samples=opts.verify, seed=opts.seed)
     return encode_cover(cover), EX_OK
 
 

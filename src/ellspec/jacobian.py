@@ -256,7 +256,9 @@ def _cover_evaluator(
     canonical representatives.
 
     The caller guarantees invariance (bundles.check_spectral_push), so a
-    given norm map is a nonzero finite constant, used as it stands.
+    given norm map is a nonzero finite constant, used as it stands, and
+    without one the determinant is constant over the rational base; the
+    norm is resolved when the evaluator is built.
     """
     if bis.is_reducible:
         first, second = (_section_evaluator(s, surface) for s in bis.components)
@@ -270,15 +272,12 @@ def _cover_evaluator(
     if surface.base.genus != 0:
         raise ValueError("trace maps are concrete only over a rational base")
     fibre = surface.fibre
-    norm = None
+    norm = cover.norm if cover.norm is not None else _section_evaluator(delta, surface)
 
     def values(b) -> tuple[complex, complex]:
-        nonlocal norm
         t = cover.trace(complex(b))
         if cmath.isinf(t):
             raise ValueError(f"trace map has a pole at {b!r}")
-        if norm is None:  # resolved here, so that a pole at b is reported first
-            norm = cover.norm if cover.norm is not None else _section_evaluator(delta, surface)
         d = norm(complex(b))
         disc = t * t - 4.0 * d
         s = cmath.sqrt(disc)

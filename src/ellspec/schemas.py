@@ -24,6 +24,7 @@ from .bundles import (
     SpectralPushBundle,
     _modification_check,
     _unwind,
+    check_spectral_push,
 )
 from .existence import Existence, Recipe, Verdict
 from .jacobian import (
@@ -352,12 +353,16 @@ def encode_bundle(bundle: RankTwoBundle) -> dict:
 def decode_bundle(
     doc: Any, surface: SurfaceData, where: str = "bundle", tol: Tolerance = DEFAULT_TOL
 ) -> RankTwoBundle:
-    """The presentation in doc; each elem_mod fibre is checked as elementary_modification does at tol."""
+    """The presentation in doc, fit for its surface at tol: each base point
+    is a base_point number, each elem_mod fibre is checked as
+    elementary_modification does, and last a spectral-push root is checked
+    against the surface (check_spectral_push), its ValueError reported at
+    where.  A genus-1 zero cycle's points are told apart by class."""
     def point(item: Any, name: str) -> complex:
         return _domain(name, base_point, surface, decode_complex(item, name))
 
     # peel elem_mod levels down to the root; decode it, then each level innermost first
-    body = _expect_map(doc, where)
+    top, body = where, _expect_map(doc, where)
     levels = []  # (elem_mod body, where of its bundle), outermost first
     while "elem_mod" in body and "extension" not in body and "spectral_push" not in body:
         inner = _expect_map(body["elem_mod"], f"{where}.elem_mod")
@@ -402,6 +407,7 @@ def decode_bundle(
             raise SchemaError(f"{at}: modification step count must be positive")
         _domain(f"{at}.elem_mod.fibre", check, fibre)
         chain.append((fibre, steps))
+    _domain(top, check_spectral_push, root, surface, tol)
     return ElemModBundle(root, chain) if chain else root
 
 

@@ -22,10 +22,11 @@ Fraction is built only for a value returned as one: Delta from
 discriminant and m from filtrable_bound.
 
 Base points are numbers, and they are normalised, compared, filed and
-drawn here alone: base_point normalises a number, _same_base_number
-compares two, _BaseIndex files a list by grid cell, so a lookup replaces
-a scan, and _sample_base_numbers draws seeded generic fibres clear of
-given numbers and of the multiple fibres.
+drawn here alone.  base_point normalises a number where it enters, and
+all below it read its numbers: _same_base_number compares two,
+_BaseIndex files a list by grid cell, so a lookup replaces a scan, and
+_sample_base_numbers draws seeded generic fibres clear of given numbers
+and of the multiple fibres.
 """
 
 from __future__ import annotations
@@ -257,13 +258,13 @@ class _BaseIndex(dict):
         return [item for p, item in cell if _same_base_number(self.tau, self.eps, x, p)] if cell else []
 
 
-def distinct_base_points(surface: SurfaceData | None, points: Sequence) -> bool:
-    """Whether no two of the points are the same base point (one lookup each)."""
-    if len(points) < 2:
+def distinct_base_points(surface: SurfaceData | None, numbers: Sequence[complex]) -> bool:
+    """Whether no two base_point numbers are the same point (one lookup each)."""
+    if len(numbers) < 2:
         return True
     seen = _BaseIndex(surface, DEFAULT_TOL.eps)
-    for p in points:
-        if seen.matches(p := base_point(surface, p)):
+    for p in numbers:
+        if seen.matches(p):
             return False
         seen.add(p)
     return True
@@ -300,24 +301,20 @@ def _sample_base_numbers(
     other base complex numbers from the square |Re|, |Im| <= 2, which on an
     abstract base (g >= 2) are formal markers.
 
-    One number (a recipe's generic fibre) is the seed's first draw, read
-    from a cache of the last 256 seeds (_first_uniforms) and tested
-    against each avoided point in turn.  More numbers, and one whose first
-    draw is blocked, come from a seeded loop with one _BaseIndex lookup
-    per draw; both ways give the same numbers."""
+    Every draw is tested with one lookup in one _BaseIndex of the avoided
+    numbers.  One number (a recipe's generic fibre) is the seed's first
+    draw, read from a cache of the last 256 seeds (_first_uniforms); more
+    numbers, and one whose first draw is blocked, come from a seeded loop.
+    Both ways give the same numbers."""
     # a distance is below _CLEARANCE exactly when it is at most the float below it
     near = math.nextafter(_CLEARANCE, 0.0)
     avoided = list(avoid) + [p for p, _ in surface.multiple_fibres]
+    forbidden = _BaseIndex(surface, near, [(p, None) for p in avoided]) if avoided else None
     tate = surface.base.tate
     if count == 1:
         b = _candidate(tate, *_first_uniforms(seed))
-        tau = _base_tau(surface)
-        try:
-            if not any(_same_base_number(tau, near, b, p) for p in avoided):
-                return [b]
-        except OverflowError:  # abs() left the float range; the index never compares far points
-            pass
-    forbidden = _BaseIndex(surface, near, [(p, None) for p in avoided]) if avoided else None
+        if not (forbidden and forbidden.matches(b)):
+            return [b]
     rng = random.Random(seed)
     out: list[complex] = []
     trials = 0
@@ -426,10 +423,6 @@ class NSClass(Record):
 
     def scale(self, k: int) -> "NSClass":
         return NSClass(tuple(k * a for a in self.torsion), tuple(k * a for a in self.hom))
-
-    @staticmethod
-    def zero(torsion_rank: int, hom_rank: int) -> "NSClass":
-        return NSClass((0,) * torsion_rank, (0,) * hom_rank)
 
 
 def _same_shape(a: NSClass, b: NSClass) -> None:

@@ -412,7 +412,11 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
     half-period shifts w0 + b/2 and -w0 + b/2.  Newton iteration on the
     series itself polishes the start until the residual is below
     max(eps 1e-3, 1e-13) (1 + |value|); the root is then completed with
-    its inverse.  An empty list means no start converged, or a NaN value.
+    its inverse.  A start that never meets that bound is kept if its last
+    residual is within 4 |x'(u)| |u| 2^-52, the rounding floor of x near
+    u, where a step falls below an ulp of u (near the identity class
+    across the seam on tau = 100).  An empty list means no start
+    converged, or a NaN value.
     """
     at = abs(curve.tau)
     if cmath.isinf(value):
@@ -458,6 +462,8 @@ def x_preimages(value: complex, curve: CurveParam, tol: Tolerance = DEFAULT_TOL)
             if dx == 0:
                 break
             u = u - f / dx
+        else:  # no step converged: a residual at the rounding floor of x near u is a root
+            ok = abs(f) <= 4.0 * abs(dx) * abs(u) * 2.0**-52
         if not ok:
             continue
         pt = TatePoint(u, curve)

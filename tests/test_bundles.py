@@ -131,6 +131,10 @@ def test_extension_validation():
         trivial_extension(S0, zero_cycle=((0.5, 1), (0.5, 2)))
     with pytest.raises(ValueError):
         trivial_extension(S0, zero_cycle=((0.5, 0),))
+    # the record tells its points apart as the numbers complex() makes of them
+    for a, b in [("0.5+1j", "0.5+1j"), ("0.5+1j", "(0.5+1j)"), ("2", 2)]:
+        with pytest.raises(ValueError, match="zero-cycle points must be distinct"):
+            trivial_extension(S0, zero_cycle=((a, 1), (b, 1)))
 
 
 def test_extension_stores_its_quotient_section():

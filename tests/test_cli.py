@@ -405,27 +405,46 @@ def test_push_that_does_not_fit_its_surface_is_a_schema_error(tmp_path, capsys, 
     assert body == {"schema": 1, "error": error, "exit_code": EX_SCHEMA}
 
 
+# a declared cover over a rational base, which has no trace map to evaluate there
+DECLARED_RATIONAL_PUSH = {
+    "schema": 1,
+    "surface": {"genus": 0, "tau": [3, 0], "lattice": {"rank": 0, "gram": []}},
+    "bundle": {
+        "spectral_push": {
+            "bisection": {"irreducible": {}},
+            "delta": {"section": {"constant": [1.5, 0.2], "hom": []}},
+        }
+    },
+}
+
+
 @pytest.mark.parametrize("flags", [(), ("--verify", "50")], ids=["cover", "verified-cover"])
 def test_rational_push_on_a_declared_cover_is_a_schema_error(tmp_path, capsys, flags):
-    # a declared cover has no trace map to evaluate over a rational base;
     # verifying it once failed at the first fibre and exited 70
-    doc = {
-        "schema": 1,
-        "surface": {"genus": 0, "tau": [3, 0], "lattice": {"rank": 0, "gram": []}},
-        "bundle": {
-            "spectral_push": {
-                "bisection": {"irreducible": {}},
-                "delta": {"section": {"constant": [1.5, 0.2], "hom": []}},
-            }
-        },
-    }
-    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc, *flags)
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", DECLARED_RATIONAL_PUSH, *flags)
     assert code == EX_SCHEMA
     assert body == {
         "schema": 1,
         "error": "bundle: over a rational base the bisection needs a trace map, not a declared cover",
         "exit_code": EX_SCHEMA,
     }
+
+
+@pytest.mark.parametrize(
+    "doc", [DECLARED_RATIONAL_PUSH, golden_push(hom=[1])], ids=["declared-cover", "rational-hom-determinant"]
+)
+def test_the_decoder_refuses_a_push_that_does_not_fit_its_surface(tmp_path, capsys, doc):
+    # the fit is decided where the bundle is decoded, with the text the command line prints
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert code == EX_SCHEMA
+    surface = decode_surface(doc["surface"])
+    with pytest.raises(SchemaError) as refused:
+        decode_bundle(doc["bundle"], surface)
+    assert str(refused.value) == body["error"]
+    recipe = {"base": doc["bundle"], "base_delta": "1/2", "generic_fibre": [0.3, 0.1], "modification_steps": 0}
+    with pytest.raises(SchemaError) as refused:
+        decode_recipe(recipe, surface)
+    assert str(refused.value) == body["error"].replace("bundle:", "recipe.base:", 1)
 
 
 def test_push_with_a_given_norm_verifies(tmp_path, capsys):
@@ -931,16 +950,26 @@ def test_request_work_is_linear_in_list_length(tmp_path, capsys, monkeypatch, pa
 
 
 @pytest.mark.parametrize(
-    "name, indexes, adds, normalised",
+    "name, indexes, adds, normalised, extra_point",
     [
         # a push under two modifications: the modification check, the
         # plan and the sampler's clearance index
-        ("spectral-cover-g0-push-chain-verify", 3, 4, 4),
+        ("spectral-cover-g0-push-chain-verify", 3, 4, 4, None),
         # an extension with a zero cycle and a mark, under a modification
-        ("spectral-cover-g1-elem-mod-verify", 3, 5, 6),
+        ("spectral-cover-g1-elem-mod-verify", 3, 5, 6, None),
+        # the same with a second cycle point: the decoder tells the points
+        # apart by class and the record by number, each from numbers it has
+        ("spectral-cover-g1-elem-mod-verify", 5, 11, 8, [[0.6, -0.9], 1]),
+    ],
+    ids=[
+        "spectral-cover-g0-push-chain-verify-3-4-4",
+        "spectral-cover-g1-elem-mod-verify-3-5-6",
+        "spectral-cover-g1-elem-mod-verify-two-cycle-points",
     ],
 )
-def test_a_verified_cover_request_files_each_point_once(tmp_path, capsys, monkeypatch, name, indexes, adds, normalised):
+def test_a_verified_cover_request_files_each_point_once(
+    tmp_path, capsys, monkeypatch, name, indexes, adds, normalised, extra_point
+):
     # one plan per request serves jump merging and fibre restriction: the
     # same points are not normalised and filed again for each
     calls = {"index": 0, "add": 0, "base_point": 0}
@@ -955,6 +984,8 @@ def test_a_verified_cover_request_files_each_point_once(tmp_path, capsys, monkey
         if getattr(module, "base_point", None) is base_point:
             monkeypatch.setattr(module, "base_point", counted("base_point", base_point))
     doc = json.loads((GOLDEN / f"{name}.request.json").read_text(encoding="utf-8"))
+    if extra_point:
+        doc["bundle"]["elem_mod"]["parent"]["extension"]["Z"].append(extra_point)
     code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
     assert code == EX_OK and body["verification"]["samples"] == 50
     assert calls == {"index": indexes, "add": adds, "base_point": normalised}

@@ -1,14 +1,15 @@
 """Every name the package defines is read by code outside its own definition.
 
-The names checked are the ones src/ellspec/__init__.py imports and every
-module-level def, class and assignment of the other package modules,
-private ones included.  Each must be read by code in a module of the
-package, a script, the benchmark, or the acceptance tests: loaded as a
-name or an attribute, outside the def, class or assignment that defines
-it, or imported by a file outside the package.  Being imported by
-__init__.py does not count, nor does a word in a docstring or a comment.
-Unit tests do not count either: a name that only its own tests call has
-no consumer.
+The names checked are the ones src/ellspec/__init__.py imports, every
+module-level def, class and assignment of the other package modules, and
+every method and property their classes define, private ones included and
+dunder methods aside; a member is read by its attribute name.  Each must
+be read by code in a module of the package, a script, the benchmark, or
+the acceptance tests: loaded as a name or an attribute, outside the def,
+class or assignment that defines it, or imported by a file outside the
+package.  Being imported by __init__.py does not count, nor does a word
+in a docstring or a comment.  Unit tests do not count either: a name
+that only its own tests call has no consumer.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def module_level_names() -> set[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names.update(t.id for t in targets if isinstance(t, ast.Name))
     return names
+
+
+def class_members() -> dict[str, str]:
+    """Each method and property of a package class, dunders aside, as
+    "Class.name" keyed to the attribute name code reads it by."""
+    members = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        members[f"{node.name}.{item.name}"] = item.name
+    return members
 
 
 # Kept for the planned `ellspec replay` command (ROADMAP item 5), which
@@ -106,6 +122,12 @@ def test_every_export_is_referenced():
 
 def test_every_module_level_definition_is_referenced():
     assert sorted(unreferenced(module_level_names())) == sorted(AWAITING_CONSUMER)
+
+
+def test_every_class_member_is_referenced():
+    members = class_members()
+    missing = unreferenced(set(members.values()))
+    assert sorted(qualified for qualified, name in members.items() if name in missing) == []
 
 
 # Base numbers are compared, filed and drawn in surface alone; bundles

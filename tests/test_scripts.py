@@ -38,6 +38,7 @@ def run_script(script: str, args) -> subprocess.CompletedProcess:
         ("quotient_profile.py", ("--tau", "1e10", "--samples", "20")),
         ("reply_digest.py", ("--workload", "cover-verify", "--seeds", "1")),
         ("reply_digest.py", ("--workload", "verdict-batch", "--seeds", "1")),
+        ("reply_digest.py", ("--mutated", "30")),
     ],
 )
 def test_script_runs(script, args):

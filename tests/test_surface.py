@@ -611,7 +611,6 @@ def test_ns_class_arithmetic():
     assert a - b == NSClass((1, 1), (4,))
     assert -a == NSClass((-1, -2), (-3,))
     assert a.scale(2) == NSClass((2, 4), (6,))
-    assert NSClass.zero(2, 1) == NSClass((0, 0), (0,))
     with pytest.raises(ValueError):
         a + NSClass((1,), (1,))
 

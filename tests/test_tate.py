@@ -19,7 +19,7 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellspec import tate
@@ -462,6 +462,9 @@ def mp_branch_values(tau: complex) -> tuple[complex, ...]:
     radial=st.floats(0.0, 1.0, exclude_max=True),
     angular=st.floats(-1.0, 1.0),
 )
+# near the identity class across the seam Newton's step falls below an ulp
+# of u while the residual stays above the convergence bound
+@example(tau=100.0, radial=0.99999, angular=0.0)
 def test_x_preimages_returns_the_inversion_pair(tau, radial, angular):
     # arg u = pi angular^3 spends most draws near arg u = 0, where x on a
     # curve close to |tau| = 1 is not yet flat
@@ -481,6 +484,17 @@ def test_x_preimages_returns_the_inversion_pair(tau, radial, angular):
         assert min(class_distance(f, q) for f in found) <= radius
     for f in found:
         assert abs(mp_quotient_x(f.rep, tau) - want) <= 1e-7 * scale
+
+
+def test_x_preimages_inverts_a_point_closer_to_the_identity_across_the_seam():
+    # the property test's own assumptions keep this point out: it is within
+    # 1e-3 of the identity class, and its x is at the rounding floor near u
+    curve = CurveParam(100.0)
+    p = TatePoint(100.0**0.999999, curve)
+    found = x_preimages(quotient_x(p), curve)
+    assert len(found) == 2
+    for q in (p, group_inv(p)):
+        assert min(class_distance(f, q) for f in found) <= 1e-12
 
 
 @pytest.mark.parametrize("tau", [3.0, 2j, 1.5])
