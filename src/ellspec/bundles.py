@@ -3,36 +3,29 @@
 A bundle is presented as an extension of a twisted ideal sheaf by a line
 bundle, as the direct image of a line bundle on an irreducible spectral
 bisection, or as a chain of elementary modifications along smooth
-fibres.  A chain is one flat record, its root (an extension or a push)
-and its (fibre, steps) pairs, innermost first; _unwind reads that split
-off any presentation, and every consumer works from it.
-Each presentation determines Chern data exactly; restriction to a smooth
-fibre determines a split, non-split, or unstable isomorphism type whose
-determinant is the fibre value of the determinant bundle.  Whether a
-spectral push fits its surface (constant determinant and a trace map
-over a rational base, invariant bisection) is decided by
-check_spectral_push on the root of a presentation.  chern_data and
-spectral_cover each run it before any other work, and the decoder
-(schemas.decode_bundle) runs it last on every presentation it reads, to
-report a misfit as a schema error; fibre evaluation compares nothing.
+fibres: one flat record of a root (an extension or a push) and its
+(fibre, steps) pairs, innermost first, which _unwind reads off any
+presentation.  Each presentation determines Chern data exactly;
+restriction to a smooth fibre determines a split, non-split, or unstable
+isomorphism type whose determinant is the fibre value of the determinant
+bundle.  This module works with presentations only; every question about
+a bisection's internals is answered by jacobian.  Whether a push fits its
+surface is decided there (_check_push_fit), on the root, by
+check_spectral_push, which chern_data and spectral_cover run first and
+the decoder (schemas.decode_bundle) runs last, to report a misfit as a
+schema error.
 
 A spectral-cover request resolves once what no fibre changes.  One plan
-(_FibrePlan) files each base point, normalised once, with its tag in one
-surface._BaseIndex and merges the jump fibres in that pass; one
-evaluator (jacobian._cover_evaluator) gives a root's two values, an
-extension's from its sub and quotient sections, and the cover's two
-classes, and takes a pair of sections over a rational base once.  A
-fibre then pays one index lookup and the complex arithmetic of what
-moves (power and trace maps, twists), and verification reuses its
-residuals while the next fibres repeat its values and cover classes, so
-a bundle whose values and classes stay put (every extension over a
-rational base) is scored once.
-
-The spectral cover of a presentation records, per fibre, the classes
-whose twist makes first cohomology jump: these are the inverses of the
-restriction's sub-line-bundle values.  The cover therefore has the
-inverse determinant as its norm, and is invariant under the involution
-of that dual section by construction.
+(_FibrePlan) files each base point, normalised once, in one
+surface._BaseIndex, merges the jump fibres in that pass, and holds the
+root's bisection: an extension's sub and quotient sections, or a push's
+cover.  A fibre then pays one index lookup and the arithmetic of what
+moves (jacobian._cover_evaluator), and verification rescores no fibre
+whose values and cover classes repeat the last.  The cover records, per
+fibre, the classes whose twist makes first cohomology jump, the inverses
+of the sub-line-bundle values: it is the dual of the plan's bisection
+(jacobian._dual_bisection), invariant under the involution of the dual
+determinant by construction.
 """
 
 from __future__ import annotations
@@ -43,15 +36,14 @@ from functools import cached_property
 
 from .jacobian import (
     Bisection,
-    DoubleCoverData,
-    RationalMap,
     SectionOfJ,
+    _branch_fibres,
+    _check_push_fit,
     _cover_evaluator,
-    branch_points_numeric,
+    _dual_bisection,
+    _dual_section,
     graph_self_intersection,
     involution_on_section,
-    irreducible_bisection,
-    is_invariant_bisection,
     reducible_bisection,
     section_pairing,
     zero_section,
@@ -79,7 +71,6 @@ from .tate import (
     Tolerance,
     _canonical_rep,
     _class_distance,
-    group_inv,
 )
 
 
@@ -221,20 +212,17 @@ def _unwind(bundle: RankTwoBundle) -> tuple[ChainRoot, tuple[tuple[complex, int]
 
 def check_spectral_push(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> None:
     """Raise ValueError unless a presentation whose root is a spectral push
-    fits the surface: over a rational base the determinant is constant and
-    the cover has a trace map, and is_invariant_bisection holds (a given
-    norm map is a constant in the class of the determinant's value).  Any
-    other root passes."""
+    fits the surface (jacobian._check_push_fit); any other root passes."""
     push, _ = _unwind(bundle)
-    if not isinstance(push, SpectralPushBundle):
-        return
-    if surface.base.genus == 0:
-        if any(push.determinant.section.hom):
-            raise ValueError("over a rational base the determinant section is constant")
-        if push.cover.cover.trace is None:
-            raise ValueError("over a rational base the bisection needs a trace map, not a declared cover")
-    if not is_invariant_bisection(push.cover, push.determinant.section, surface, tol):
-        raise ValueError("bisection is not invariant under the involution")
+    if isinstance(push, SpectralPushBundle):
+        _check_push_fit(push.cover, push.determinant.section, surface, tol)
+
+
+def _root_bisection(root: ChainRoot) -> Bisection:
+    """A root's bisection: an extension's sub and quotient sections, a push's cover."""
+    if isinstance(root, ExtensionBundle):
+        return reducible_bisection(root.sub.section, root.quotient)
+    return root.cover
 
 
 def chern_data(bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance = DEFAULT_TOL) -> ChernData:
@@ -283,16 +271,17 @@ class _FibrePlan:
     _BaseIndex as (tag, jump): its cycle length, "modified", "multiple" or
     "mark", and the [number, multiplicity] jump it heads, else None.  A
     cycle point or modified fibre joins the earliest head it matches, else
-    heads a new jump.  The glue tolerance, and whether a fibre must be
-    marked to glue, are taken here; the root's evaluator (_cover_evaluator,
-    of an extension's sub and quotient sections as a bisection), and the
-    values of an extension over a rational base with their class distance
-    (fixed_values), at the first fibre that needs them.  A fibre then costs
-    one lookup and the complex arithmetic of the values that move.
+    heads a new jump.  The root's bisection (_root_bisection), the glue
+    tolerance, and whether a fibre must be marked to glue, are taken here;
+    the bisection's evaluator, and the values of an extension over a
+    rational base with their class distance (fixed_values), at the first
+    fibre that needs them.  A fibre then costs one lookup and the complex
+    arithmetic of the values that move.
     """
 
     def __init__(self, bundle: RankTwoBundle, surface: SurfaceData, tol: Tolerance) -> None:
         self.root, chain = _unwind(bundle)
+        self.bisection = _root_bisection(self.root)
         self.surface, self.tol = surface, tol
         self.points = points = _BaseIndex(surface, tol.eps)
         extension = isinstance(self.root, ExtensionBundle)
@@ -316,10 +305,7 @@ class _FibrePlan:
 
     @cached_property
     def evaluate(self) -> Callable[[complex], tuple[complex, complex]]:
-        root = self.root
-        extension = isinstance(root, ExtensionBundle)
-        bis = reducible_bisection(root.sub.section, root.quotient) if extension else root.cover
-        return _cover_evaluator(bis, root.determinant.section, self.surface)
+        return _cover_evaluator(self.bisection, self.root.determinant.section, self.surface)
 
     @cached_property
     def fixed_values(self) -> tuple[complex, complex, float]:
@@ -337,8 +323,7 @@ class _FibrePlan:
         decides.  An extension is unstable on its zero cycle and glues
         its sub and quotient values where they coincide on a marked fibre.
         A cover's values glue at square-root tolerance, the sensitivity of
-        a double root at a branch point.  The caller checks a spectral push
-        against its surface first (check_spectral_push).
+        a double root at a branch point.  The caller checks a push's fit.
         """
         hits = self.points.matches(x) if self.points else ()
         if hits:
@@ -395,34 +380,6 @@ class SpectralVerificationError(RuntimeError):
     """Numeric cross-check of the cover against fibre restrictions failed."""
 
 
-def _dual_section(s: SectionOfJ) -> SectionOfJ:
-    return SectionOfJ(group_inv(s.constant), tuple(-h for h in s.hom))
-
-
-def _cover_parts(plan: _FibrePlan) -> tuple[Bisection, tuple[tuple[complex, int], ...], SectionOfJ]:
-    root = plan.root
-    if isinstance(root, ExtensionBundle):
-        bis = reducible_bisection(_dual_section(root.sub.section), _dual_section(root.quotient))
-    else:
-        cover = root.cover.cover
-        if plan.surface.base.genus == 0:  # check_spectral_push saw a trace map
-            # the product of the fibre values: the given (constant) norm,
-            # else the determinant's representative
-            n = cover.norm(0j) if cover.norm is not None else root.determinant.section.constant.rep
-            inv_trace = RationalMap(tuple(c / n for c in cover.trace.num), cover.trace.den)
-            # The fibre values invert, so trace and norm divide by that
-            # product; its reciprocal usually leaves the fundamental
-            # annulus, hence the explicit norm map.
-            cover = DoubleCoverData(
-                inv_trace,
-                cover.branch_points,
-                cover.declared_self_intersection,
-                norm=RationalMap((1.0 / n,)),
-            )
-        bis = irreducible_bisection(cover)
-    return bis, plan.jumps, _dual_section(root.determinant.section)
-
-
 def spectral_cover(
     bundle: RankTwoBundle,
     surface: SurfaceData,
@@ -431,21 +388,16 @@ def spectral_cover(
     verify_samples: int = 0,
     seed: int = 0,
 ) -> SpectralCover:
-    """Spectral cover of a presentation.
-
-    The bisection records, over each base point, the inverse classes of
-    the restriction's sub-line-bundle values (the classes whose twist has
-    nonzero first cohomology); its norm is therefore the inverse of the
-    determinant, and that dual section rides along for invariance
-    checks.  Jump fibres collect the zero cycle and every modified
-    fibre.  One plan (_FibrePlan), built once a spectral push is checked
-    against the surface, gives the jump fibres and, with verify_samples >
-    0, the restrictions the cover is checked against at sampled fibres
-    (_verify_cover); multiple fibres are never sampled and stay untracked.
+    """Spectral cover of a presentation: the dual of its plan's bisection,
+    whose norm is the dual determinant that rides along; the jump fibres
+    (the zero cycle and every modified fibre); and, with verify_samples >
+    0, the check against the plan's restrictions at sampled fibres
+    (_verify_cover).  Multiple fibres are never sampled nor tracked.
     """
     check_spectral_push(bundle, surface, tol)
     plan = _FibrePlan(bundle, surface, tol)
-    parts = _cover_parts(plan)
+    delta = plan.root.determinant.section
+    parts = _dual_bisection(plan.bisection, delta, surface), plan.jumps, _dual_section(delta)
     cover = SpectralCover(*parts)
     if verify_samples > 0:
         cover = SpectralCover(*parts, verify_samples, _verify_cover(plan, cover, verify_samples, seed))
@@ -534,11 +486,9 @@ def spectral_accounting(
 
 def _modification_check(root: ChainRoot, surface: SurfaceData, tol: Tolerance) -> Callable[[complex], None]:
     """ValueError at a fibre that root may not be modified along: a multiple
-    fibre, or a branch point of a push's trace map over a rational base."""
+    fibre, or a fibre its bisection branches over (jacobian._branch_fibres)."""
     multiple = _BaseIndex(surface, tol.eps, surface.multiple_fibres)
-    cover = root.cover.cover if isinstance(root, SpectralPushBundle) and surface.base.genus == 0 else None
-    concrete = cover is not None and cover.trace is not None
-    branch = branch_points_numeric(cover, root.determinant.section, surface) if concrete else ()
+    branch = _branch_fibres(_root_bisection(root), root.determinant.section, surface)
 
     def check(bc: complex) -> None:
         if multiple.matches(bc):

@@ -7,7 +7,10 @@ the difference.  The determinant involution (b, l) -> (b, delta_b / l)
 folds the Jacobian onto a ruled surface; bisections invariant under it
 are either a pair of sections exchanged by the involution or a genuine
 double cover of the base, stored over a rational base by the trace map
-of its fibrewise quadratic relation l^2 - t(b) l + delta_b = 0.
+of its fibrewise quadratic relation l^2 - t(b) l + delta_b = 0.  Every
+reading of a bisection's internals lives here: its fibre values, its
+invariance and a push's fit, its dual (the spectral cover of a push or
+an extension), its self-intersection and its branch fibres.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .tate import (
     Tolerance,
     _canonical_rep,
     _point_rep,
+    group_inv,
     identity,
     points_equal,
 )
@@ -131,6 +135,10 @@ def involution_on_section(section: SectionOfJ, delta: SectionOfJ) -> SectionOfJ:
     const = TatePoint(delta.constant.rep / section.constant.rep, delta.constant.curve)
     hom = tuple(d - s for d, s in zip(delta.hom, section.hom))
     return SectionOfJ(const, hom)
+
+
+def _dual_section(s: SectionOfJ) -> SectionOfJ:
+    return SectionOfJ(group_inv(s.constant), tuple(-h for h in s.hom))
 
 
 class RationalMap(Record):
@@ -248,6 +256,26 @@ def irreducible_bisection(cover: DoubleCoverData) -> Bisection:
     return Bisection(cover=cover)
 
 
+def _constant_norm(cover: DoubleCoverData, delta: SectionOfJ) -> complex:
+    """A concrete rational-base cover's norm: its map at 0, else delta's."""
+    return cover.norm(0j) if cover.norm is not None else delta.constant.rep
+
+
+def _dual_bisection(bis: Bisection, delta: SectionOfJ, surface: SurfaceData) -> Bisection:
+    """The inverse classes of an invariant bisection of delta: the dual
+    sections of a pair; over a rational base a concrete cover's trace and
+    norm divided by its norm n, whose reciprocal usually leaves the
+    fundamental annulus, hence the explicit norm map; any other cover."""
+    if bis.is_reducible:
+        return reducible_bisection(*map(_dual_section, bis.components))
+    cover = bis.cover
+    if cover.trace is None or surface.base.genus != 0:
+        return bis
+    n, branch, declared = _constant_norm(cover, delta), cover.branch_points, cover.declared_self_intersection
+    inv_trace = RationalMap(tuple(c / n for c in cover.trace.num), cover.trace.den)
+    return irreducible_bisection(DoubleCoverData(inv_trace, branch, declared, RationalMap((1.0 / n,))))
+
+
 def _cover_evaluator(
     bis: Bisection, delta: SectionOfJ, surface: SurfaceData
 ) -> Callable[[complex], tuple[complex, complex]]:
@@ -255,7 +283,7 @@ def _cover_evaluator(
     base number, resolved once (see _section_evaluator); the values are
     canonical representatives.
 
-    The caller guarantees invariance (bundles.check_spectral_push), so a
+    The caller guarantees invariance (_check_push_fit), so a
     given norm map is a nonzero finite constant, used as it stands, and
     without one the determinant is constant over the rational base; the
     norm is resolved when the evaluator is built.
@@ -307,7 +335,8 @@ def is_invariant_bisection(
     class of delta's (constant) value, and otherwise this returns False.
     No fibre is sampled.  Declared covers (abstract base) are trusted,
     since their fibrewise relation has delta as its norm by construction.
-    bundles.check_spectral_push runs this test for every spectral push.
+    _check_push_fit runs this test for every spectral push, and
+    graph_self_intersection for every bisection it measures.
     """
     if bis.is_reducible:
         s1, s2 = bis.components
@@ -319,10 +348,23 @@ def is_invariant_bisection(
     norm = bis.cover.norm
     if bis.cover.trace is None or surface.base.genus != 0 or norm is None:
         return True
-    n = norm(0j)
+    n = _constant_norm(bis.cover, delta)
     if norm.degree > 0 or any(delta.hom) or n == 0 or not cmath.isfinite(n):
         return False
     return points_equal(TatePoint(n, surface.fibre), delta.constant, tol)
+
+
+def _check_push_fit(bis: Bisection, delta: SectionOfJ, surface: SurfaceData, tol: Tolerance) -> None:
+    """ValueError unless a push of the irreducible bis with determinant delta
+    fits the surface: over a rational base delta is constant and the cover
+    has a trace map, and bis is invariant (is_invariant_bisection)."""
+    if surface.base.genus == 0:
+        if any(delta.hom):
+            raise ValueError("over a rational base the determinant section is constant")
+        if bis.cover.trace is None:
+            raise ValueError("over a rational base the bisection needs a trace map, not a declared cover")
+    if not is_invariant_bisection(bis, delta, surface, tol):
+        raise ValueError("bisection is not invariant under the involution")
 
 
 def graph_self_intersection(
@@ -427,12 +469,9 @@ def branch_points_numeric(cover: DoubleCoverData, delta: SectionOfJ, surface: Su
         raise ValueError("branch points are computed only for concrete rational-base covers")
     if any(delta.hom):
         raise ValueError("over a rational base the determinant section is constant")
-    if cover.norm is not None:
-        if cover.norm.degree > 0:
-            raise ValueError("branch analysis needs a constant norm map")
-        d0 = cover.norm(0.0 + 0.0j)
-    else:
-        d0 = delta.constant.rep
+    if cover.norm is not None and cover.norm.degree > 0:
+        raise ValueError("branch analysis needs a constant norm map")
+    d0 = _constant_norm(cover, delta)
     disc = [
         x - 4.0 * d0 * y
         for x, y in zip_longest(_poly_square(cover.trace.num), _poly_square(cover.trace.den), fillvalue=0j)
@@ -445,6 +484,14 @@ def branch_points_numeric(cover: DoubleCoverData, delta: SectionOfJ, surface: Su
     while abs(disc[-1]) <= 1e-10 * scale:
         disc.pop()
     return _poly_roots(disc)
+
+
+def _branch_fibres(bis: Bisection, delta: SectionOfJ, surface: SurfaceData) -> list[complex]:
+    """The base numbers a bisection of delta branches over: a concrete cover's
+    over a rational base (branch_points_numeric), else none."""
+    if bis.is_reducible or bis.cover.trace is None or surface.base.genus != 0:
+        return []
+    return branch_points_numeric(bis.cover, delta, surface)
 
 
 def _poly_square(a: tuple[complex, ...]) -> list[complex]:

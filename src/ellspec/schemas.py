@@ -325,7 +325,10 @@ def decode_line_bundle(doc: Any, surface: SurfaceData, where: str = "line bundle
     section = decode_section(body.get("section"), surface, f"{where}.section")
     twist = _expect_int(body.get("base_twist", 0), f"{where}.base_twist")
     fibre_twists = _vector(body.get("fibre_twists", []), f"{where}.fibre_twists", _expect_int)
-    return LineBundleOnX(section, twist, fibre_twists)
+    bundle = LineBundleOnX(section, twist, fibre_twists)
+    if fibre_twists:  # chern_class refuses more twists than multiple fibres; none always fit
+        _domain(where, bundle.chern_class, surface.torsion_rank)
+    return bundle
 
 
 def encode_bundle(bundle: RankTwoBundle) -> dict:

@@ -430,13 +430,33 @@ def test_rational_push_on_a_declared_cover_is_a_schema_error(tmp_path, capsys, f
     }
 
 
+def wrapped(doc: dict) -> dict:
+    """doc with its bundle under one elem_mod level."""
+    return dict(doc, bundle={"elem_mod": {"parent": doc["bundle"], "fibre": [0.4, 0.3], "steps": 1}})
+
+
 @pytest.mark.parametrize(
-    "doc", [DECLARED_RATIONAL_PUSH, golden_push(hom=[1])], ids=["declared-cover", "rational-hom-determinant"]
+    "doc, error",
+    [
+        (DECLARED_RATIONAL_PUSH, "bundle: over a rational base the bisection needs a trace map, not a declared cover"),
+        (golden_push(hom=[1]), "bundle: over a rational base the determinant section is constant"),
+        (
+            wrapped(DECLARED_RATIONAL_PUSH),
+            "bundle: over a rational base the bisection needs a trace map, not a declared cover",
+        ),
+        # the modification check finds the misfit first, at the root's path
+        (
+            wrapped(golden_push(hom=[1])),
+            "bundle.elem_mod.parent: over a rational base the determinant section is constant",
+        ),
+    ],
+    ids=["declared-cover", "rational-hom-determinant", "elem-mod-over-declared-cover", "elem-mod-over-hom-determinant"],
 )
-def test_the_decoder_refuses_a_push_that_does_not_fit_its_surface(tmp_path, capsys, doc):
+def test_the_decoder_refuses_a_push_that_does_not_fit_its_surface(tmp_path, capsys, doc, error):
     # the fit is decided where the bundle is decoded, with the text the command line prints
     code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
     assert code == EX_SCHEMA
+    assert body["error"] == error
     surface = decode_surface(doc["surface"])
     with pytest.raises(SchemaError) as refused:
         decode_bundle(doc["bundle"], surface)
@@ -444,7 +464,21 @@ def test_the_decoder_refuses_a_push_that_does_not_fit_its_surface(tmp_path, caps
     recipe = {"base": doc["bundle"], "base_delta": "1/2", "generic_fibre": [0.3, 0.1], "modification_steps": 0}
     with pytest.raises(SchemaError) as refused:
         decode_recipe(recipe, surface)
-    assert str(refused.value) == body["error"].replace("bundle:", "recipe.base:", 1)
+    assert str(refused.value) == "recipe.base" + error.removeprefix("bundle")
+
+
+def test_a_line_bundle_with_more_fibre_twists_than_multiple_fibres_is_a_schema_error(tmp_path, capsys):
+    # the surface has no multiple fibre; the cover was once answered in full
+    doc = json.loads((GOLDEN / "spectral-cover-reducible.request.json").read_text(encoding="utf-8"))
+    doc["bundle"]["extension"]["D"]["fibre_twists"] = [1, 2, 3]
+    error = "more fibre twists than the surface has multiple fibres"
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc)
+    assert code == EX_SCHEMA
+    assert body == {"schema": 1, "error": f"bundle.extension.D: {error}", "exit_code": EX_SCHEMA}
+    recipe = {"base": doc["bundle"], "base_delta": "1/2", "generic_fibre": [0.3, 0.1], "modification_steps": 0}
+    with pytest.raises(SchemaError) as refused:
+        decode_recipe(recipe, decode_surface(doc["surface"]))
+    assert str(refused.value) == f"recipe.base.extension.D: {error}"
 
 
 def test_push_with_a_given_norm_verifies(tmp_path, capsys):

@@ -159,3 +159,30 @@ def test_base_numbers_stay_in_surface():
         if named := identifiers(path) & private:
             crossings[path.name] = sorted(named)
     assert crossings == {}
+
+
+# A bisection's internals are read in jacobian alone, and in the codec that
+# writes and reads them; bundles works with whole bisections, and leaves
+# testing, building and dualising an irreducible one to jacobian.
+COVER_ONLY = {
+    "DoubleCoverData",
+    "RationalMap",
+    "branch_points_numeric",
+    "trace",
+    "norm",
+    "branch_points",
+    "declared_self_intersection",
+}
+
+
+def test_cover_fields_stay_in_jacobian():
+    crossings = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in {"jacobian.py", "schemas.py", "__init__.py"}:
+            continue
+        private = COVER_ONLY
+        if path.name == "bundles.py":
+            private = COVER_ONLY | {"is_invariant_bisection", "irreducible_bisection", "group_inv"}
+        if named := identifiers(path) & private:
+            crossings[path.name] = sorted(named)
+    assert crossings == {}
