@@ -273,9 +273,8 @@ class _FibrePlan:
     cycle point or modified fibre joins the earliest head it matches, else
     heads a new jump.  The root's bisection (_root_bisection), the glue
     tolerance, and whether a fibre must be marked to glue, are taken here;
-    the bisection's evaluator, and the values of an extension over a
-    rational base with their class distance (fixed_values), at the first
-    fibre that needs them.  A fibre then costs one lookup and the complex
+    the bisection's evaluator (jacobian._cover_evaluator) at the first
+    fibre that needs it.  A fibre then costs one lookup and the complex
     arithmetic of the values that move.
     """
 
@@ -285,7 +284,6 @@ class _FibrePlan:
         self.surface, self.tol = surface, tol
         self.points = points = _BaseIndex(surface, tol.eps)
         extension = isinstance(self.root, ExtensionBundle)
-        self.fixed = extension and surface.base.genus == 0  # every section is constant there
         self.glue_eps = tol.eps if extension else max(tol.eps, tol.eps**0.5)
         self.glues_unmarked = not extension or self.root.nonsplit_everywhere
         cycle = self.root.zero_cycle if extension else ()
@@ -307,12 +305,6 @@ class _FibrePlan:
     def evaluate(self) -> Callable[[complex], tuple[complex, complex]]:
         return _cover_evaluator(self.bisection, self.root.determinant.section, self.surface)
 
-    @cached_property
-    def fixed_values(self) -> tuple[complex, complex, float]:
-        """The two values of an extension over a rational base and their class distance."""
-        v1, v2 = self.evaluate(0j)
-        return v1, v2, _class_distance(v1, v2, self.surface.fibre.tau)
-
     def restrict(self, x) -> int | tuple[complex, complex, bool]:
         """The restriction to the smooth fibre over the base number x: the
         sub-degree if it is unstable, else the two value representatives
@@ -323,7 +315,8 @@ class _FibrePlan:
         decides.  An extension is unstable on its zero cycle and glues
         its sub and quotient values where they coincide on a marked fibre.
         A cover's values glue at square-root tolerance, the sensitivity of
-        a double root at a branch point.  The caller checks a push's fit.
+        a double root at a branch point.  Their class distance is taken only
+        where the fibre can glue.  The caller checks a push's fit.
         """
         hits = self.points.matches(x) if self.points else ()
         if hits:
@@ -335,12 +328,9 @@ class _FibrePlan:
             k = sum(h for h in hits if not isinstance(h, str))
             if k >= 1:
                 return k
-        if self.fixed:
-            v1, v2, close = self.fixed_values
-        else:
-            v1, v2 = self.evaluate(x)
-            close = _class_distance(v1, v2, self.surface.fibre.tau)
-        return v1, v2, close <= self.glue_eps and (self.glues_unmarked or "mark" in hits)
+        v1, v2 = self.evaluate(x)
+        glues = self.glues_unmarked or "mark" in hits
+        return v1, v2, glues and _class_distance(v1, v2, self.surface.fibre.tau) <= self.glue_eps
 
 
 class SpectralCover(Record):
@@ -420,14 +410,15 @@ def _verify_cover(plan: _FibrePlan, cover: SpectralCover, samples: int, seed: in
     At each sampled fibre, every restriction value v must have a cover
     class a whose twist v a is the identity class, i.e. makes first
     cohomology jump, within ten times tol.eps.  Per request, the plan the
-    cover was built from and the cover's evaluator, resolved at the first
-    fibre that is not unstable, bind all that no fibre moves; per fibre,
-    the plan gives the restriction from one index lookup and the cover its
-    two classes.  Base points, values and twists stay canonical annulus
-    representatives; a twist's residual is the class distance of its
-    representative to 1, and no point object is built.  A residual that is
-    not within the jump tolerance (NaN included) raises
-    SpectralVerificationError.
+    cover was built from and the plan's and the cover's evaluators, built
+    at the first fibre that is not unstable with each constant (a push's
+    norm, a section over a rational base) read once, bind all that no
+    fibre moves; per fibre, the plan gives the restriction from one index
+    lookup and the cover its two classes.  Base points, values and twists
+    stay canonical annulus representatives; a twist's residual is the
+    class distance of its representative to 1, and no point object is
+    built.  A residual that is not within the jump tolerance (NaN
+    included) raises SpectralVerificationError.
 
     A fibre whose values and cover classes equal those of the last scored
     fibre (every fibre of an extension over a rational base) reuses that

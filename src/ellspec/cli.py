@@ -474,24 +474,23 @@ _COMMANDS = {
 }
 
 
-def _run_one(handler, doc: Any, args: SimpleNamespace) -> tuple[dict, int]:
+def _run_one(handler, doc: Any, args: SimpleNamespace, newline: str = "\n") -> tuple[dict, int, str]:
     """One request through the preamble every command shares (version,
-    options, surface) and then its handler, failures mapped to exit codes."""
+    options, surface) and then its handler, failures mapped to exit codes;
+    with the reply, its code and its text (_dump at newline).  A reply that
+    cannot be written, such as an int past Python's digit limit, fails."""
     try:
         check_version(doc)
         opts = _merge_options(args, doc)
         surface = decode_surface(doc.get("surface"))
-        return handler(doc, args, opts, surface)
+        body, code = handler(doc, args, opts, surface)
+        return body, code, _dump(body, newline)
     except SchemaError as exc:
-        return (
-            {"schema": SCHEMA_VERSION, "error": str(exc), "exit_code": EX_SCHEMA},
-            EX_SCHEMA,
-        )
+        error, code = exc, EX_SCHEMA
     except (ValueError, RuntimeError, AssertionError, ZeroDivisionError, OverflowError) as exc:
-        return (
-            {"schema": SCHEMA_VERSION, "error": str(exc), "exit_code": EX_FAILURE},
-            EX_FAILURE,
-        )
+        error, code = exc, EX_FAILURE
+    body = {"schema": SCHEMA_VERSION, "error": str(error), "exit_code": code}
+    return body, code, _dump(body, newline)
 
 
 # Every flag of every subcommand: its type, applied to the value as argparse
@@ -598,16 +597,16 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(doc, list):
             print("error: --batch input must be a JSON array", file=sys.stderr)
             return EX_SCHEMA
-        outputs, codes = [], [EX_OK]
-        for item in doc:
-            body, code = _run_one(handler, item, args)
-            outputs.append(body)
+        texts, codes = [], [EX_OK]
+        for item in doc:  # each item's text indented as _dump indents a list item
+            _, code, text = _run_one(handler, item, args, "\n  ")
+            texts.append(text)
             codes.append(code)
-        reply, code = outputs, max(codes)
+        code, text = max(codes), "[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]"
     else:
-        reply, code = _run_one(handler, doc, args)
+        reply, code, text = _run_one(handler, doc, args)
     try:
-        _emit(reply, args.output)
+        _emit(text, args.output)
     except OSError as exc:
         # an --output that cannot be written is a bad command line
         print(f"error: cannot write output: {exc}", file=sys.stderr)
@@ -672,8 +671,7 @@ def _dump(value: Any, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(body: Any, path: str | None) -> None:
-    text = _dump(body)
+def _emit(text: str, path: str | None) -> None:
     if not path:
         print(text)
         return

@@ -284,9 +284,9 @@ def _cover_evaluator(
     canonical representatives.
 
     The caller guarantees invariance (_check_push_fit), so a
-    given norm map is a nonzero finite constant, used as it stands, and
-    without one the determinant is constant over the rational base; the
-    norm is resolved when the evaluator is built.
+    given norm map is a nonzero finite constant, and without one the
+    determinant is constant over the rational base; the norm is read once,
+    at 0, when the evaluator is built.
     """
     if bis.is_reducible:
         first, second = (_section_evaluator(s, surface) for s in bis.components)
@@ -300,13 +300,12 @@ def _cover_evaluator(
     if surface.base.genus != 0:
         raise ValueError("trace maps are concrete only over a rational base")
     fibre = surface.fibre
-    norm = cover.norm if cover.norm is not None else _section_evaluator(delta, surface)
+    d = cover.norm(0j) if cover.norm is not None else _section_evaluator(delta, surface)(0j)
 
     def values(b) -> tuple[complex, complex]:
         t = cover.trace(complex(b))
         if cmath.isinf(t):
             raise ValueError(f"trace map has a pole at {b!r}")
-        d = norm(complex(b))
         disc = t * t - 4.0 * d
         s = cmath.sqrt(disc)
         r1 = (t + s) / 2.0 if abs(t + s) >= abs(t - s) else (t - s) / 2.0

@@ -680,6 +680,19 @@ def test_cover_verification_scores_repeated_values_once(bundle, scores, monkeypa
     assert counts == [scores, scores]
 
 
+def test_a_fibre_that_cannot_glue_takes_no_class_distance(monkeypatch):
+    # an extension not marked non-split glues nowhere, so the plan reads
+    # its two values and never their class distance
+    calls = []
+    distance = bundles_module._class_distance
+    monkeypatch.setattr(bundles_module, "_class_distance", lambda *a: calls.append(1) or distance(*a))
+    plan = _FibrePlan(G1_EXTENSION, S1U, Tolerance())
+    restrictions = [plan.restrict(x) for x in _sample_base_numbers(S1U, 50, 0, (1.7 + 0.4j,))]
+    assert sum(not isinstance(r, int) for r in restrictions) == 50
+    assert not any(glued for _, _, glued in restrictions)
+    assert calls == []
+
+
 def test_cover_verification_scores_every_distinct_value(monkeypatch):
     # on a genus-1 base a power-map section moves from fibre to fibre, so
     # no score is shared: both values meet both classes at every fibre

@@ -35,13 +35,14 @@ from ellspec.cli import (
     MAX_VERIFY_SAMPLES,
     _COMMANDS,
     _FLAGS,
+    _dump,
     _emit,
     _read_argv,
     _run_one,
     build_parser,
     main,
 )
-from ellspec.jacobian import DoubleCoverData, irreducible_bisection
+from ellspec.jacobian import DoubleCoverData, RationalMap, irreducible_bisection
 from ellspec.schemas import (
     SchemaError,
     decode_bisection,
@@ -248,7 +249,7 @@ def _recipe_requests(draw):
 def test_transcript_runs_from_the_base_to_the_request(request):
     doc, steps = request
     event("no steps" if steps == 0 else "steps")
-    body, code = _run_one(_COMMANDS["recipe"], doc, _read_argv(["recipe"]))
+    body, code, _ = _run_one(_COMMANDS["recipe"], doc, _read_argv(["recipe"]))
     assert code == EX_OK, body
     surface = decode_surface(doc["surface"])
     recipe = decode_recipe(body["recipe"], surface)
@@ -1025,6 +1026,18 @@ def test_a_verified_cover_request_files_each_point_once(
     assert calls == {"index": indexes, "add": adds, "base_point": normalised}
 
 
+def test_a_verified_push_reads_its_norm_map_once(tmp_path, capsys, monkeypatch):
+    # the dual cover's norm map is a constant, read once when its
+    # evaluator is built, not at each of the 30 fibres
+    calls = []
+    call = RationalMap.__call__
+    monkeypatch.setattr(RationalMap, "__call__", lambda m, b: calls.append(m) or call(m, b))
+    doc = json.loads((GOLDEN / "spectral-cover-irreducible.request.json").read_text(encoding="utf-8"))
+    code, body = run_cli(tmp_path, capsys, "spectral-cover", doc, "--verify", "30", "--seed", "7")
+    assert code == EX_OK and body["verification"]["samples"] == 30
+    assert sum(m.degree == 0 for m in calls) == 1
+
+
 def _nested(root, *levels):
     """root under one elem_mod level per (fibre, steps), innermost first."""
     for fibre, steps in levels:
@@ -1115,6 +1128,36 @@ def test_batch(tmp_path, capsys):
     req.write_text(json.dumps(g0_request(0)), encoding="utf-8")
     assert main(["exists", str(req), "--batch"]) == EX_SCHEMA
     capsys.readouterr()
+
+
+def test_a_reply_too_long_to_write_is_a_failed_computation(tmp_path, capsys):
+    # Python writes no int of more than 4,300 digits: such a reply exits 70
+    # like any failed computation, and in a batch only its own item fails
+    surface = dict(G2_SURFACE, lattice={"rank": 1, "gram": [[1]]})
+    big = {"torsion": [0], "hom": [10**2500]}
+    genus = {"schema": 1, "surface": surface, "chern": {"c1": big, "c2": 0}}
+    # exists: Delta has 4,300 digits, still writable, but modification_steps 4,301
+    wide = {"c1": {"torsion": [0], "hom": [15 * 10**2149]}, "c2": 0}
+    for command, doc in (
+        ("intersect", {"schema": 1, "surface": surface, "classes": [big, big]}),
+        ("genus", genus),
+        ("exists", dict(genus, chern=wide)),
+    ):
+        req = tmp_path / "request.json"
+        req.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(req)]) == EX_FAILURE, command
+        captured = capsys.readouterr()
+        body = json.loads(captured.out)
+        assert body["exit_code"] == EX_FAILURE and "integer string conversion" in body["error"]
+        assert captured.err == f"error: {body['error']}\n"
+    small = dict(genus, chern={"c1": {"torsion": [0], "hom": [1]}, "c2": 0})
+    req.write_text(json.dumps([genus, small, genus]), encoding="utf-8")
+    assert main(["genus", str(req), "--batch"]) == EX_FAILURE
+    captured = capsys.readouterr()
+    body = json.loads(captured.out)
+    assert captured.out == json.dumps(body, indent=2) + "\n" and captured.err == ""
+    assert [item.get("exit_code") for item in body] == [EX_FAILURE, None, EX_FAILURE]
+    assert body[1]["genus"] > 0
 
 
 def test_stdin_and_output_file(tmp_path, capsys, monkeypatch):
@@ -1412,7 +1455,7 @@ def test_direct_argv_reader_agrees_with_argparse(argv):
 def emitted(body) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit(body, None)
+        _emit(_dump(body), None)
     return out.getvalue()
 
 

@@ -11,6 +11,7 @@ fixed seed, must each end in bounded time with a documented exit code.
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import math
 import random
@@ -39,6 +40,19 @@ def test_golden_reply(case, capsys):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{case['name']}.reply.json").read_text(encoding="utf-8")
     assert code == case["exit_code"]
+
+
+def test_the_golden_generator_writes_these_fixtures():
+    # scripts/make_golden.py is the one source of the fixtures: its cases
+    # give cases.json's names and command lines, in order, and write each
+    # committed request byte for byte (imported, not run: write() is not called)
+    spec = importlib.util.spec_from_file_location("make_golden", GOLDEN.parent.parent / "scripts" / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    assert [(name, argv) for name, argv, _ in make_golden.CASES] == [(c["name"], c["argv"]) for c in CASES]
+    for name, _, request in make_golden.CASES:
+        committed = (GOLDEN / f"{name}.request.json").read_text(encoding="utf-8")
+        assert committed == json.dumps(request, indent=2) + "\n", name
 
 
 # ------------------------------------------------------------ request fuzz
