@@ -147,14 +147,15 @@ class ExtensionBundle(Record):
 
 
 class SpectralPushBundle(Record):
-    """Direct image of a line bundle on an irreducible invariant bisection."""
+    """Direct image of a line bundle on an irreducible invariant bisection;
+    its cover is a DoubleCoverData (jacobian)."""
 
     __slots__ = _fields = ("cover", "determinant")
     cover: Bisection
     determinant: LineBundleOnX
 
     def __init__(self, cover: Bisection, determinant: LineBundleOnX) -> None:
-        if cover.is_reducible:
+        if isinstance(cover, tuple):
             raise ValueError("spectral push bundles need an irreducible bisection")
         object.__setattr__(self, "cover", cover)
         object.__setattr__(self, "determinant", determinant)
@@ -461,9 +462,9 @@ def _verify_cover(plan: _FibrePlan, cover: SpectralCover, samples: int, seed: in
 
 def cover_base_intersections(cover: SpectralCover, lattice: HomLattice) -> int:
     """Intersection of the bisection with the zero section (reducible case)."""
-    if not cover.bisection.is_reducible:
+    if not isinstance(cover.bisection, tuple):
         raise ValueError("base intersections are computed for reducible covers only")
-    s1, s2 = cover.bisection.components
+    s1, s2 = cover.bisection
     return lattice.degree(s1.hom) + lattice.degree(s2.hom)
 
 

@@ -62,7 +62,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from .bundles import apply_modification_ledger, spectral_cover
 from .existence import Existence, Verdict, existence_verdict
 from .jacobian import SectionOfJ, genus_and_branching, involution_on_section
-from .records import Record
 from .schemas import (
     SCHEMA_VERSION,
     SchemaError,
@@ -85,7 +84,6 @@ from .surface import (
     self_intersection,
 )
 from .tate import (
-    DEFAULT_TOL,
     TatePoint,
     Tolerance,
     class_distance,
@@ -113,30 +111,7 @@ _STATUS_CODES = {
 }
 
 
-class Options(Record):
-    __slots__ = _fields = ("tol", "seed", "verify", "d", "enum_radius")
-    tol: Tolerance
-    seed: int
-    verify: int
-    d: int | None
-    enum_radius: int | None
-
-    def __init__(
-        self,
-        tol: Tolerance = DEFAULT_TOL,
-        seed: int = 0,
-        verify: int = 50,
-        d: int | None = None,
-        enum_radius: int | None = None,
-    ) -> None:
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "verify", verify)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "enum_radius", enum_radius)
-
-
-def _merge_options(args: SimpleNamespace, doc: dict) -> Options:
+def _merge_options(args: SimpleNamespace, doc: dict) -> SimpleNamespace:
     embedded = doc.get("options", {})
     if not isinstance(embedded, dict):
         raise SchemaError("options: expected an object")
@@ -163,7 +138,7 @@ def _merge_options(args: SimpleNamespace, doc: dict) -> Options:
     # an integer beyond the float range fails the upper bound, not float()
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= sys.float_info.max:
         raise SchemaError("options.tol: expected a finite positive number")
-    return Options(
+    return SimpleNamespace(
         tol=Tolerance(float(tol)),
         seed=integer("seed", pick(args.seed, "seed", 0)),
         verify=integer("verify", pick(args.verify, "verify", 50), least=1, cap=MAX_VERIFY_SAMPLES),
@@ -238,7 +213,7 @@ def _cross_check_minimum(c1: NSClass, surface: SurfaceData, radius: int | None) 
 
 
 def _request_verdict(
-    doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData, radius: int | None
+    doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface: SurfaceData, radius: int | None
 ) -> tuple[ChernData, Verdict]:
     """The Chern data of an exists or recipe request and its verdict, after
     the lattice-minimum cross-check over the given cube radius, if any."""
@@ -250,12 +225,12 @@ def _request_verdict(
     return cd, existence_verdict(cd, surface, d=d, tol=opts.tol, seed=opts.seed)
 
 
-def _cmd_exists(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+def _cmd_exists(doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface: SurfaceData) -> tuple[dict, int]:
     _, verdict = _request_verdict(doc, args, opts, surface, opts.enum_radius)
     return encode_verdict(verdict), _STATUS_CODES[verdict.status]
 
 
-def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface: SurfaceData) -> tuple[dict, int]:
     cd, verdict = _request_verdict(doc, args, opts, surface, None)
     code = _STATUS_CODES[verdict.status]
     if verdict.status is not Existence.EXISTS:
@@ -293,7 +268,7 @@ def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: Options, surface: Surfac
 
 
 def _cmd_spectral_cover(
-    doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData
+    doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface: SurfaceData
 ) -> tuple[dict, int]:
     bundle = decode_bundle(doc.get("bundle"), surface, tol=opts.tol)
     cover = spectral_cover(bundle, surface, opts.tol, verify_samples=opts.verify, seed=opts.seed)
@@ -301,7 +276,7 @@ def _cmd_spectral_cover(
 
 
 def _cmd_intersect(
-    doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData
+    doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface: SurfaceData
 ) -> tuple[dict, int]:
     classes = doc.get("classes")
     if not isinstance(classes, list) or len(classes) != 2:
@@ -321,7 +296,7 @@ def _cmd_intersect(
     )
 
 
-def _cmd_genus(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+def _cmd_genus(doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface: SurfaceData) -> tuple[dict, int]:
     cd = _request_chern(doc, surface, args)
     genus, branch = genus_and_branching(cd, surface.base.genus, surface.lattice)
     return (
@@ -434,7 +409,7 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
 )
 
 
-def _cmd_check(doc: dict, args: SimpleNamespace, opts: Options, surface: SurfaceData) -> tuple[dict, int]:
+def _cmd_check(doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface: SurfaceData) -> tuple[dict, int]:
     rng = random.Random(opts.seed)
     results = []
     all_passed = True

@@ -4,13 +4,14 @@ Sections are translates of homomorphisms: a constant in T* together with
 an integer vector in the hom lattice.  Two distinct sections meet in
 deg(hom difference) points, the degree of the covering map induced by
 the difference.  The determinant involution (b, l) -> (b, delta_b / l)
-folds the Jacobian onto a ruled surface; bisections invariant under it
-are either a pair of sections exchanged by the involution or a genuine
-double cover of the base, stored over a rational base by the trace map
-of its fibrewise quadratic relation l^2 - t(b) l + delta_b = 0.  Every
-reading of a bisection's internals lives here: its fibre values, its
-invariance and a push's fit, its dual (the spectral cover of a push or
-an extension), its self-intersection and its branch fibres.
+folds the Jacobian onto a ruled surface; a bisection invariant under it
+is either a pair of sections exchanged by the involution, held as a plain
+tuple, or a genuine double cover of the base, held as a DoubleCoverData
+and stored over a rational base by the trace map of its fibrewise
+quadratic relation l^2 - t(b) l + delta_b = 0.  Every reading of a
+bisection's internals lives here: its fibre values, its invariance and
+a push's fit, its dual (the spectral cover of a push or an extension),
+its self-intersection and its branch fibres.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def _trim(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
 
 
 class DoubleCoverData(Record):
-    """Irreducible bisection data: fibre values over b are the roots of
-    l^2 - trace(b) l + norm(b) = 0.
+    """An irreducible bisection, with no wrapper around it: fibre values
+    over b are the roots of l^2 - trace(b) l + norm(b) = 0.
 
     When the norm coefficient map is omitted, the constant term is read
     off the accompanying determinant section's canonical representative.
@@ -228,32 +229,17 @@ class DoubleCoverData(Record):
         object.__setattr__(self, "norm", norm)
 
 
-class Bisection(Record):
-    """Either a pair of sections or an irreducible double cover."""
-
-    __slots__ = _fields = ("components", "cover")
-    components: tuple[SectionOfJ, SectionOfJ] | None
-    cover: DoubleCoverData | None
-
-    def __init__(
-        self, components: tuple[SectionOfJ, SectionOfJ] | None = None, cover: DoubleCoverData | None = None
-    ) -> None:
-        if (components is None) == (cover is None):
-            raise ValueError("a bisection is either reducible or irreducible, not both")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "cover", cover)
-
-    @property
-    def is_reducible(self) -> bool:
-        return self.components is not None
+# A bisection is a pair of sections (reducible, the filtrable case) or a
+# DoubleCoverData (irreducible); readers test isinstance(bis, tuple).
+Bisection = tuple[SectionOfJ, SectionOfJ] | DoubleCoverData
 
 
 def reducible_bisection(s1: SectionOfJ, s2: SectionOfJ) -> Bisection:
-    return Bisection(components=(s1, s2))
+    return s1, s2
 
 
 def irreducible_bisection(cover: DoubleCoverData) -> Bisection:
-    return Bisection(cover=cover)
+    return cover
 
 
 def _constant_norm(cover: DoubleCoverData, delta: SectionOfJ) -> complex:
@@ -266,14 +252,13 @@ def _dual_bisection(bis: Bisection, delta: SectionOfJ, surface: SurfaceData) -> 
     sections of a pair; over a rational base a concrete cover's trace and
     norm divided by its norm n, whose reciprocal usually leaves the
     fundamental annulus, hence the explicit norm map; any other cover."""
-    if bis.is_reducible:
-        return reducible_bisection(*map(_dual_section, bis.components))
-    cover = bis.cover
-    if cover.trace is None or surface.base.genus != 0:
+    if isinstance(bis, tuple):
+        return reducible_bisection(*map(_dual_section, bis))
+    if bis.trace is None or surface.base.genus != 0:
         return bis
-    n, branch, declared = _constant_norm(cover, delta), cover.branch_points, cover.declared_self_intersection
-    inv_trace = RationalMap(tuple(c / n for c in cover.trace.num), cover.trace.den)
-    return irreducible_bisection(DoubleCoverData(inv_trace, branch, declared, RationalMap((1.0 / n,))))
+    n, branch, declared = _constant_norm(bis, delta), bis.branch_points, bis.declared_self_intersection
+    inv_trace = RationalMap(tuple(c / n for c in bis.trace.num), bis.trace.den)
+    return DoubleCoverData(inv_trace, branch, declared, RationalMap((1.0 / n,)))
 
 
 def _cover_evaluator(
@@ -288,22 +273,21 @@ def _cover_evaluator(
     determinant is constant over the rational base; the norm is read once,
     at 0, when the evaluator is built.
     """
-    if bis.is_reducible:
-        first, second = (_section_evaluator(s, surface) for s in bis.components)
+    if isinstance(bis, tuple):
+        first, second = (_section_evaluator(s, surface) for s in bis)
         if surface.base.genus == 0:  # constant sections: the pair does not move
             pair = first(0j), second(0j)
             return lambda x: pair
         return lambda x: (first(x), second(x))
-    cover = bis.cover
-    if cover.trace is None:
+    if bis.trace is None:
         raise ValueError("declared cover carries no trace map to evaluate")
     if surface.base.genus != 0:
         raise ValueError("trace maps are concrete only over a rational base")
     fibre = surface.fibre
-    d = cover.norm(0j) if cover.norm is not None else _section_evaluator(delta, surface)(0j)
+    d = bis.norm(0j) if bis.norm is not None else _section_evaluator(delta, surface)(0j)
 
     def values(b) -> tuple[complex, complex]:
-        t = cover.trace(complex(b))
+        t = bis.trace(complex(b))
         if cmath.isinf(t):
             raise ValueError(f"trace map has a pole at {b!r}")
         disc = t * t - 4.0 * d
@@ -337,17 +321,17 @@ def is_invariant_bisection(
     _check_push_fit runs this test for every spectral push, and
     graph_self_intersection for every bisection it measures.
     """
-    if bis.is_reducible:
-        s1, s2 = bis.components
+    if isinstance(bis, tuple):
+        s1, s2 = bis
         i1 = involution_on_section(s1, delta)
         if sections_equal(i1, s2, tol):
             return True
         i2 = involution_on_section(s2, delta)
         return sections_equal(i1, s1, tol) and sections_equal(i2, s2, tol)
-    norm = bis.cover.norm
-    if bis.cover.trace is None or surface.base.genus != 0 or norm is None:
+    norm = bis.norm
+    if bis.trace is None or surface.base.genus != 0 or norm is None:
         return True
-    n = _constant_norm(bis.cover, delta)
+    n = _constant_norm(bis, delta)
     if norm.degree > 0 or any(delta.hom) or n == 0 or not cmath.isfinite(n):
         return False
     return points_equal(TatePoint(n, surface.fibre), delta.constant, tol)
@@ -360,7 +344,7 @@ def _check_push_fit(bis: Bisection, delta: SectionOfJ, surface: SurfaceData, tol
     if surface.base.genus == 0:
         if any(delta.hom):
             raise ValueError("over a rational base the determinant section is constant")
-        if bis.cover.trace is None:
+        if bis.trace is None:
             raise ValueError("over a rational base the bisection needs a trace map, not a declared cover")
     if not is_invariant_bisection(bis, delta, surface, tol):
         raise ValueError("bisection is not invariant under the involution")
@@ -381,15 +365,13 @@ def graph_self_intersection(
     """
     if not is_invariant_bisection(bis, delta, surface, tol):
         raise ValueError("bisection is not invariant under the involution")
-    if bis.is_reducible:
-        s1, s2 = bis.components
-        return section_pairing(s1, s2, surface.lattice)
-    cover = bis.cover
-    if cover.trace is not None and surface.base.genus == 0:
-        return cover.trace.degree
-    if cover.declared_self_intersection is None:
+    if isinstance(bis, tuple):
+        return section_pairing(*bis, surface.lattice)
+    if bis.trace is not None and surface.base.genus == 0:
+        return bis.trace.degree
+    if bis.declared_self_intersection is None:
         raise ValueError("declared cover carries no self-intersection data")
-    return cover.declared_self_intersection
+    return bis.declared_self_intersection
 
 
 _ABERTH_STEPS = 100
@@ -488,9 +470,9 @@ def branch_points_numeric(cover: DoubleCoverData, delta: SectionOfJ, surface: Su
 def _branch_fibres(bis: Bisection, delta: SectionOfJ, surface: SurfaceData) -> list[complex]:
     """The base numbers a bisection of delta branches over: a concrete cover's
     over a rational base (branch_points_numeric), else none."""
-    if bis.is_reducible or bis.cover.trace is None or surface.base.genus != 0:
+    if isinstance(bis, tuple) or bis.trace is None or surface.base.genus != 0:
         return []
-    return branch_points_numeric(bis.cover, delta, surface)
+    return branch_points_numeric(bis, delta, surface)
 
 
 def _poly_square(a: tuple[complex, ...]) -> list[complex]:

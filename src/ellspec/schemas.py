@@ -265,18 +265,17 @@ def decode_rational_map(doc: Any, where: str = "trace") -> RationalMap:
 
 
 def encode_bisection(bis: Bisection) -> dict:
-    if bis.is_reducible:
-        return {"reducible": [encode_section(s) for s in bis.components]}
-    cover = bis.cover
+    if isinstance(bis, tuple):
+        return {"reducible": [encode_section(s) for s in bis]}
     inner: dict[str, Any] = {}
-    if cover.trace is not None:
-        inner["trace"] = encode_rational_map(cover.trace)
-    if cover.branch_points:
-        inner["branch_points"] = [encode_complex(p) for p in cover.branch_points]
-    if cover.declared_self_intersection is not None:
-        inner["declared_self_intersection"] = cover.declared_self_intersection
-    if cover.norm is not None:
-        inner["norm"] = encode_rational_map(cover.norm)
+    if bis.trace is not None:
+        inner["trace"] = encode_rational_map(bis.trace)
+    if bis.branch_points:
+        inner["branch_points"] = [encode_complex(p) for p in bis.branch_points]
+    if bis.declared_self_intersection is not None:
+        inner["declared_self_intersection"] = bis.declared_self_intersection
+    if bis.norm is not None:
+        inner["norm"] = encode_rational_map(bis.norm)
     return {"irreducible": inner}
 
 

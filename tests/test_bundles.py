@@ -55,7 +55,7 @@ from ellspec.jacobian import (
     sections_equal,
     zero_section,
 )
-from ellspec.schemas import decode_bundle, decode_recipe, encode_bundle, encode_recipe
+from ellspec.schemas import SchemaError, decode_bisection, decode_bundle, decode_recipe, encode_bundle, encode_recipe
 from ellspec.surface import (
     UNIT_LATTICE,
     ZERO_LATTICE,
@@ -149,7 +149,7 @@ def test_extension_stores_its_quotient_section():
 
 
 def test_spectral_push_needs_irreducible():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="spectral push bundles need an irreducible bisection"):
         SpectralPushBundle(
             reducible_bisection(zero_section(S0), zero_section(S0)),
             trivial_line_bundle(S0),
@@ -352,6 +352,44 @@ def test_deep_chains_hash_compare_print_and_round_trip():
     assert decode_bundle(encode_bundle(one), S0) == one
 
 
+S2 = SurfaceData(BaseCurve(2), TAU3, lattice=UNIT_LATTICE)
+
+
+@pytest.mark.parametrize(
+    "bundle, surface",
+    [
+        (
+            ExtensionBundle(
+                LineBundleOnX(SectionOfJ(TatePoint(2.5, TAU4), ()), base_twist=1, fibre_twists=(1,)),
+                trivial_line_bundle(SMF),
+                zero_cycle=((0.5 + 0.25j, 2), (-0.3 + 0j, 1)),
+                nonsplit_at=(0.7 + 0j,),
+                nonsplit_everywhere=True,
+            ),
+            SMF,
+        ),
+        (push_bundle(RationalMap((0.3, 0.2, 1.0), (1.0, 0.5)), det_value=2.0), S0),
+        (
+            SpectralPushBundle(
+                irreducible_bisection(DoubleCoverData(branch_points=(0.5j, 2.0 + 0j), declared_self_intersection=3)),
+                LineBundleOnX(SectionOfJ(TatePoint(1.5, TAU3), (1,))),
+            ),
+            S2,
+        ),
+        (ElemModBundle(trivial_extension(S0), ((0.3 + 0.1j, 1), (0.5 + 0j, 2))), S0),
+    ],
+    ids=["extension", "rational-push", "declared-push", "elem-mod-chain"],
+)
+def test_every_bundle_shape_round_trips_through_the_codec(bundle, surface):
+    assert decode_bundle(encode_bundle(bundle), surface) == bundle
+
+
+def test_a_reducible_bisection_of_one_section_is_refused():
+    one = {"reducible": [{"constant": [2.5, 0.0], "hom": []}]}
+    with pytest.raises(SchemaError, match="a reducible bisection has two components"):
+        decode_bisection(one, S0)
+
+
 def test_push_check_reads_the_root_of_any_presentation():
     cover = DoubleCoverData(trace=RationalMap((0.3, 0.2, 1.0)), norm=RationalMap((2.5,)))
     det = LineBundleOnX(SectionOfJ(TatePoint(1.5, S03.fibre), ()))
@@ -445,8 +483,8 @@ def test_restrict_multiple_fibre_rejected():
 
 def test_cover_of_split_trivial_bundle():
     cover = spectral_cover(trivial_extension(S0), S0, verify_samples=50)
-    assert cover.bisection.is_reducible
-    s1, s2 = cover.bisection.components
+    assert isinstance(cover.bisection, tuple)
+    s1, s2 = cover.bisection
     assert sections_equal(s1, zero_section(S0))
     assert sections_equal(s2, zero_section(S0))
     assert cover.jump_fibres == ()
@@ -458,7 +496,7 @@ def test_cover_of_constant_extension():
     sub = LineBundleOnX(SectionOfJ(TatePoint(2.5, S0.fibre), ()))
     bundle = ExtensionBundle(sub, trivial_line_bundle(S0))
     cover = spectral_cover(bundle, S0, verify_samples=50)
-    s1, s2 = cover.bisection.components
+    s1, s2 = cover.bisection
     assert points_equal(s1.constant, TatePoint(1 / 2.5, TAU4))
     assert points_equal(s2.constant, TatePoint(2.5, TAU4))
     assert cover.max_residual < 1e-9
@@ -526,9 +564,9 @@ def test_genus_one_points_of_one_class_are_one_point():
 def test_cover_of_spectral_push_inverts_trace():
     bundle = push_bundle(RationalMap((0.0, 0.0, 1.0)), det_value=2.0)
     cover = spectral_cover(bundle, S0, verify_samples=40)
-    assert not cover.bisection.is_reducible
+    assert isinstance(cover.bisection, DoubleCoverData)
     # dual trace is scaled by the inverse determinant value
-    assert cover.bisection.cover.trace.num == (0j, 0j, 0.5 + 0j)
+    assert cover.bisection.trace.num == (0j, 0j, 0.5 + 0j)
     assert cover.max_residual < 1e-8
     assert points_equal(cover.dual_determinant.constant, TatePoint(0.5, TAU4))
 
@@ -539,7 +577,7 @@ def test_cover_verification_detects_tampering():
     good = spectral_cover(bundle, S0)
     bad = SpectralCover(
         reducible_bisection(
-            SectionOfJ(TatePoint(1.7, S0.fibre), ()), good.bisection.components[1]
+            SectionOfJ(TatePoint(1.7, S0.fibre), ()), good.bisection[1]
         ),
         good.jump_fibres,
         good.dual_determinant,
@@ -770,8 +808,8 @@ def _reference_section_value(section: SectionOfJ, surface: SurfaceData, x: compl
 
 
 def _reference_pair(bisection, delta: SectionOfJ, surface: SurfaceData, x: complex) -> list[TatePoint]:
-    if bisection.is_reducible:
-        return [_reference_section_value(s, surface, x) for s in bisection.components]
+    if isinstance(bisection, tuple):
+        return [_reference_section_value(s, surface, x) for s in bisection]
     return [TatePoint(a, surface.fibre) for a in _cover_evaluator(bisection, delta, surface)(x)]
 
 
@@ -980,7 +1018,7 @@ def test_a_rational_extension_resolves_its_values_at_the_first_stable_fibre(wron
 
 def test_cover_base_intersections_requires_reducible():
     cover = spectral_cover(push_bundle(RationalMap((0.0, 0.0, 1.0))), S0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="base intersections are computed for reducible covers only"):
         cover_base_intersections(cover, ZERO_LATTICE)
 
 

@@ -317,7 +317,7 @@ def test_spectral_cover_reducible(tmp_path, capsys):
     assert body["verification"]["samples"] == 50
     assert body["verification"]["max_residual"] < 1e-8
     bisection = decode_bisection(body["bisection"], S0)
-    constants = sorted(s.constant.rep.real for s in bisection.components)
+    constants = sorted(s.constant.rep.real for s in bisection)
     # 1/2.5 re-enters the annulus as 1.6
     assert constants == pytest.approx([1.6, 2.5])
     assert encode_bisection(bisection) == body["bisection"]
@@ -429,6 +429,31 @@ def test_rational_push_on_a_declared_cover_is_a_schema_error(tmp_path, capsys, f
         "error": "bundle: over a rational base the bisection needs a trace map, not a declared cover",
         "exit_code": EX_SCHEMA,
     }
+
+
+def pair_push() -> dict:
+    """The golden push request with its cover replaced by a pair of sections."""
+    doc = golden_push()
+    sections = [{"constant": [2.5, 0.0], "hom": []}, {"constant": [0.4, 0.0], "hom": []}]
+    doc["bundle"]["spectral_push"]["bisection"] = {"reducible": sections}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, error",
+    [
+        ("spectral-cover", pair_push(), "bundle: spectral push bundles need an irreducible bisection"),
+        ("exists", dict(g2_request(-2), d="2"), "d: expected an integer"),
+    ],
+    ids=["push-on-a-pair-of-sections", "top-level-d-not-an-integer"],
+)
+def test_a_bisection_or_degree_of_the_wrong_type_is_a_schema_error(tmp_path, capsys, command, doc, error):
+    req = tmp_path / "request.json"
+    req.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, str(req)]) == EX_SCHEMA
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"schema": 1, "error": error, "exit_code": EX_SCHEMA}
+    assert captured.err == f"error: {error}\n"
 
 
 def wrapped(doc: dict) -> dict:

@@ -23,7 +23,6 @@ from ellspec.jacobian import (
     _cover_evaluator,
     _poly_roots,
     _section_evaluator,
-    Bisection,
     DoubleCoverData,
     RationalMap,
     SectionOfJ,
@@ -620,13 +619,3 @@ def test_hurwitz_identity(genus, c2, hom):
     cd = ChernData(NSClass((0,), (hom,)), c2)
     g_cover, branch = genus_and_branching(cd, genus, UNIT_LATTICE)
     assert 2 * g_cover - 2 == 2 * (2 * genus - 2) + branch
-
-
-def test_bisection_shape_validation():
-    with pytest.raises(ValueError):
-        Bisection()
-    with pytest.raises(ValueError):
-        Bisection(
-            components=(zero_section(S0), zero_section(S0)),
-            cover=DoubleCoverData(trace=RationalMap((0.0, 1.0))),
-        )

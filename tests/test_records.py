@@ -8,11 +8,14 @@ compared field by field.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import ellspec
 from ellspec.bundles import (
     ElemModBundle,
     ExtensionBundle,
@@ -20,9 +23,8 @@ from ellspec.bundles import (
     SpectralCover,
     SpectralPushBundle,
 )
-from ellspec.cli import Options
 from ellspec.existence import Existence, Recipe, Verdict
-from ellspec.jacobian import Bisection, DoubleCoverData, RationalMap, RuledBounds, SectionOfJ
+from ellspec.jacobian import DoubleCoverData, RationalMap, RuledBounds, SectionOfJ
 from ellspec.records import Record
 from ellspec.surface import BaseCurve, ChernData, HomLattice, NSClass, SurfaceData
 from ellspec.tate import CurveParam, TatePoint, Tolerance
@@ -83,7 +85,6 @@ CASES = {
     DoubleCoverData: lambda: dict(
         trace=_map(), branch_points=(0.5j,), declared_self_intersection=Fraction(4), norm=_map()
     ),
-    Bisection: lambda: dict(components=None, cover=_cover()),
     RuledBounds: lambda: dict(d_min=0, d_max=2, e_min=-2, e_max=0),
     LineBundleOnX: lambda: dict(section=_section(), base_twist=1, fibre_twists=(2,)),
     ExtensionBundle: lambda: dict(
@@ -93,10 +94,10 @@ CASES = {
         nonsplit_at=(0.25,),
         nonsplit_everywhere=True,
     ),
-    SpectralPushBundle: lambda: dict(cover=Bisection(cover=_cover()), determinant=_line_bundle()),
+    SpectralPushBundle: lambda: dict(cover=_cover(), determinant=_line_bundle()),
     ElemModBundle: lambda: dict(root=_extension(), chain=((0.3 + 0.1j, 2),)),
     SpectralCover: lambda: dict(
-        bisection=Bisection(components=(_section(), _section())),
+        bisection=(_section(), _section()),
         jump_fibres=((0.5, 1),),
         dual_determinant=_section(),
         verification_samples=50,
@@ -115,15 +116,28 @@ CASES = {
         recipe=None,
         note="x",
     ),
-    Options: lambda: dict(tol=Tolerance(1e-6), seed=3, verify=20, d=1, enum_radius=2),
 }
 
 RECORDS = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 
 
+def package_records() -> set[type]:
+    """Every Record subclass a module of the package defines at its top level."""
+    names = [info.name for info in pkgutil.iter_modules(ellspec.__path__)]
+    modules = [importlib.import_module(f"ellspec.{name}") for name in names]
+    return {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and issubclass(value, Record)
+        and value is not Record
+        and value.__module__ == module.__name__
+    }
+
+
 def test_every_record_class_has_a_case():
-    assert len(CASES) == 21
-    assert all(issubclass(cls, Record) for cls in CASES)
+    assert set(CASES) == package_records()
 
 
 @RECORDS
@@ -174,7 +188,6 @@ def test_derived_quotient_stays_out_of_the_repr():
 def test_repr_lists_fields_in_order():
     assert repr(Tolerance(1e-6)) == "Tolerance(eps=1e-06)"
     assert repr(ChernData(NSClass((0,), (1,)), 3)) == "ChernData(c1=NSClass(torsion=(0,), hom=(1,)), c2=3)"
-    assert repr(Options()) == "Options(tol=Tolerance(eps=1e-09), seed=0, verify=50, d=None, enum_radius=None)"
     assert repr(CurveParam(3.0)) == "CurveParam(tau=3.0)"
 
 
