@@ -48,7 +48,7 @@ from .jacobian import (
     section_pairing,
     zero_section,
 )
-from .records import Record
+from .records import Record, set_field
 from .surface import (
     ChernData,
     HomLattice,
@@ -56,10 +56,10 @@ from .surface import (
     SurfaceData,
     _BaseIndex,
     _sample_base_numbers,
+    _same_shape,
     base_point,
     distinct_base_points,
     eight_discriminant,
-    pairing,
     same_base_point,
     self_intersection,
     spectral_support_count,
@@ -84,9 +84,9 @@ class LineBundleOnX(Record):
     fibre_twists: tuple[int, ...]
 
     def __init__(self, section: SectionOfJ, base_twist: int = 0, fibre_twists: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "base_twist", base_twist)
-        object.__setattr__(self, "fibre_twists", fibre_twists)
+        set_field(self, "section", section)
+        set_field(self, "base_twist", base_twist)
+        set_field(self, "fibre_twists", fibre_twists)
 
     def chern_class(self, torsion_rank: int) -> NSClass:
         twists = self.fibre_twists + (0,) * (torsion_rank - 1 - len(self.fibre_twists))
@@ -130,16 +130,16 @@ class ExtensionBundle(Record):
         nonsplit_at: tuple[complex, ...] = (),
         nonsplit_everywhere: bool = False,
     ) -> None:
-        if not distinct_base_points(None, [complex(p) for p, _ in zero_cycle]):
+        if len(zero_cycle) > 1 and not distinct_base_points(None, [complex(p) for p, _ in zero_cycle]):
             raise ValueError("zero-cycle points must be distinct")
         if any(length <= 0 for _, length in zero_cycle):
             raise ValueError("zero-cycle lengths are positive")
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "determinant", determinant)
-        object.__setattr__(self, "zero_cycle", zero_cycle)
-        object.__setattr__(self, "nonsplit_at", nonsplit_at)
-        object.__setattr__(self, "nonsplit_everywhere", nonsplit_everywhere)
-        object.__setattr__(self, "quotient", involution_on_section(sub.section, determinant.section))
+        set_field(self, "sub", sub)
+        set_field(self, "determinant", determinant)
+        set_field(self, "zero_cycle", zero_cycle)
+        set_field(self, "nonsplit_at", nonsplit_at)
+        set_field(self, "nonsplit_everywhere", nonsplit_everywhere)
+        set_field(self, "quotient", involution_on_section(sub.section, determinant.section))
 
     @property
     def cycle_length(self) -> int:
@@ -157,8 +157,8 @@ class SpectralPushBundle(Record):
     def __init__(self, cover: Bisection, determinant: LineBundleOnX) -> None:
         if isinstance(cover, tuple):
             raise ValueError("spectral push bundles need an irreducible bisection")
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "determinant", determinant)
+        set_field(self, "cover", cover)
+        set_field(self, "determinant", determinant)
 
 
 ChainRoot = ExtensionBundle | SpectralPushBundle
@@ -178,8 +178,8 @@ class ElemModBundle(Record):
             raise ValueError("a modification chain needs a root (an extension or a push) and a pair")
         if any(steps <= 0 for _, steps in chain):
             raise ValueError("modification step count must be positive")
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "chain", tuple(chain))
+        set_field(self, "root", root)
+        set_field(self, "chain", tuple(chain))
 
 
 RankTwoBundle = ExtensionBundle | SpectralPushBundle | ElemModBundle
@@ -196,7 +196,10 @@ def chern_of_extension(bundle: ExtensionBundle, lattice: HomLattice, torsion_ran
     length = bundle.cycle_length
     c1_sub = bundle.sub.chern_class(torsion_rank)
     c1_det = bundle.determinant.chern_class(torsion_rank)
-    c2 = pairing(c1_sub, c1_det - c1_sub, lattice) + length
+    _same_shape(c1_sub, c1_det)
+    # pairing(c1_sub, c1_det - c1_sub): torsion pairs to zero, so only the hom parts enter
+    sub = c1_sub.hom
+    c2 = length - lattice.bilinear(sub, tuple(d - s for d, s in zip(c1_det.hom, sub)))
     cd = ChernData(c1_det, c2)
     cross = section_pairing(bundle.sub.section, bundle.quotient, lattice)
     assert eight_discriminant(cd, lattice) == 2 * cross + 4 * length, "discriminant identity failed"
@@ -356,11 +359,11 @@ class SpectralCover(Record):
         verification_samples: int = 0,
         max_residual: float = 0.0,
     ) -> None:
-        object.__setattr__(self, "bisection", bisection)
-        object.__setattr__(self, "jump_fibres", jump_fibres)
-        object.__setattr__(self, "dual_determinant", dual_determinant)
-        object.__setattr__(self, "verification_samples", verification_samples)
-        object.__setattr__(self, "max_residual", max_residual)
+        set_field(self, "bisection", bisection)
+        set_field(self, "jump_fibres", jump_fibres)
+        set_field(self, "dual_determinant", dual_determinant)
+        set_field(self, "verification_samples", verification_samples)
+        set_field(self, "max_residual", max_residual)
 
     @property
     def jump_total(self) -> int:

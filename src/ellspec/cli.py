@@ -41,7 +41,9 @@ through one table keyed by that type (_LEAVES), without a call of _dump;
 any other value, a subclass such as an IntEnum member included, goes
 through _dump's isinstance tests.  A recipe's transcript is the ledger
 run back from the request's Chern data, which the verdict's replay has
-just reached from the base.
+just reached from the base.  That one run checks 8 Delta at both ends;
+8 Delta is affine in the step, so the entries between them are written
+in closed form, each a step on from the one before.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ from .surface import (
     self_intersection,
 )
 from .tate import (
+    DEFAULT_TOL,
     TatePoint,
     Tolerance,
     class_distance,
@@ -134,12 +137,12 @@ def _merge_options(args: SimpleNamespace, doc: dict) -> SimpleNamespace:
             raise SchemaError(f"options.{key}: exceeds the cap of {cap}")
         return value
 
-    tol = pick(args.tol, "tol", 1e-9)
+    tol = pick(args.tol, "tol", DEFAULT_TOL.eps)
     # an integer beyond the float range fails the upper bound, not float()
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= sys.float_info.max:
         raise SchemaError("options.tol: expected a finite positive number")
     return SimpleNamespace(
-        tol=Tolerance(float(tol)),
+        tol=DEFAULT_TOL if tol == DEFAULT_TOL.eps else Tolerance(float(tol)),
         seed=integer("seed", pick(args.seed, "seed", 0)),
         verify=integer("verify", pick(args.verify, "verify", 50), least=1, cap=MAX_VERIFY_SAMPLES),
         d=integer("d", pick(args.d, "d", None)),
@@ -254,14 +257,16 @@ def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface
                 f"the transcript cap of {MAX_RECIPE_STEPS}"
             )
         # the verdict's replay has checked that the steps take the base's
-        # Chern data to cd, and the ledger runs backwards exactly
+        # Chern data to cd, and the ledger runs backwards exactly.  Its one
+        # run checks 8 Delta at both ends, and 8 Delta is affine in the
+        # step, so entry k is the base moved k steps: torsion[0] - k, c2 + k
         steps = verdict.recipe.modification_steps
-        snapshot = apply_modification_ledger(cd, -steps, surface.lattice)
-        transcript = [encode_chern(snapshot)]
-        for _ in range(steps):
-            snapshot = apply_modification_ledger(snapshot, 1, surface.lattice)
-            transcript.append(encode_chern(snapshot))
-        out["transcript"] = transcript
+        base = apply_modification_ledger(cd, -steps, surface.lattice)
+        first, rest = base.c1.torsion[0], list(base.c1.torsion[1:])
+        hom = list(cd.c1.hom)
+        out["transcript"] = [encode_chern(base)] + [
+            {"c1": {"torsion": [first - k, *rest], "hom": hom}, "c2": base.c2 + k} for k in range(1, steps + 1)
+        ]
     if verdict.note:
         out["note"] = verdict.note
     return out, code

@@ -34,7 +34,7 @@ from .jacobian import (
     ruled_invariant_bounds,
     section_for_class,
 )
-from .records import Record
+from .records import Record, set_field
 from .surface import (
     ChernData,
     NSClass,
@@ -65,10 +65,10 @@ class Recipe(Record):
     def __init__(
         self, base: RankTwoBundle, base_delta: Fraction, generic_fibre: complex, modification_steps: int
     ) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "base_delta", base_delta)
-        object.__setattr__(self, "generic_fibre", generic_fibre)
-        object.__setattr__(self, "modification_steps", modification_steps)
+        set_field(self, "base", base)
+        set_field(self, "base_delta", base_delta)
+        set_field(self, "generic_fibre", generic_fibre)
+        set_field(self, "modification_steps", modification_steps)
 
     def realize(self) -> RankTwoBundle:
         if self.modification_steps == 0:
@@ -102,14 +102,14 @@ class Verdict(Record):
         recipe: Recipe | None = None,
         note: str = "",
     ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "lattice_minimum", lattice_minimum)
-        object.__setattr__(self, "filtrable", filtrable)
-        object.__setattr__(self, "threshold_interval", threshold_interval)
-        object.__setattr__(self, "d_interval", d_interval)
-        object.__setattr__(self, "recipe", recipe)
-        object.__setattr__(self, "note", note)
+        set_field(self, "status", status)
+        set_field(self, "delta", delta)
+        set_field(self, "lattice_minimum", lattice_minimum)
+        set_field(self, "filtrable", filtrable)
+        set_field(self, "threshold_interval", threshold_interval)
+        set_field(self, "d_interval", d_interval)
+        set_field(self, "recipe", recipe)
+        set_field(self, "note", note)
 
 
 def existence_verdict(

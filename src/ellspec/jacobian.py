@@ -23,7 +23,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from itertools import zip_longest
 
-from .records import Record
+from .records import Record, set_field
 from .tate import (
     DEFAULT_TOL,
     INF,
@@ -46,8 +46,8 @@ class SectionOfJ(Record):
     hom: tuple[int, ...]
 
     def __init__(self, constant: TatePoint, hom: tuple[int, ...]) -> None:
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "hom", hom)
+        set_field(self, "constant", constant)
+        set_field(self, "hom", hom)
 
 
 def zero_section(surface: SurfaceData) -> SectionOfJ:
@@ -154,8 +154,8 @@ class RationalMap(Record):
         den = _trim(den)
         if not den:
             raise ValueError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        set_field(self, "num", num)
+        set_field(self, "den", den)
 
     @property
     def degree(self) -> int:
@@ -223,10 +223,10 @@ class DoubleCoverData(Record):
                 declared = declared.numerator
             elif type(declared) is not int:
                 raise ValueError(f"declared self-intersection must be an integer, got {declared!r}")
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "branch_points", branch_points)
-        object.__setattr__(self, "declared_self_intersection", declared)
-        object.__setattr__(self, "norm", norm)
+        set_field(self, "trace", trace)
+        set_field(self, "branch_points", branch_points)
+        set_field(self, "declared_self_intersection", declared)
+        set_field(self, "norm", norm)
 
 
 # A bisection is a pair of sections (reducible, the filtrable case) or a
@@ -503,10 +503,10 @@ class RuledBounds(Record):
     e_max: int
 
     def __init__(self, d_min: int, d_max: int, e_min: int, e_max: int) -> None:
-        object.__setattr__(self, "d_min", d_min)
-        object.__setattr__(self, "d_max", d_max)
-        object.__setattr__(self, "e_min", e_min)
-        object.__setattr__(self, "e_max", e_max)
+        set_field(self, "d_min", d_min)
+        set_field(self, "d_max", d_max)
+        set_field(self, "e_min", e_min)
+        set_field(self, "e_max", e_max)
 
     @property
     def empty(self) -> bool:

@@ -2,20 +2,24 @@
 attributes that the package's data classes share.
 
 A record class names its fields, in order, in ``_fields``, and stores each
-one once in its own ``__init__`` with ``object.__setattr__``; a class with
-no cached property also declares the fields as its ``__slots__``.  When the
-class is made, Record reads that tuple.  Equality holds only between
-instances of one class and compares the fields as one tuple, or a lone
-field as itself; that key is also what is hashed.  The repr is
-``Name(field=value, ...)`` in field order.  A value that a record derives
-from its fields (a slot or cached attribute outside ``_fields``) takes no
-part in any of the three.  Assigning or deleting an attribute raises
-AttributeError.  No code is generated.
+one once in its own ``__init__`` through ``set_field``: that is
+``object.__setattr__`` bound to one module-level name, so a store pays no
+attribute lookup.  A class with no cached value also declares the fields
+as its ``__slots__``.  When the class is made, Record reads that tuple.
+Equality holds only between instances of one class and compares the
+fields as one tuple, or a lone field as itself; that key is also what is
+hashed.  The repr is ``Name(field=value, ...)`` in field order.  A value
+that a record derives from its fields (a slot or cached attribute outside
+``_fields``) takes no part in any of the three.  Assigning or deleting an
+attribute raises AttributeError.  No code is generated.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+# Record.__setattr__ raises, so a record's own __init__ stores through this
+set_field = object.__setattr__
 
 
 class Record:

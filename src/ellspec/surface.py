@@ -41,7 +41,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Rational
 
-from .records import Record
+from .records import Record, set_field
 from .tate import DEFAULT_TOL, CurveParam, Tolerance, _class_distance, _point_rep
 
 
@@ -124,8 +124,8 @@ class HomLattice(Record):
         # positive semidefinite, exactly: A, C >= 0 and 4AC - B^2 >= 0
         if any(x < 0 for x in form[::2]) or (rank == 2 and 4 * form[0] * form[2] < form[1] ** 2):
             raise ValueError("degree form is indefinite")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "form", form)
+        set_field(self, "rank", rank)
+        set_field(self, "form", form)
 
     def _check_vec(self, v: tuple[int, ...]) -> None:
         if len(v) != self.rank:
@@ -133,17 +133,29 @@ class HomLattice(Record):
 
     def bilinear(self, v: tuple[int, ...], w: tuple[int, ...]) -> int:
         """deg(v + w) - deg(v) - deg(w), that is 2 B(v, w): always an integer."""
-        self._check_vec(v)
-        self._check_vec(w)
-        if self.rank == 2:
+        rank = self.rank
+        if len(v) != rank or len(w) != rank:
+            self._check_vec(v)
+            self._check_vec(w)
+        if rank == 2:
             a, b, c = self.form
             return 2 * a * v[0] * w[0] + b * (v[0] * w[1] + v[1] * w[0]) + 2 * c * v[1] * w[1]
-        if self.rank == 1:
+        if rank == 1:
             return 2 * self.form[0] * v[0] * w[0]
         return 0
 
     def degree(self, v: tuple[int, ...]) -> int:
-        return self.bilinear(v, v) // 2
+        """deg(v) = A x^2 + B x y + C y^2 at v = (x, y), read off the form."""
+        rank = self.rank
+        if len(v) != rank:
+            self._check_vec(v)
+        if rank == 2:
+            a, b, c = self.form
+            x, y = v
+            return a * x * x + b * x * y + c * y * y
+        if rank == 1:
+            return self.form[0] * v[0] * v[0]
+        return 0
 
 
 UNIT_LATTICE = HomLattice(1, ((1,),))
@@ -165,8 +177,8 @@ class BaseCurve(Record):
             raise ValueError("a genus-1 base needs a concrete multiplier (Tate model)")
         if genus != 1 and tate is not None:
             raise ValueError("only a genus-1 base carries a Tate model")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "tate", tate)
+        set_field(self, "genus", genus)
+        set_field(self, "tate", tate)
 
 
 def base_point(surface: SurfaceData | None, b: complex) -> complex:
@@ -356,7 +368,7 @@ class SurfaceData(Record):
         lattice: HomLattice = ZERO_LATTICE,
         hom_exponents: tuple[int, ...] | None = None,
     ) -> None:
-        object.__setattr__(self, "base", base)  # base_point reads it
+        set_field(self, "base", base)  # base_point reads it
         try:
             fibres = tuple((base_point(self, b), mult) for b, mult in multiple_fibres)
         except ValueError as exc:
@@ -381,11 +393,11 @@ class SurfaceData(Record):
                     raise ValueError(
                         "power maps z -> z^n are defined only when the base multiplier equals tau"
                     )
-        object.__setattr__(self, "fibre", fibre)
-        object.__setattr__(self, "multiple_fibres", fibres)
-        object.__setattr__(self, "theta_degree", theta_degree)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "hom_exponents", hom_exponents)
+        set_field(self, "fibre", fibre)
+        set_field(self, "multiple_fibres", fibres)
+        set_field(self, "theta_degree", theta_degree)
+        set_field(self, "lattice", lattice)
+        set_field(self, "hom_exponents", hom_exponents)
 
     @property
     def torsion_rank(self) -> int:
@@ -401,8 +413,8 @@ class NSClass(Record):
     hom: tuple[int, ...]
 
     def __init__(self, torsion: tuple[int, ...], hom: tuple[int, ...]) -> None:
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "hom", hom)
+        set_field(self, "torsion", torsion)
+        set_field(self, "hom", hom)
 
     def __add__(self, other: "NSClass") -> "NSClass":
         _same_shape(self, other)
@@ -436,8 +448,8 @@ class ChernData(Record):
     c2: int
 
     def __init__(self, c1: NSClass, c2: int) -> None:
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
 
 
 def self_intersection(c: NSClass, lattice: HomLattice) -> int:

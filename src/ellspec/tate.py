@@ -46,10 +46,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
+from collections.abc import Callable
 from typing import NamedTuple
 
-from .records import Record
+from .records import Record, set_field
 
 INF = complex(math.inf, 0.0)
 _TWO_PI_I = 2j * math.pi
@@ -64,6 +64,24 @@ class PeriodFrame(NamedTuple):
     k: complex  # 2 pi i / a; x = k^2 (X_p(U) + 1/12) - 1/12
     decay: float  # -log|p| = 2 pi Im tau_r >= pi sqrt 3
     log_tail: float  # log(1.1 |k|^2): log of the bound on x's tail after zero terms
+
+
+class _computed_once:
+    """A derived attribute computed on its first read and written to the
+    instance's __dict__, which later reads find before this descriptor:
+    functools.cached_property without the lock that Python 3.11 takes on
+    every first read."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.compute.__name__] = self.compute(obj)
+        return value
 
 
 class CurveParam(Record):
@@ -85,7 +103,7 @@ class CurveParam(Record):
         at = abs(complex(tau))
         if not at > 1.0:
             raise ValueError(f"curve multiplier must satisfy |tau| > 1, got {tau!r}")
-        object.__setattr__(self, "tau", tau)
+        set_field(self, "tau", tau)
         state = vars(self)  # derived values, written directly: a curve is often built per call
         state["abs_tau"], state["log_abs_tau"] = at, math.log(at)
 
@@ -93,7 +111,7 @@ class CurveParam(Record):
     def q(self) -> complex:
         return 1.0 / self.tau
 
-    @cached_property
+    @_computed_once
     def frame(self) -> PeriodFrame:
         """The reduced period basis that the x series is summed in.
 
@@ -125,7 +143,7 @@ class Tolerance(Record):
     def __init__(self, eps: float = 1e-9) -> None:
         if not 0.0 < eps < math.inf:
             raise ValueError("tolerance eps must be positive")
-        object.__setattr__(self, "eps", eps)
+        set_field(self, "eps", eps)
 
 
 DEFAULT_TOL = Tolerance()
@@ -144,8 +162,8 @@ class TatePoint(Record):
     curve: CurveParam
 
     def __init__(self, rep: complex, curve: CurveParam) -> None:
-        object.__setattr__(self, "rep", _point_rep(rep, curve))
-        object.__setattr__(self, "curve", curve)
+        set_field(self, "rep", _point_rep(rep, curve))
+        set_field(self, "curve", curve)
 
 
 def _point_rep(z, curve: CurveParam) -> complex:

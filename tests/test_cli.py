@@ -23,7 +23,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import ellspec.surface as surface_module
-from ellspec.bundles import chern_data, elementary_modification
+from ellspec.bundles import apply_modification_ledger, chern_data, elementary_modification
 from ellspec.cli import (
     EX_FAILURE,
     EX_NEGATIVE,
@@ -47,6 +47,7 @@ from ellspec.schemas import (
     SchemaError,
     decode_bisection,
     decode_bundle,
+    decode_chern,
     decode_fraction,
     decode_recipe,
     decode_section,
@@ -258,11 +259,40 @@ def test_transcript_runs_from_the_base_to_the_request(request):
     assert len(transcript) == steps + 1
     assert transcript[0] == encode_chern(chern_data(recipe.base, surface))
     assert transcript[-1] == doc["chern"]
+    # the transcript is written in closed form: pin each entry to one step
+    # of the ledger from the entry before it
+    for before, after in zip(transcript, transcript[1:]):
+        step = apply_modification_ledger(decode_chern(before, surface), 1, surface.lattice)
+        assert encode_chern(step) == after
+
+
+def test_recipe_ledger_work_does_not_grow_with_its_steps(tmp_path, capsys, monkeypatch):
+    # one ledger run checks 8 Delta at both ends of the transcript, and the
+    # entries between them are written in closed form; a ledger run per
+    # entry made 10,002 ledger and 20,007 eight_discriminant calls for the
+    # step-cap request, where each request now makes 2 and 7
+    calls = {"apply_modification_ledger": 0, "eight_discriminant": 0}
+
+    def counted(name, f):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or f(*args)
+
+    for f in (apply_modification_ledger, eight_discriminant):
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "ellspec"]:
+            if getattr(module, f.__name__, None) is f:
+                monkeypatch.setattr(module, f.__name__, counted(f.__name__, f))
+    counts = []
+    for c2 in (2, MAX_RECIPE_STEPS):
+        code, body = run_cli(tmp_path, capsys, "recipe", g0_request(c2))
+        assert code == EX_OK and len(body["transcript"]) == c2 + 1
+        counts.append(dict(calls))
+        calls.update(dict.fromkeys(calls, 0))
+    assert counts[0] == counts[1]
+    assert max(counts[0].values()) <= 8
 
 
 def test_recipe_builds_few_fractions(monkeypatch, capsys):
-    # each transcript step is checked on 8 Delta in integers; checking it
-    # with Fractions built 31 of them for this two-step recipe
+    # the transcript's one ledger run checks 8 Delta in integers; checking
+    # each step with Fractions built 31 of them for this two-step recipe
     request = GOLDEN / "recipe-g0-transcript.request.json"
     calls = []
     new = Fraction.__new__
