@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Callable, Sequence
-from functools import cached_property
 
 from .jacobian import (
     Bisection,
@@ -48,7 +47,7 @@ from .jacobian import (
     section_pairing,
     zero_section,
 )
-from .records import Record, set_field
+from .records import Record, computed_once, set_field
 from .surface import (
     ChernData,
     HomLattice,
@@ -305,7 +304,7 @@ class _FibrePlan:
             points.add(p, (tag, None))
         self.jumps = tuple(map(tuple, jumps))
 
-    @cached_property
+    @computed_once
     def evaluate(self) -> Callable[[complex], tuple[complex, complex]]:
         return _cover_evaluator(self.bisection, self.root.determinant.section, self.surface)
 

@@ -38,12 +38,12 @@ allow_nan=False) writes.  _dump builds that text directly, because the
 stdlib's C encoder serves only unindented output.  A leaf of a dict or
 list whose type is exactly str, int, float, bool or None is written
 through one table keyed by that type (_LEAVES), without a call of _dump;
-any other value, a subclass such as an IntEnum member included, goes
-through _dump's isinstance tests.  A recipe's transcript is the ledger
-run back from the request's Chern data, which the verdict's replay has
-just reached from the base.  That one run checks 8 Delta at both ends;
-8 Delta is affine in the step, so the entries between them are written
-in closed form, each a step on from the one before.
+_dump walks the same table for any other scalar, an IntEnum member
+included, and writes it by the first type it is an instance of.  A
+recipe's transcript is the ledger run back from the request's Chern
+data, which the verdict's replay has just reached from the base.  That
+one run checks 8 Delta at both ends; 8 Delta is affine in the step, so
+schemas.encode_transcript writes the entries between in closed form.
 """
 
 from __future__ import annotations
@@ -67,14 +67,16 @@ from .jacobian import SectionOfJ, genus_and_branching, involution_on_section
 from .schemas import (
     SCHEMA_VERSION,
     SchemaError,
+    _expect_int,
+    _expect_map,
     check_version,
     decode_bundle,
     decode_chern,
     decode_ns_class,
     decode_surface,
-    encode_chern,
     encode_cover,
     encode_recipe,
+    encode_transcript,
     encode_verdict,
 )
 from .surface import (
@@ -115,9 +117,7 @@ _STATUS_CODES = {
 
 
 def _merge_options(args: SimpleNamespace, doc: dict) -> SimpleNamespace:
-    embedded = doc.get("options", {})
-    if not isinstance(embedded, dict):
-        raise SchemaError("options: expected an object")
+    embedded = _expect_map(doc.get("options", {}), "options")
 
     def pick(flag, key, fallback):
         if flag is not None:
@@ -129,8 +129,7 @@ def _merge_options(args: SimpleNamespace, doc: dict) -> SimpleNamespace:
     def integer(key, value, least=None, cap=None):
         if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"options.{key}: expected an integer")
+        _expect_int(value, f"options.{key}")
         if least is not None and value < least:
             raise SchemaError(f"options.{key}: expected an integer >= {least}")
         if cap is not None and value > cap:
@@ -222,8 +221,8 @@ def _request_verdict(
     the lattice-minimum cross-check over the given cube radius, if any."""
     cd = _request_chern(doc, surface, args)
     d = opts.d if opts.d is not None else doc.get("d")
-    if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
-        raise SchemaError("d: expected an integer")
+    if d is not None:
+        _expect_int(d, "d")
     _cross_check_minimum(cd.c1, surface, radius)
     return cd, existence_verdict(cd, surface, d=d, tol=opts.tol, seed=opts.seed)
 
@@ -259,14 +258,10 @@ def _cmd_recipe(doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface
         # the verdict's replay has checked that the steps take the base's
         # Chern data to cd, and the ledger runs backwards exactly.  Its one
         # run checks 8 Delta at both ends, and 8 Delta is affine in the
-        # step, so entry k is the base moved k steps: torsion[0] - k, c2 + k
+        # step, so the entries between are written in closed form
         steps = verdict.recipe.modification_steps
         base = apply_modification_ledger(cd, -steps, surface.lattice)
-        first, rest = base.c1.torsion[0], list(base.c1.torsion[1:])
-        hom = list(cd.c1.hom)
-        out["transcript"] = [encode_chern(base)] + [
-            {"c1": {"torsion": [first - k, *rest], "hom": hom}, "c2": base.c2 + k} for k in range(1, steps + 1)
-        ]
+        out["transcript"] = encode_transcript(base, steps)
     if verdict.note:
         out["note"] = verdict.note
     return out, code
@@ -426,18 +421,12 @@ def _cmd_check(doc: dict, args: SimpleNamespace, opts: SimpleNamespace, surface:
         c1 = NSClass((0,) * surface.torsion_rank, (1,) * surface.lattice.rank)
         try:
             _cross_check_minimum(c1, surface, opts.enum_radius)
-            results.append(
-                {
-                    "name": "lattice-minimum-enumeration",
-                    "passed": True,
-                    "detail": f"radius {opts.enum_radius}",
-                }
-            )
         except RuntimeError as exc:
-            all_passed = False
-            results.append(
-                {"name": "lattice-minimum-enumeration", "passed": False, "detail": str(exc)}
-            )
+            passed, detail = False, str(exc)
+        else:
+            passed, detail = True, f"radius {opts.enum_radius}"
+        all_passed = all_passed and passed
+        results.append({"name": "lattice-minimum-enumeration", "passed": passed, "detail": detail})
     return (
         {"schema": SCHEMA_VERSION, "passed": all_passed, "checks": results},
         EX_OK if all_passed else EX_FAILURE,
@@ -602,14 +591,14 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-# The text of a scalar leaf, by its exact type: _dump writes such leaves of a
-# dict or list without a call to itself.  Any other value, subclasses such as
-# an IntEnum member included, takes _dump's isinstance path.
+# The text of a scalar.  _dump looks a leaf of a dict or list up by its exact
+# type, and walks the table for any other scalar (a subclass too) to the first
+# type it is an instance of, so bool comes before int: True is an int too.
 _LEAVES: dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
+    bool: ("false", "true").__getitem__,
     int: int.__repr__,
     float: _float_text,
-    bool: ("false", "true").__getitem__,
     type(None): lambda _: "null",
 }
 
@@ -636,18 +625,9 @@ def _dump(value: Any, newline: str = "\n") -> str:
             leaf = _LEAVES.get(type(v))
             items.append(leaf(v) if leaf else _dump(v, inner))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
+    for kind, leaf in _LEAVES.items():
+        if isinstance(value, kind):
+            return leaf(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -11,15 +11,36 @@ fields as one tuple, or a lone field as itself; that key is also what is
 hashed.  The repr is ``Name(field=value, ...)`` in field order.  A value
 that a record derives from its fields (a slot or cached attribute outside
 ``_fields``) takes no part in any of the three.  Assigning or deleting an
-attribute raises AttributeError.  No code is generated.
+attribute raises AttributeError.  No code is generated.  The module also
+owns the package's one compute-once descriptor, computed_once, which
+CurveParam.frame (tate) and _FibrePlan.evaluate (bundles) use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from operator import attrgetter
 
 # Record.__setattr__ raises, so a record's own __init__ stores through this
 set_field = object.__setattr__
+
+
+class computed_once:
+    """A derived attribute computed on its first read and written to the
+    instance's __dict__, which later reads find before this descriptor:
+    functools.cached_property without the lock that Python 3.11 takes on
+    every first read."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.compute.__name__] = self.compute(obj)
+        return value
 
 
 class Record:

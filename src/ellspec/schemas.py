@@ -11,7 +11,6 @@ SchemaError, which the CLI maps to its schema-violation exit code.
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 from typing import Any
 
@@ -45,7 +44,7 @@ from .surface import (
     base_point,
     distinct_base_points,
 )
-from .tate import DEFAULT_TOL, CurveParam, TatePoint, Tolerance
+from .tate import DEFAULT_TOL, INF, CurveParam, TatePoint, Tolerance
 
 SCHEMA_VERSION = 1
 
@@ -94,7 +93,7 @@ def encode_complex(z: complex) -> list[float] | str:
 
 def decode_complex(doc: Any, where: str = "complex") -> complex:
     if doc == "inf":
-        return complex(math.inf, 0.0)
+        return INF
     if (
         isinstance(doc, (list, tuple))
         and len(doc) == 2
@@ -223,6 +222,17 @@ def decode_ns_class(doc: Any, surface: SurfaceData, where: str = "class") -> NSC
 
 def encode_chern(cd: ChernData) -> dict:
     return {"c1": encode_ns_class(cd.c1), "c2": cd.c2}
+
+
+def encode_transcript(base: ChernData, steps: int) -> list[dict]:
+    """A recipe's Chern transcript: entry k is the base moved k steps,
+    torsion[0] - k and c2 + k, and the entries share one hom list."""
+    first = encode_chern(base)
+    head, *rest = first["c1"]["torsion"]
+    hom = first["c1"]["hom"]
+    return [first] + [
+        {"c1": {"torsion": [head - k, *rest], "hom": hom}, "c2": base.c2 + k} for k in range(1, steps + 1)
+    ]
 
 
 def decode_chern(doc: Any, surface: SurfaceData) -> ChernData:

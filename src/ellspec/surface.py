@@ -423,16 +423,6 @@ class NSClass(Record):
             tuple(a + b for a, b in zip(self.hom, other.hom)),
         )
 
-    def __sub__(self, other: "NSClass") -> "NSClass":
-        _same_shape(self, other)
-        return NSClass(
-            tuple(a - b for a, b in zip(self.torsion, other.torsion)),
-            tuple(a - b for a, b in zip(self.hom, other.hom)),
-        )
-
-    def __neg__(self) -> "NSClass":
-        return NSClass(tuple(-a for a in self.torsion), tuple(-a for a in self.hom))
-
     def scale(self, k: int) -> "NSClass":
         return NSClass(tuple(k * a for a in self.torsion), tuple(k * a for a in self.hom))
 

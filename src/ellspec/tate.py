@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 from typing import NamedTuple
 
-from .records import Record, set_field
+from .records import Record, computed_once, set_field
 
 INF = complex(math.inf, 0.0)
 _TWO_PI_I = 2j * math.pi
@@ -64,24 +63,6 @@ class PeriodFrame(NamedTuple):
     k: complex  # 2 pi i / a; x = k^2 (X_p(U) + 1/12) - 1/12
     decay: float  # -log|p| = 2 pi Im tau_r >= pi sqrt 3
     log_tail: float  # log(1.1 |k|^2): log of the bound on x's tail after zero terms
-
-
-class _computed_once:
-    """A derived attribute computed on its first read and written to the
-    instance's __dict__, which later reads find before this descriptor:
-    functools.cached_property without the lock that Python 3.11 takes on
-    every first read."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable) -> None:
-        self.compute = compute
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = vars(obj)[self.compute.__name__] = self.compute(obj)
-        return value
 
 
 class CurveParam(Record):
@@ -111,7 +92,7 @@ class CurveParam(Record):
     def q(self) -> complex:
         return 1.0 / self.tau
 
-    @_computed_once
+    @computed_once
     def frame(self) -> PeriodFrame:
         """The reduced period basis that the x series is summed in.
 

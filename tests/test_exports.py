@@ -186,3 +186,20 @@ def test_cover_fields_stay_in_jacobian():
         if named := identifiers(path) & private:
             crossings[path.name] = sorted(named)
     assert crossings == {}
+
+
+def test_one_compute_once_descriptor():
+    """A derived attribute computed on first read goes through one
+    descriptor, records.computed_once: no module names cached_property, and
+    no other package class defines __get__."""
+    named, descriptors = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if "cached_property" in identifiers(path):
+            named.append(path.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "__get__" for item in node.body
+            ):
+                descriptors.append(f"{path.stem}.{node.name}")
+    assert named == []
+    assert descriptors == ["records.computed_once"]

@@ -52,3 +52,17 @@ def test_existence_sweep_reports_an_out_of_window_degree_as_a_usage_error():
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "error: bisection degree 0 is outside the admissible window [1, 2]" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# The digest of the first 1,000 mutated golden requests: exit codes, stdout
+# and stderr.  A change that moves a reply or an error message moves it.
+MUTATED_1000 = "mutated 1000 4c65a7233a19b3f92538bd4b096128ce7b8cc12f5bfbe2c8831aecc3a932d11a"
+
+
+def test_mutated_golden_replies_do_not_move():
+    proc = run_script("reply_digest.py", ("--mutated", "1000"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == MUTATED_1000, (
+        "replies to mutated golden requests moved: rerun `scripts/reply_digest.py --mutated 1000` "
+        "on the parent commit, list the replies that moved in CHANGES.md, and update MUTATED_1000"
+    )

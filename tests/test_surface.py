@@ -608,8 +608,6 @@ def test_ns_class_arithmetic():
     a = NSClass((1, 2), (3,))
     b = NSClass((0, 1), (-1,))
     assert a + b == NSClass((1, 3), (2,))
-    assert a - b == NSClass((1, 1), (4,))
-    assert -a == NSClass((-1, -2), (-3,))
     assert a.scale(2) == NSClass((2, 4), (6,))
     with pytest.raises(ValueError):
         a + NSClass((1,), (1,))
