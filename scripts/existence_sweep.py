@@ -80,16 +80,19 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    lattice = parse_gram(args.gram)
-    base = BaseCurve(args.genus, tate=CurveParam(args.tau) if args.genus == 1 else None)
-    exponents = parse_ints(args.exponents)
-    surface = SurfaceData(
-        base,
-        CurveParam(args.tau),
-        lattice=lattice,
-        hom_exponents=exponents or None,
-    )
-    hom = parse_ints(args.hom) or (0,) * lattice.rank
+    try:
+        lattice = parse_gram(args.gram)
+        base = BaseCurve(args.genus, tate=CurveParam(args.tau) if args.genus == 1 else None)
+        exponents = parse_ints(args.exponents)
+        surface = SurfaceData(
+            base,
+            CurveParam(args.tau),
+            lattice=lattice,
+            hom_exponents=exponents or None,
+        )
+        hom = parse_ints(args.hom) or (0,) * lattice.rank
+    except ValueError as exc:  # a malformed surface or class, e.g. |tau| <= 1
+        ap.error(str(exc))
     c1 = NSClass((args.torsion,), hom)
 
     print(f"# genus={args.genus} tau={args.tau} gram={args.gram!r} c1={(args.torsion, hom)} d={args.d}")

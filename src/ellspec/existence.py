@@ -4,19 +4,20 @@ The verdict depends on the discriminant Delta, the lattice minimum m
 attached to c1 and the base genus g, and for g >= 2 with 0 <= Delta < m
 on the degrees d of the irreducible bisections at hand: a bundle exists
 when Delta >= m - d/2.  Those degrees form one range [lo, hi] from one of
-three sources: a supplied bisection (its own degree), a stated d, or the
-admissible window of (g, m), which is never empty for g >= 2 because
-ceil(2m - g/2) <= ceil(2m) - 1 <= floor(2m).  With t_lo = m - hi/2 and
-t_hi = m - lo/2 the verdict is not-exists below t_lo, unknown below t_hi
-and exists from there on.  Every affirmative verdict in reach of the two
-standard constructions carries a replayed recipe: a reducible base pair
-at the lattice minimum, or a supplied bisection, followed by elementary
-modifications.
+three sources: the bisection of a supplied push base_push (its own
+degree), a stated d, or the admissible window of (g, m), which is never
+empty for g >= 2 because ceil(2m - g/2) <= ceil(2m) - 1 <= floor(2m).
+With t_lo = m - hi/2 and t_hi = m - lo/2 the verdict is not-exists below
+t_lo, unknown below t_hi and exists from there on.  Every affirmative
+verdict in reach of the two standard constructions carries a replayed
+recipe, built in one place: a reducible base pair at the lattice minimum,
+or the supplied push, followed by elementary modifications.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from fractions import Fraction
 
 from .bundles import (
@@ -29,7 +30,7 @@ from .bundles import (
     chern_data,
 )
 from .jacobian import (
-    Bisection,
+    SectionOfJ,
     graph_self_intersection,
     ruled_invariant_bounds,
     section_for_class,
@@ -119,16 +120,16 @@ def existence_verdict(
     d: int | None = None,
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
-    base_bisection: Bisection | None = None,
-    base_determinant: LineBundleOnX | None = None,
+    base_push: SpectralPushBundle | None = None,
 ) -> Verdict:
     """Decide whether a holomorphic rank-2 bundle with Chern data cd exists,
     by the rule in the module docstring.
 
     Only for genus >= 2 and 0 <= Delta < m are the bisection degrees read:
-    those of base_bisection, whose determinant line bundle must be given,
-    else [d, d], else the whole window.  A degree outside the window, or a
-    bisection that cannot reach cd, raises ValueError.
+    that of base_push's bisection, else [d, d], else the whole window.  Of
+    base_push only the bisection and the determinant's section are used.
+    A degree outside the window, or a push that cannot reach cd, raises
+    ValueError.
     """
     g = surface.base.genus
     delta = discriminant(cd, surface.lattice)
@@ -154,14 +155,21 @@ def existence_verdict(
                 "threshold m; no reducible construction reaches it, so the verdict "
                 "carries no recipe (an irreducible bisection would be needed)",
             )
-        recipe = _reducible_recipe(cd, surface, m, witness, steps, seed)
-        return verdict(Existence.EXISTS, recipe=_replayed(recipe, cd, surface, tol))
+        # the base pair at the lattice minimum, with sub class (c1 - witness) / 2
+        mu = NSClass(
+            (0,) * len(cd.c1.torsion),
+            tuple((c - w) // 2 for c, w in zip(cd.c1.hom, witness.hom)),
+        )
+        sub = LineBundleOnX(section_for_class(surface, mu))
+        recipe = _recipe(
+            cd, surface, m, steps, section_for_class(surface, cd.c1), seed, tol,
+            lambda det, fibre: ExtensionBundle(sub, det, nonsplit_at=(fibre,)),
+        )
+        return verdict(Existence.EXISTS, recipe=recipe)
     bounds = ruled_invariant_bounds(g, m)
     window = (bounds.d_min, bounds.d_max)
-    if base_bisection is not None:
-        if base_determinant is None:
-            raise ValueError("a supplied bisection needs its determinant line bundle")
-        a2 = graph_self_intersection(base_bisection, base_determinant.section, surface, tol)
+    if base_push is not None:
+        a2 = graph_self_intersection(base_push.cover, base_push.determinant.section, surface, tol)
         # The quotient ruled surface has invariant e = -a2 = 2d - 4m for a
         # minimal bisection, so the usable degree is d = 2m - a2/2 and the
         # existence threshold m - d/2 equals a2/4 — the bisection's own
@@ -187,9 +195,16 @@ def existence_verdict(
             d_interval=window,
             note="answer depends on which bisection degrees the surface carries",
         )
-    if base_bisection is not None:
-        recipe = _push_recipe(cd, surface, eight_delta, four_t_hi, base_bisection, base_determinant, seed)
-        return verdict(Existence.EXISTS, recipe=_replayed(recipe, cd, surface, tol))
+    if base_push is not None:
+        if base_push.determinant.chern_class(surface.torsion_rank).hom != cd.c1.hom:
+            raise ValueError("supplied determinant does not realize the requested first Chern class")
+        # the push at base_delta = t_hi, then 2 (Delta - t_hi) modifications
+        steps = (eight_delta - 2 * four_t_hi) // 4
+        recipe = _recipe(
+            cd, surface, Fraction(four_t_hi, 4), steps, base_push.determinant.section, seed, tol,
+            lambda det, _: SpectralPushBundle(base_push.cover, det),
+        )
+        return verdict(Existence.EXISTS, recipe=recipe)
     if d is None:
         note = "every admissible bisection degree suffices"
     else:
@@ -197,60 +212,19 @@ def existence_verdict(
     return verdict(Existence.EXISTS, d_interval=window, note=note)
 
 
-def _push_recipe(
-    cd: ChernData,
-    surface: SurfaceData,
-    eight_delta: int,
-    four_base_delta: int,
-    bisection: Bisection,
-    determinant: LineBundleOnX,
-    seed: int,
+def _recipe(
+    cd: ChernData, surface: SurfaceData, base_delta: Fraction, steps: int, section: SectionOfJ,
+    seed: int, tol: Tolerance, base: Callable[[LineBundleOnX, complex], RankTwoBundle],
 ) -> Recipe:
-    """The bisection's push at base_delta = four_base_delta/4, then
-    2(Delta - base_delta) modifications."""
-    if determinant.chern_class(surface.torsion_rank).hom != cd.c1.hom:
-        raise ValueError(
-            "supplied determinant does not realize the requested first Chern class"
-        )
-    steps, rem = divmod(eight_delta - 2 * four_base_delta, 4)
-    if rem:
-        raise ValueError("target discriminant is not reachable from the supplied bisection")
+    """The one construction: base(determinant, fibre) at base_delta, then
+    steps elementary modifications at the seed's generic fibre, replayed
+    to the requested Chern data cd.  The determinant has the given section."""
+    fibre = _sample_base_numbers(surface, 1, seed)[0]
     # Only the determinant's section matters to the construction; its
     # twists are chosen here so the modification ledger lands exactly on
     # the requested class (each step lowers the leading torsion entry).
-    det = LineBundleOnX(
-        determinant.section,
-        cd.c1.torsion[0] + steps,
-        cd.c1.torsion[1:],
-    )
-    base = SpectralPushBundle(bisection, det)
-    return Recipe(base, Fraction(four_base_delta, 4), _sample_base_numbers(surface, 1, seed)[0], steps)
-
-
-def _reducible_recipe(
-    cd: ChernData,
-    surface: SurfaceData,
-    m: Fraction,
-    witness: NSClass,
-    steps: int,
-    seed: int,
-) -> Recipe:
-    """Base pair at the lattice minimum m, then steps = 2(Delta - m) modifications."""
-    fibre = _sample_base_numbers(surface, 1, seed)[0]
-    mu = NSClass(
-        (0,) * len(cd.c1.torsion),
-        tuple((c - w) // 2 for c, w in zip(cd.c1.hom, witness.hom)),
-    )
-    sub = LineBundleOnX(section_for_class(surface, mu))
-    det_c1 = NSClass((cd.c1.torsion[0] + steps,) + cd.c1.torsion[1:], cd.c1.hom)
-    det = LineBundleOnX(
-        section_for_class(surface, det_c1), det_c1.torsion[0], det_c1.torsion[1:]
-    )
-    base = ExtensionBundle(sub, det, nonsplit_at=(fibre,))
-    return Recipe(base, m, fibre, steps)
-
-
-def _replayed(recipe: Recipe, cd: ChernData, surface: SurfaceData, tol: Tolerance) -> Recipe:
+    det = LineBundleOnX(section, cd.c1.torsion[0] + steps, cd.c1.torsion[1:])
+    recipe = Recipe(base(det, fibre), base_delta, fibre, steps)
     if replay_recipe(recipe, surface, tol) != cd:
         raise AssertionError("recipe replay drifted from the requested Chern data")
     return recipe

@@ -183,13 +183,11 @@ def test_gap_sweep_with_stated_degree():
 def test_supplied_bisection_threshold():
     bis = declared_cover(2)
     det = det_for(G2_FOUR, C1_HOM)
-    below = existence_verdict(
-        ChernData(C1_HOM, -2), G2_FOUR, base_bisection=bis, base_determinant=det
-    )
+    below = existence_verdict(ChernData(C1_HOM, -2), G2_FOUR, base_push=SpectralPushBundle(bis, det))
     assert below.status is Existence.NOT_EXISTS
 
     cd = ChernData(C1_HOM, -1)  # Delta = 1/2 = a2 / 4
-    at = existence_verdict(cd, G2_FOUR, base_bisection=bis, base_determinant=det)
+    at = existence_verdict(cd, G2_FOUR, base_push=SpectralPushBundle(bis, det))
     assert at.status is Existence.EXISTS
     assert at.recipe is not None
     assert at.recipe.base_delta == Fraction(1, 2)
@@ -204,7 +202,7 @@ def test_supplied_bisection_with_modifications():
     det = det_for(G2_SIX, C1_HOM)
     cd = ChernData(C1_HOM, -1)
     assert discriminant(cd, G2_SIX.lattice) == 1
-    v = existence_verdict(cd, G2_SIX, base_bisection=bis, base_determinant=det)
+    v = existence_verdict(cd, G2_SIX, base_push=SpectralPushBundle(bis, det))
     assert v.status is Existence.EXISTS
     assert v.recipe is not None
     assert v.recipe.base_delta == Fraction(1, 2)
@@ -214,29 +212,16 @@ def test_supplied_bisection_with_modifications():
 
 def test_supplied_bisection_errors():
     cd = ChernData(C1_HOM, -1)
-    with pytest.raises(ValueError, match="determinant"):
-        existence_verdict(cd, G2_FOUR, base_bisection=declared_cover(2))
     with pytest.raises(ValueError, match="admissible window"):
-        existence_verdict(
-            cd,
-            G2_FOUR,
-            base_bisection=declared_cover(6),
-            base_determinant=det_for(G2_FOUR, C1_HOM),
-        )
+        existence_verdict(cd, G2_FOUR, base_push=SpectralPushBundle(declared_cover(6), det_for(G2_FOUR, C1_HOM)))
     with pytest.raises(ValueError, match="incompatible with the lattice minimum"):
-        existence_verdict(
-            cd,
-            G2_FOUR,
-            base_bisection=declared_cover(1),
-            base_determinant=det_for(G2_FOUR, C1_HOM),
-        )
+        existence_verdict(cd, G2_FOUR, base_push=SpectralPushBundle(declared_cover(1), det_for(G2_FOUR, C1_HOM)))
+    wrong_hom = LineBundleOnX(SectionOfJ(TatePoint(1.0, TAU), (0,)))
     with pytest.raises(ValueError, match="does not realize"):
-        existence_verdict(
-            cd,
-            G2_FOUR,
-            base_bisection=declared_cover(2),
-            base_determinant=LineBundleOnX(SectionOfJ(TatePoint(1.0, TAU), (0,))),
-        )
+        existence_verdict(cd, G2_FOUR, base_push=SpectralPushBundle(declared_cover(2), wrong_hom))
+    extra_twists = LineBundleOnX(section_for_class(G2_FOUR, C1_HOM), 0, (1,))
+    with pytest.raises(ValueError, match="more fibre twists"):
+        existence_verdict(cd, G2_FOUR, base_push=SpectralPushBundle(declared_cover(2), extra_twists))
 
 
 # ------------------------------------ stated degree against a bisection
@@ -267,12 +252,8 @@ def test_stated_degree_matches_supplied_bisection_of_that_degree():
                     cd = ChernData(c1, c2)
                     for d in range(bounds.d_min, bounds.d_max + 1):
                         stated = existence_verdict(cd, surface, d=d)
-                        supplied = existence_verdict(
-                            cd,
-                            surface,
-                            base_bisection=declared_cover(int(4 * m) - 2 * d),
-                            base_determinant=det,
-                        )
+                        push = SpectralPushBundle(declared_cover(int(4 * m) - 2 * d), det)
+                        supplied = existence_verdict(cd, surface, base_push=push)
                         assert stated.status is supplied.status, (genus, lattice, cd, d)
                         assert stated.recipe in (None, supplied.recipe)
                         if supplied.recipe is not None:

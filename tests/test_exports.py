@@ -203,3 +203,15 @@ def test_one_compute_once_descriptor():
                 descriptors.append(f"{path.stem}.{node.name}")
     assert named == []
     assert descriptors == ["records.computed_once"]
+
+
+def test_one_recipe_builder():
+    """Every recipe, reducible base or supplied push, is built at one
+    Recipe(...) call in existence."""
+    tree = ast.parse((PACKAGE / "existence.py").read_text(encoding="utf-8"))
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Recipe"
+    ]
+    assert len(sites) == 1, sites
